@@ -36,6 +36,10 @@ pub struct MshrFile {
     ready_at: Vec<u64>,
     source: Vec<PfSource>,
     demand_waiting: Vec<bool>,
+    /// Minimum of `ready_at` over the outstanding entries (`u64::MAX`
+    /// when empty): a drain before this cycle has nothing to pop and
+    /// returns without scanning.
+    earliest_ready: u64,
     capacity: usize,
     peak: usize,
 }
@@ -71,6 +75,7 @@ impl MshrFile {
             ready_at: Vec::with_capacity(capacity),
             source: Vec::with_capacity(capacity),
             demand_waiting: Vec::with_capacity(capacity),
+            earliest_ready: u64::MAX,
             capacity,
             peak: 0,
         }
@@ -109,6 +114,7 @@ impl MshrFile {
         self.ready_at.push(ready_at);
         self.source.push(source);
         self.demand_waiting.push(!is_prefetch);
+        self.earliest_ready = self.earliest_ready.min(ready_at);
         self.peak = self.peak.max(self.blocks.len());
         MshrOutcome::Allocated
     }
@@ -147,10 +153,14 @@ impl MshrFile {
     /// can reuse one scratch vector.
     pub fn drain_ready_into(&mut self, now: u64, done: &mut Vec<Completion>) {
         done.clear();
+        if now < self.earliest_ready {
+            return;
+        }
         // In-place compaction across the parallel arrays, preserving
         // insertion order (so the stable sort below tie-breaks equal
         // `ready_at` by allocation order, as `Vec::retain` did).
         let mut w = 0;
+        let mut earliest = u64::MAX;
         for r in 0..self.blocks.len() {
             if self.ready_at[r] <= now {
                 done.push(Completion {
@@ -169,6 +179,7 @@ impl MshrFile {
                     self.source[w] = self.source[r];
                     self.demand_waiting[w] = self.demand_waiting[r];
                 }
+                earliest = earliest.min(self.ready_at[r]);
                 w += 1;
             }
         }
@@ -177,6 +188,7 @@ impl MshrFile {
         self.ready_at.truncate(w);
         self.source.truncate(w);
         self.demand_waiting.truncate(w);
+        self.earliest_ready = earliest;
         done.sort_by_key(|c| c.ready_at);
     }
 
@@ -279,6 +291,100 @@ mod tests {
         m.allocate(4, 11, 20, D);
         assert_eq!(m.peak_occupancy(), 3);
         assert_eq!(m.occupancy(), 1);
+    }
+
+    /// Reference model: a plain entry list, drained by a full scan
+    /// plus a stable sort on every call.
+    struct NaiveMshr {
+        entries: Vec<Completion>,
+        capacity: usize,
+    }
+
+    impl NaiveMshr {
+        fn allocate(
+            &mut self,
+            block: Block,
+            now: u64,
+            ready_at: u64,
+            source: PfSource,
+        ) -> MshrOutcome {
+            let is_prefetch = source.is_prefetch();
+            if let Some(e) = self.entries.iter_mut().find(|e| e.block == block) {
+                e.demand_waiting |= !is_prefetch;
+                return MshrOutcome::Merged {
+                    ready_at: e.ready_at,
+                    was_prefetch: e.is_prefetch,
+                };
+            }
+            if self.entries.len() == self.capacity {
+                return MshrOutcome::Full;
+            }
+            self.entries.push(Completion {
+                block,
+                issued_at: now,
+                ready_at,
+                is_prefetch,
+                source,
+                demand_waiting: !is_prefetch,
+            });
+            MshrOutcome::Allocated
+        }
+
+        fn drain(&mut self, now: u64) -> Vec<Completion> {
+            let (mut done, rest): (Vec<_>, Vec<_>) =
+                self.entries.iter().partition(|e| e.ready_at <= now);
+            self.entries = rest;
+            done.sort_by_key(|c| c.ready_at);
+            done
+        }
+    }
+
+    #[test]
+    fn matches_naive_reference_on_random_sequences() {
+        let mut state = 0x5eed_u64;
+        // splitmix64: a fixed, dependency-free operation stream.
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for capacity in [1, 4, 10] {
+            let mut fast = MshrFile::new(capacity);
+            let mut naive = NaiveMshr {
+                entries: Vec::new(),
+                capacity,
+            };
+            let mut scratch = Vec::new();
+            let mut now = 0u64;
+            let mut drained = 0usize;
+            for _ in 0..20_000 {
+                match next(4) {
+                    // Allocate or merge: few blocks, so merges are
+                    // common; narrow latencies, so `ready_at` ties are.
+                    0 | 1 => {
+                        let block = next(16);
+                        let ready_at = now + 1 + next(8);
+                        let source = if next(2) == 0 { D } else { P };
+                        assert_eq!(
+                            fast.allocate(block, now, ready_at, source),
+                            naive.allocate(block, now, ready_at, source)
+                        );
+                    }
+                    2 => now += next(4),
+                    _ => {
+                        fast.drain_ready_into(now, &mut scratch);
+                        let expect = naive.drain(now);
+                        assert_eq!(scratch, expect, "completions at cycle {now}");
+                        drained += expect.len();
+                    }
+                }
+                assert_eq!(fast.occupancy(), naive.entries.len());
+                assert_eq!(fast.is_full(), naive.entries.len() == capacity);
+            }
+            assert!(drained > 1_000, "too few completions exercised");
+        }
     }
 
     #[test]

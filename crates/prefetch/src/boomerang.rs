@@ -167,6 +167,8 @@ pub struct Boomerang {
     steps_per_cycle: usize,
     /// Retire-side learning state: current basic-block start.
     bb_start: Option<Addr>,
+    /// `next_pc()` of the previous retired instruction.
+    expected_pc: Option<Addr>,
     stats: BoomerangStats,
 }
 
@@ -182,6 +184,7 @@ impl Boomerang {
             parked: false,
             steps_per_cycle: 2,
             bb_start: Some(start_pc),
+            expected_pc: None,
             stats: BoomerangStats::default(),
         }
     }
@@ -204,6 +207,14 @@ impl Boomerang {
 
     /// Learns basic-block entries from the retired instruction stream.
     pub fn on_retire(&mut self, instr: &Instr) {
+        // A pc the previous instruction does not lead to (a tenant
+        // switch in a mix, a spliced trace) ends the open basic block
+        // without a branch; learning across it would record a block
+        // spanning two unrelated code regions.
+        if self.expected_pc.is_some_and(|pc| pc != instr.pc) {
+            self.bb_start = Some(instr.pc);
+        }
+        self.expected_pc = Some(instr.next_pc());
         let Some(start) = self.bb_start else {
             self.bb_start = Some(instr.pc);
             return;
@@ -458,6 +469,21 @@ mod tests {
             },
         );
         assert_eq!(b.lookup(0x100).unwrap().target, 0x500);
+    }
+
+    #[test]
+    fn retire_learning_restarts_at_pc_jump() {
+        // A tenant switch (pc jump with no branch) ends the open basic
+        // block: the branch after it is learned from the switch target.
+        let mut bm = Boomerang::new(64, 0x1000);
+        bm.on_retire(&Instr::other(0x1000, 4));
+        bm.on_retire(&Instr::other(0x1004, 4));
+        bm.on_retire(&Instr::other(0x1000_1000, 4));
+        bm.on_retire(&Instr::branch(0x1000_1004, 4, InstrKind::Jump, 0x1000_2000));
+        assert!(bm.bb_btb.lookup(0x1000).is_none(), "block spans the switch");
+        let e = bm.bb_btb.lookup(0x1000_1000).expect("learned after switch");
+        assert_eq!(e.end, 0x1000_1004);
+        assert_eq!(e.target, 0x1000_2000);
     }
 
     #[test]

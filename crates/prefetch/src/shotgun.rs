@@ -103,6 +103,8 @@ pub struct Shotgun {
     parked: bool,
     steps_per_cycle: usize,
     bb_start: Option<Addr>,
+    /// `next_pc()` of the previous retired instruction.
+    expected_pc: Option<Addr>,
     open_calls: Vec<CallTracker>,
     finishing: Vec<RetTracker>,
     target_trackers: Vec<TargetTracker>,
@@ -125,6 +127,7 @@ impl Shotgun {
             parked: false,
             steps_per_cycle: 2,
             bb_start: Some(start_pc),
+            expected_pc: None,
             open_calls: Vec::with_capacity(64),
             finishing: Vec::with_capacity(8),
             target_trackers: Vec::with_capacity(8),
@@ -165,6 +168,14 @@ impl Shotgun {
     /// Learns BTB entries and spatial footprints from the retired
     /// stream.
     pub fn on_retire(&mut self, instr: &Instr) {
+        // A pc the previous instruction does not lead to (a tenant
+        // switch in a mix, a spliced trace) ends the open basic block
+        // without a branch; learning across it would record a block
+        // spanning two unrelated code regions.
+        if self.expected_pc.is_some_and(|pc| pc != instr.pc) {
+            self.bb_start = Some(instr.pc);
+        }
+        self.expected_pc = Some(instr.next_pc());
         let block = instr.block();
         // Footprint accumulation: only the innermost open call records.
         if let Some(t) = self.open_calls.last_mut() {
@@ -544,19 +555,22 @@ mod tests {
         )
     }
 
+    /// Retires the straight-line instructions in `[from, to)`.
+    fn retire_run(s: &mut Shotgun, from: Addr, to: Addr) {
+        for pc in (from..to).step_by(4) {
+            s.on_retire(&Instr::other(pc, 4));
+        }
+    }
+
     fn retire_call_sequence(s: &mut Shotgun) {
         // bb at 0x1000 ends with a call at 0x1008 to 0x8000; the callee
-        // touches blocks 0x200, 0x201, 0x203 and returns to 0x100c,
-        // after which blocks 0x40, 0x41 are touched.
-        s.on_retire(&Instr::other(0x1000, 4));
+        // runs straight through blocks 0x200..=0x203 and returns from
+        // 0x80c4 to 0x100c, after which blocks 0x40, 0x41 are touched.
+        retire_run(s, 0x1000, 0x1008);
         s.on_retire(&Instr::branch(0x1008, 4, InstrKind::Call, 0x8000));
-        s.on_retire(&Instr::other(0x8000, 4)); // block 0x200
-        s.on_retire(&Instr::other(0x8040, 4)); // block 0x201
-        s.on_retire(&Instr::other(0x80c0, 4)); // block 0x203
+        retire_run(s, 0x8000, 0x80c4);
         s.on_retire(&Instr::branch(0x80c4, 4, InstrKind::Return, 0x100c));
-        for i in 0..16u64 {
-            s.on_retire(&Instr::other(0x100c + i * 4, 4));
-        }
+        retire_run(s, 0x100c, 0x104c);
     }
 
     #[test]
@@ -566,8 +580,8 @@ mod tests {
         let e = s.btb.lookup_u(0x1000).expect("call bb learned");
         assert_eq!(e.end, 0x1008);
         assert_eq!(e.target, 0x8000);
-        // Call footprint: blocks 0x200 (+0), 0x201 (+1), 0x203 (+3).
-        assert_eq!(e.call_footprint, 0b1011);
+        // Call footprint: blocks 0x200 (+0) through 0x203 (+3).
+        assert_eq!(e.call_footprint, 0b1111);
         // Return footprint: block 0x40 (+0) and 0x41 (+1).
         assert_eq!(e.ret_footprint, 0b11);
     }
@@ -684,6 +698,31 @@ mod tests {
         assert!(ftq.is_empty());
         assert!(!s.parked);
         assert_eq!(s.stats().redirects, 1);
+    }
+
+    #[test]
+    fn retire_learning_restarts_at_pc_jump() {
+        // Two instructions of one tenant, then a switch to another
+        // tenant 256 MiB away with no branch in between: the jump's
+        // basic block must start at the switch, not back in the first
+        // tenant.
+        let mut s = small();
+        retire_run(&mut s, 0x1000, 0x1008);
+        retire_run(&mut s, 0x1000_1000, 0x1000_1008);
+        s.on_retire(&Instr::branch(0x1000_1008, 4, InstrKind::Jump, 0x1000_2000));
+        assert!(s.btb.lookup_u(0x1000).is_none(), "block spans the switch");
+        let e = s.btb.lookup_u(0x1000_1000).expect("learned after switch");
+        assert_eq!(e.end, 0x1000_1008);
+        // The same switch on a conditional lands in the C-BTB likewise.
+        retire_run(&mut s, 0x3000, 0x3004);
+        s.on_retire(&Instr::branch(
+            0x3004,
+            4,
+            InstrKind::CondBranch { taken: false },
+            0x3100,
+        ));
+        assert!(s.btb.lookup_c(0x1000_2000).is_none());
+        assert_eq!(s.btb.lookup_c(0x3000), Some((0x3004, 0x3100)));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use super::Machine;
 use dcfb_frontend::BtbEntry;
 use dcfb_prefetch::{PrefetchContext, RunaheadContext};
 use dcfb_telemetry::PfSource;
-use dcfb_trace::{Addr, Block};
+use dcfb_trace::{block_base, Addr, Block};
 use std::sync::Arc;
 
 impl PrefetchContext for Machine {
@@ -28,10 +28,20 @@ impl PrefetchContext for Machine {
         self.predecode_block(block)
     }
 
+    /// Fixed4 replays are answered from the per-block pre-decode
+    /// cache (the branch whose pc is `block_base + byte_offset`), so a
+    /// block is decoded once per run; variable-length replays decode
+    /// against the code memory every time.
     fn decode_branch_at(&mut self, block: Block, byte_offset: u32) -> Option<BtbEntry> {
-        let code = Arc::clone(&self.code);
-        let entry = self.predecoder.decode_at(&code, block, byte_offset)?;
-        Some(entry)
+        if self.predecoder.isa().self_describing_boundaries() {
+            let pc = block_base(block) + Addr::from(byte_offset);
+            self.cached_branches(block)
+                .iter()
+                .find(|e| e.pc == pc)
+                .copied()
+        } else {
+            self.predecoder.decode_at(&self.code, block, byte_offset)
+        }
     }
 
     fn btb_target(&mut self, pc: Addr) -> Option<Addr> {

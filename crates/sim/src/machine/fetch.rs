@@ -15,22 +15,28 @@ impl Machine {
     /// prefetchers thousands of times per run.
     pub(crate) fn predecode_block(&mut self, block: Block) -> Arc<[BtbEntry]> {
         if self.predecoder.isa().self_describing_boundaries() {
-            if let Some(cached) = self.predecode_cache.get(&block) {
-                return Arc::clone(cached);
-            }
-            let code = Arc::clone(&self.code);
-            let branches: Arc<[BtbEntry]> =
-                self.predecoder.decode(&code, block, None).branches.into();
-            self.predecode_cache.insert(block, Arc::clone(&branches));
-            branches
+            Arc::clone(self.cached_branches(block))
         } else {
-            let code = Arc::clone(&self.code);
             let bf = self.uncore.dvllc_mut().and_then(|dv| dv.bf_lookup(block));
             self.predecoder
-                .decode(&code, block, bf.as_ref())
+                .decode(&self.code, block, bf.as_ref())
                 .branches
                 .into()
         }
+    }
+
+    /// The Fixed4 pre-decode of `block`, decoding it on first use.
+    /// Only valid for self-describing encodings.
+    pub(crate) fn cached_branches(&mut self, block: Block) -> &Arc<[BtbEntry]> {
+        let Machine {
+            predecode_cache,
+            predecoder,
+            code,
+            ..
+        } = self;
+        predecode_cache
+            .entry(block)
+            .or_insert_with(|| predecoder.decode(code, block, None).branches.into())
     }
 
     pub(crate) fn note_tage(&mut self, correct: bool) {

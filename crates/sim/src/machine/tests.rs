@@ -538,3 +538,57 @@ fn mock_driver_exercises_the_shared_loop() {
         "EndCycle path must complete cycles"
     );
 }
+
+/// Every 4-byte offset of every block in `blocks`: the machine's
+/// cache-served Dis replay must equal the uncached pre-decoder.
+fn assert_replay_matches_predecoder(workload: &str, blocks: &[Block]) {
+    use dcfb_frontend::Predecoder;
+    use dcfb_prefetch::PrefetchContext;
+    let resolved = dcfb_workloads::resolve_workload(workload, IsaMode::Fixed4).expect("workload");
+    let cfg = SimConfig::for_method("SN4L+Dis+BTB").expect("method");
+    let mut m = Machine::new(&cfg, resolved.code(), resolved.name().to_string());
+    let code = resolved.code();
+    let mut reference = Predecoder::new(IsaMode::Fixed4);
+    let mut branches = 0;
+    for &block in blocks {
+        for off in (0..64).step_by(4) {
+            let cached = m.decode_branch_at(block, off);
+            assert_eq!(
+                cached,
+                reference.decode_at(&code, block, off),
+                "{workload}: block {block:#x} offset {off}"
+            );
+            branches += usize::from(cached.is_some());
+        }
+    }
+    assert!(branches > 1_000, "{workload}: only {branches} branches");
+}
+
+/// Every block of each tenant's image, rebased as a `mix:` source
+/// rebases it (tenant `i` by `i * TENANT_STRIDE`), plus one block of
+/// margin on each side (decodes to nothing).
+fn tenant_blocks(tenants: &[&str]) -> Vec<Block> {
+    use dcfb_trace::block_of;
+    use dcfb_workloads::image::IMAGE_BASE;
+    let mut blocks = Vec::new();
+    for (i, name) in tenants.iter().enumerate() {
+        let image = dcfb_workloads::workload(name)
+            .expect("catalog workload")
+            .image(IsaMode::Fixed4);
+        let offset = i as u64 * dcfb_workloads::TENANT_STRIDE;
+        blocks.extend(block_of(IMAGE_BASE + offset) - 1..=block_of(image.end() + offset));
+    }
+    blocks
+}
+
+#[test]
+fn cached_dis_replay_matches_predecoder_on_catalog_image() {
+    let blocks = tenant_blocks(&["Web Frontend"]);
+    assert_replay_matches_predecoder("Web Frontend", &blocks);
+}
+
+#[test]
+fn cached_dis_replay_matches_predecoder_on_mix() {
+    let blocks = tenant_blocks(&["Web Frontend", "Web Search"]);
+    assert_replay_matches_predecoder("mix:Web Frontend+Web Search", &blocks);
+}

@@ -27,7 +27,8 @@
 //! window were simply *useless*.
 
 use crate::source::PfSource;
-use std::collections::{HashMap, VecDeque};
+use fxhash::FxHashMap;
+use std::collections::VecDeque;
 
 /// Terminal-class tallies for one prefetch source.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,9 +61,9 @@ impl TimelinessCounts {
 /// invariant still holds.
 #[derive(Clone, Debug)]
 pub struct TimelinessTracker {
-    in_flight: HashMap<u64, PfSource>,
-    resident: HashMap<u64, PfSource>,
-    evicted: HashMap<u64, PfSource>,
+    in_flight: FxHashMap<u64, PfSource>,
+    resident: FxHashMap<u64, PfSource>,
+    evicted: FxHashMap<u64, PfSource>,
     evicted_fifo: VecDeque<u64>,
     evicted_cap: usize,
     counts: [TimelinessCounts; PfSource::COUNT],
@@ -73,9 +74,9 @@ impl TimelinessTracker {
     /// blocks (clamped to at least 1).
     pub fn new(evicted_cap: usize) -> TimelinessTracker {
         TimelinessTracker {
-            in_flight: HashMap::new(),
-            resident: HashMap::new(),
-            evicted: HashMap::new(),
+            in_flight: FxHashMap::default(),
+            resident: FxHashMap::default(),
+            evicted: FxHashMap::default(),
             evicted_fifo: VecDeque::new(),
             evicted_cap: evicted_cap.max(1),
             counts: [TimelinessCounts::default(); PfSource::COUNT],

@@ -86,7 +86,11 @@ enum Next {
 
 impl InstrStream for Walker {
     fn next_instr(&mut self) -> Option<Instr> {
-        let image = Arc::clone(&self.image);
+        // Borrowed, not cloned: the image `Arc` is shared with the
+        // machine's code memory and with concurrent runs of the same
+        // workload, so a per-instruction refcount write would bounce
+        // its cache line between cores.
+        let image: &ProgramImage = &self.image;
         let func = &image.functions()[self.cur_fn as usize];
         let bb = &func.blocks[self.cur_bb as usize];
         let idx = (bb.first_instr + self.cur_instr) as usize;
