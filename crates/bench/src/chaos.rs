@@ -25,19 +25,16 @@ use crate::supervisor::{
     Deadline, JobEnvelope, JobStatus, SupervisionReport, Supervisor, SupervisorOptions,
 };
 use dcfb_cache::CacheConfig;
-use dcfb_conformance::golden::{fixture_digest, fixture_image, goldens, FIXTURE_TRACE_SEED};
+use dcfb_conformance::golden::{fixture_digest, fixture_image, goldens};
 use dcfb_errors::DcfbError;
-use dcfb_sim::{
-    merge_reports, plan_shards, record_trace, run_shard, run_sharded, shard_stream, RunControl,
-    ShardOptions, SimConfig, SimReport, Simulator,
-};
+use dcfb_sim::{RunControl, SimConfig, Simulator};
 use dcfb_telemetry::{CounterSet, Ctr};
 use dcfb_trace::{
     write_binary_v2, FaultyReader, FaultyStream, IsaMode, ReadMode, RecordedCode, StreamFault,
 };
 use dcfb_workloads::{all_workloads, ProgramImage, Walker};
 use std::io::Cursor;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Instruction budget used by the deadline scenarios — far below the
@@ -323,7 +320,6 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosReport {
     };
     phase_golden(&mut campaign, &sup, &golds);
     phase_faults(&mut campaign, &sup, &golds);
-    phase_sharded(&mut campaign, &sup, &golds);
     phase_resume(&mut campaign, &golds);
     ChaosReport {
         seed: opts.seed,
@@ -567,101 +563,6 @@ fn phase_faults(c: &mut Campaign, sup: &Supervisor, golds: &[(&'static str, &'st
     c.absorb("faults", &report);
 }
 
-/// Phase: sharded fault isolation. The fixture run is sliced into
-/// three time shards and each shard is a separately supervised job.
-/// One shard's instruction stream panics mid-warmup on its first
-/// attempt; supervision must retry *that shard only* (the others
-/// complete in one attempt), and the report stitched from the
-/// supervised shards must be byte-identical to a clean sharded run of
-/// the same plan.
-fn phase_sharded(c: &mut Campaign, sup: &Supervisor, golds: &[(&'static str, &'static str)]) {
-    const SHARDS: usize = 3;
-    const FAULT_SHARD: usize = 1;
-    if golds.len() < 7 {
-        c.fail("sharded: fewer than 7 golden methods; cannot assign a scenario".to_owned());
-        return;
-    }
-    let method = golds[6].0;
-    let cfg = match chaos_config(method) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            c.fail(format!("sharded: bad config for {method}: {e}"));
-            return;
-        }
-    };
-    let image = Arc::clone(&c.image);
-    // The clean reference: the same plan executed by the sharded
-    // executor with no faults. Full-warmup overlap, the same operating
-    // point the conformance tolerance tier pins.
-    let opts = ShardOptions {
-        shards: SHARDS,
-        warmup_overlap: Some(cfg.warmup_instrs),
-        jobs: 1,
-    };
-    let reference = match run_sharded(&cfg, &image, FIXTURE_TRACE_SEED, &opts) {
-        Ok(run) => run,
-        Err(e) => {
-            c.fail(format!("sharded: clean reference run failed: {e}"));
-            return;
-        }
-    };
-    let plan = plan_shards(
-        cfg.warmup_instrs,
-        cfg.measure_instrs,
-        SHARDS,
-        opts.overlap_for(cfg.warmup_instrs),
-    );
-    let trace = record_trace(&image, FIXTURE_TRACE_SEED, plan.trace_instrs());
-    // Stitched from the supervised shard jobs as each one completes.
-    let stitched: Mutex<Vec<Option<SimReport>>> = Mutex::new(vec![None; plan.shards.len()]);
-    for (i, spec) in plan.shards.iter().enumerate() {
-        let report = sup.run_with(vec![c.envelope(method)], |env, attempt| {
-            let mut stream = shard_stream(&trace, spec);
-            if i == FAULT_SHARD && attempt.index == 0 {
-                // This shard's stream panics mid-warmup, first attempt
-                // only; the other shards never see a fault.
-                let mut faulty =
-                    FaultyStream::new(stream, StreamFault::PanicAfter(spec.warmup / 2));
-                let _ = run_shard(&cfg, &image, spec, &mut faulty);
-                return Err(run_err(env, "injected shard panic did not fire".into()));
-            }
-            let rep = run_shard(&cfg, &image, spec, &mut stream)?;
-            let digest = rep.digest();
-            if let Ok(mut slots) = stitched.lock() {
-                slots[i] = Some(rep);
-            }
-            Ok(format!("shard {i}: {digest}"))
-        });
-        let want = if i == FAULT_SHARD {
-            JobStatus::Retried
-        } else {
-            JobStatus::Completed
-        };
-        c.expect_status(&format!("sharded-shard-{i}"), &report, want);
-        c.absorb("sharded", &report);
-    }
-    let reports: Vec<SimReport> = match stitched.into_inner() {
-        Ok(slots) => slots.into_iter().flatten().collect(),
-        Err(_) => Vec::new(),
-    };
-    if reports.len() != plan.shards.len() {
-        c.fail(format!(
-            "sharded: only {}/{} supervised shards reported",
-            reports.len(),
-            plan.shards.len()
-        ));
-        return;
-    }
-    match merge_reports(&reports) {
-        Some(merged) if merged.digest() == reference.merged.digest() => {}
-        Some(_) => c.fail(format!(
-            "sharded: merged digest after the shard-{FAULT_SHARD} retry diverged \
-             from the clean sharded run for {method}"
-        )),
-        None => c.fail("sharded: nothing to merge".to_owned()),
-    }
-}
-
 /// Phase 3: checkpoint torn mid-write, then resumed — the salvaged
 /// prefix plus regenerated tail must be byte-identical to the
 /// uninterrupted checkpoint.
@@ -761,10 +662,9 @@ mod tests {
         // Counts sum to submitted.
         let total = a.count("completed") + a.count("retried") + a.count("quarantined");
         assert_eq!(total, a.rows.len());
-        // Expected scenario mix: transient scenarios plus the faulted
-        // shard retried, permanent plus skip plus strict-read
-        // quarantined.
-        assert_eq!(a.count("retried"), 3);
+        // Expected scenario mix: transient scenarios retried,
+        // permanent plus skip plus strict-read quarantined.
+        assert_eq!(a.count("retried"), 2);
         assert_eq!(a.count("quarantined"), 4);
         assert_eq!(a.counters.get(Ctr::JobQuarantines), 4);
         assert!(a.counters.get(Ctr::JobTimeouts) >= 4);

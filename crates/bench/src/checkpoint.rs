@@ -66,12 +66,6 @@ impl Checkpoint {
         self.entries.is_empty()
     }
 
-    /// Every `(id, value)` entry, in insertion order. The serve crate
-    /// scans this to recover its job records on restart.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
     /// The markdown recorded for `id`, if that figure completed.
     pub fn get(&self, id: &str) -> Option<&str> {
         self.entries

@@ -161,7 +161,7 @@ fn save_state(campaign: &Campaign, path: &Path) -> Result<(), DcfbError> {
 /// error rather than a silently different campaign.
 fn load_state(cfg: CampaignConfig, path: &Path) -> Result<Campaign, DcfbError> {
     let cp = Checkpoint::load(path)?;
-    if cp.entries().next().is_none() {
+    if cp.is_empty() {
         return Campaign::new(cfg).map_err(config_err);
     }
     let schema = state_field(&cp, "schema")?;

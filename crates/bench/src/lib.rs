@@ -31,5 +31,5 @@ pub use supervisor::{
     BackoffPolicy, Deadline, JobEnvelope, JobOutcome, JobRecord, JobStatus, SupervisionReport,
     Supervisor, SupervisorOptions,
 };
-pub use sweep::{run_bench_sweep, BenchSweepReport, ServeMixMeasurement, SweepOptions};
+pub use sweep::{run_bench_sweep, BenchSweepReport, SweepOptions};
 pub use table::Table;

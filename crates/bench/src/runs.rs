@@ -158,7 +158,7 @@ pub fn image_for(workload: &Workload, isa: IsaMode) -> Arc<ProgramImage> {
 
 /// Resolves a workload-source spec through the registry, routing
 /// synthetic names through the process-wide image cache (so supervised
-/// batches and the job server share one image per workload, exactly as
+/// batches share one image per workload, exactly as
 /// [`run`] does). `mix:` and `trace:` specs resolve fresh each call.
 ///
 /// # Errors

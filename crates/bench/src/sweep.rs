@@ -17,9 +17,7 @@
 
 use crate::runs::{self, measure_instrs, warmup_instrs, workloads};
 use dcfb_errors::DcfbError;
-use dcfb_sim::{
-    run_resolved, run_sharded, run_sharded_resolved, ShardOptions, SimConfig, SimReport,
-};
+use dcfb_sim::{run_resolved, SimConfig, SimReport};
 use dcfb_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -177,52 +175,20 @@ pub struct BenchSweepReport {
     /// noise; anything below −5 % fails validation (the interleaved
     /// measurement cannot legitimately produce it).
     pub telemetry_overhead_frac: f64,
-    /// Provenance of `telemetry_overhead_frac`: `"interleaved-ab"`
-    /// means the off/on timings alternated round-robin and each arm
-    /// took its best round, so slow host-frequency drift cancels out;
-    /// `"on-path"` was the v6 one-shot pair (recording inside the timed
-    /// simulation loop); `"off-path"` would mean recording happened
-    /// outside the timed region.
+    /// Provenance of `telemetry_overhead_frac`: always
+    /// `"interleaved-ab"` — the off/on timings alternated round-robin
+    /// and each arm took its best round, so slow host-frequency drift
+    /// cancels out.
     pub telemetry_overhead_measurement: String,
     /// Prefetches issued during the telemetry-enabled run, summed over
     /// every prefetcher source.
     pub telemetry_issued_prefetches: u64,
     /// Accurately-timed prefetches during the telemetry-enabled run.
     pub telemetry_accurate_prefetches: u64,
-    /// Shard count used for the sharded single-run timing.
-    pub shards: u64,
-    /// Warm-only instruction prefix replayed before each shard after
-    /// the first during the sharded timing.
-    pub shard_warmup_overlap: u64,
-    /// Single-run throughput of the sharded executor at [`shards`]
-    /// shards, counting only the useful (warmup + measure) work — so it
-    /// is directly comparable to `single_run_dcfb_ips`. Trace
-    /// recording and the per-shard overlap replays are included in the
-    /// timed region; they are the price of sharding.
-    ///
-    /// [`shards`]: BenchSweepReport::shards
-    pub single_run_sharded_ips: f64,
-    /// `single_run_sharded_ips / single_run_dcfb_ips`: the end-to-end
-    /// speedup of sharding one run. Below 1.0 on a single-core host
-    /// (the shards serialize but the overlap work remains).
-    pub sharded_speedup: f64,
-    /// Whether a one-shard plan reproduced the sequential report
-    /// digest bit-for-bit on this host (must be true).
-    pub shard_digest_identity: bool,
-    /// Non-empty exactly when the parallel and sharded passes ran with
-    /// one worker: speedups in this report then understate what a
-    /// multi-core host would measure.
+    /// Non-empty exactly when the parallel pass ran with one worker:
+    /// `sweep_speedup` then understates what a multi-core host would
+    /// measure.
     pub jobs_warning: String,
-    /// Jobs submitted to the in-process `dcfb serve` instance during
-    /// the served-mix pass (repeat submissions included).
-    pub serve_submit_jobs: u64,
-    /// Fraction of those submissions answered from the memoized result
-    /// cache (the mix replays every unique job once, so this is ~0.5
-    /// by construction).
-    pub serve_cache_hit_frac: f64,
-    /// Served throughput of the mix: submissions resolved per second,
-    /// end to end through the HTTP protocol, queue, and worker pool.
-    pub serve_jobs_per_sec: f64,
     /// Throughput of the quick conformance-fuzz campaign: candidate
     /// ops evaluated (coverage probe + three lockstep harnesses) per
     /// wall-clock second.
@@ -242,52 +208,26 @@ pub struct BenchSweepReport {
     /// instrs/sec) — the multi-tenant counterpart of
     /// `single_run_dcfb_ips`.
     pub mix_single_run_ips: f64,
-    /// Whether the mix run's K=1 sharded digest reproduced the
-    /// sequential resolved run bit-for-bit (must be true — the
-    /// determinism contract of the interleaver).
+    /// Whether `jobs` concurrent copies of the mix run on the worker
+    /// pool all reproduced the sequential resolved run bit-for-bit
+    /// (must be true — the determinism contract of the interleaver).
     pub mix_digest_identity: bool,
-}
-
-/// The served-job-mix measurement recorded in schema v5. Produced by
-/// `dcfb-serve::measure_serve_mix` (the bench crate defines only the
-/// shape, to keep the dependency arrow pointing serve → bench).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ServeMixMeasurement {
-    /// Jobs submitted (repeat submissions included).
-    pub submit_jobs: u64,
-    /// Fraction of submissions answered from the result cache.
-    pub cache_hit_frac: f64,
-    /// Submissions resolved per wall-clock second.
-    pub jobs_per_sec: f64,
 }
 
 /// Schema tag for `BENCH_sweep.json`.
 ///
-/// v2 added the telemetry on/off throughput delta
-/// (`single_run_dcfb_telemetry_ips`, `telemetry_overhead_frac`) and the
-/// timeliness digest of the telemetry-enabled run. v3 records the
-/// provenance of the overhead measurement
-/// (`telemetry_overhead_measurement`: on-path vs off-path). v4 adds the
-/// sharded-executor timing (`shards`, `shard_warmup_overlap`,
-/// `single_run_sharded_ips`, `sharded_speedup`, `shard_digest_identity`)
-/// and the single-worker `jobs_warning`. v5 adds the served-job-mix
-/// measurement through `dcfb serve` (`serve_submit_jobs`,
-/// `serve_cache_hit_frac`, `serve_jobs_per_sec`). v6 adds the
-/// conformance-fuzz campaign measurement (`fuzz_ops_per_sec`,
-/// `fuzz_coverage_frac`). v7 interleaves the telemetry off/on timings
-/// as A/B rounds (`telemetry_overhead_measurement: "interleaved-ab"`,
-/// fraction floor −5 %) and adds the workload-source axis
-/// (`workload_source_kinds`) with a tenant-mix throughput row
-/// (`mix_workload`, `mix_single_run_ips`, `mix_digest_identity`).
-pub const BENCH_SWEEP_SCHEMA: &str = "dcfb-bench-sweep-v7";
-
-/// `telemetry_overhead_measurement` value for the v6 one-shot pair:
-/// the telemetry-enabled run timed once with per-cycle recording on
-/// the simulation path (export excluded).
-pub const TELEMETRY_OVERHEAD_ON_PATH: &str = "on-path";
+/// v8 records, per host (`host_cores`, `jobs`, and the sweep shape):
+/// the sequential and parallel sweep wall times with their ratio and a
+/// determinism flag; single-run throughput for Baseline and
+/// SN4L+Dis+BTB with telemetry off and on (timed as interleaved A/B
+/// rounds) plus the telemetry-run prefetch counts; the quick fuzz
+/// campaign's throughput and coverage; and a tenant-mix throughput row
+/// from the `mix:` workload source with its determinism flag.
+/// Reports of earlier schemas are rejected.
+pub const BENCH_SWEEP_SCHEMA: &str = "dcfb-bench-sweep-v8";
 
 /// `telemetry_overhead_measurement` value for the measurement this
-/// crate performs since v7: off/on timings alternate round-robin
+/// crate performs: off/on timings alternate round-robin
 /// ([`TELEMETRY_AB_ROUNDS`] rounds) and each arm keeps its best round,
 /// so slow host-frequency drift between the arms cancels instead of
 /// appearing as a large negative overhead.
@@ -309,20 +249,14 @@ fn sweep_config(method: &str, opts: &SweepOptions) -> Result<SimConfig, DcfbErro
 }
 
 /// Runs the timed sweep: one sequential pass, one parallel pass at
-/// `opts.jobs`, plus two single-run throughput timings. Both passes
-/// execute the identical `(workload, method)` cross product. The
-/// served-mix numbers (`serve`) are measured by the caller through an
-/// in-process `dcfb serve` instance (the serve crate sits above this
-/// one) and recorded verbatim.
+/// `opts.jobs`, plus the single-run throughput timings. Both passes
+/// execute the identical `(workload, method)` cross product.
 ///
 /// # Errors
 ///
 /// Returns [`DcfbError::UnknownMethod`] for a bad method name in
 /// `opts.methods`.
-pub fn run_bench_sweep(
-    opts: &SweepOptions,
-    serve: &ServeMixMeasurement,
-) -> Result<BenchSweepReport, DcfbError> {
+pub fn run_bench_sweep(opts: &SweepOptions) -> Result<BenchSweepReport, DcfbError> {
     let ws = workloads();
     let mut pairs: Vec<(Workload, SimConfig)> = Vec::new();
     for m in &opts.methods {
@@ -415,43 +349,13 @@ pub fn run_bench_sweep(
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1) as u64;
 
-    // Sharded single-run timing: the same SN4L+Dis+BTB run sliced into
-    // K time shards on a K-worker pool, plus the K=1 digest-identity
-    // probe the sharded executor's correctness contract rests on.
-    let shards = opts.jobs.max(2);
-    let (single_run_sharded_ips, shard_warmup_overlap, shard_digest_identity) = match ws.first() {
-        None => (0.0, 1, true),
-        Some(w) => {
-            let cfg = sweep_config("SN4L+Dis+BTB", opts)?;
-            let image = runs::image_for(w, cfg.isa);
-            let seq_digest = runs::run(w, cfg.clone()).digest();
-            let k1 = ShardOptions {
-                shards: 1,
-                warmup_overlap: None,
-                jobs: 1,
-            };
-            let k1_run = run_sharded(&cfg, &image, runs::TRACE_SEED, &k1)?;
-            let identity = k1_run.merged.digest() == seq_digest;
-            let sharded_opts = ShardOptions::new(shards);
-            let overlap = sharded_opts.overlap_for(cfg.warmup_instrs);
-            let t = Instant::now();
-            let _ = run_sharded(&cfg, &image, runs::TRACE_SEED, &sharded_opts)?;
-            let ips = single_run_instrs as f64 / t.elapsed().as_secs_f64().max(1e-9);
-            (ips, overlap, identity)
-        }
-    };
-    let sharded_speedup = if single_run_dcfb_ips > 0.0 && single_run_sharded_ips > 0.0 {
-        single_run_sharded_ips / single_run_dcfb_ips
-    } else {
-        0.0
-    };
     // The quick fuzz campaign, timed sequentially: deterministic work,
     // so the ops/s is a clean engine-throughput number and the coverage
     // fraction is identical on every host.
     let (fuzz_ops_per_sec, fuzz_coverage_frac) = crate::fuzz::quick_campaign_metrics(42)?;
 
     // The workload-source axis: one tenant-mix throughput row through
-    // the registry's `mix:` source, plus the K=1 digest-identity probe
+    // the registry's `mix:` source, plus the concurrent-copies probe
     // the interleaver's determinism contract rests on. A single-workload
     // sweep (DCFB_WORKLOADS=1) mixes the workload with itself.
     let mix_workload = match (ws.first(), ws.get(1)) {
@@ -467,20 +371,22 @@ pub fn run_bench_sweep(
         let t = Instant::now();
         let seq_report = run_resolved(&resolved, cfg.clone(), runs::TRACE_SEED)?;
         let ips = single_run_instrs as f64 / t.elapsed().as_secs_f64().max(1e-9);
-        let k1 = ShardOptions {
-            shards: 1,
-            warmup_overlap: None,
-            jobs: 1,
-        };
-        let k1_run = run_sharded_resolved(&cfg, &resolved, runs::TRACE_SEED, &k1)?;
-        (ips, k1_run.merged.digest() == seq_report.digest())
+        let copies = parallel_map_jobs(vec![(); opts.jobs], opts.jobs, |()| {
+            run_resolved(&resolved, cfg.clone(), runs::TRACE_SEED).map(|r| r.digest())
+        });
+        let seq_digest = seq_report.digest();
+        let mut identical = true;
+        for digest in copies {
+            identical &= digest? == seq_digest;
+        }
+        (ips, identical)
     };
 
     let jobs_warning = if opts.jobs <= 1 {
         format!(
-            "jobs == 1 on a {host_cores}-core host: the parallel and sharded \
-             passes ran serially, so sweep_speedup and sharded_speedup \
-             understate what a multi-core host would measure"
+            "jobs == 1 on a {host_cores}-core host: the parallel pass ran \
+             serially, so sweep_speedup understates what a multi-core host \
+             would measure"
         )
     } else {
         String::new()
@@ -507,15 +413,7 @@ pub fn run_bench_sweep(
         telemetry_overhead_measurement: TELEMETRY_OVERHEAD_INTERLEAVED.to_owned(),
         telemetry_issued_prefetches: telemetry_issued,
         telemetry_accurate_prefetches: telemetry_accurate,
-        shards: shards as u64,
-        shard_warmup_overlap,
-        single_run_sharded_ips,
-        sharded_speedup,
-        shard_digest_identity,
         jobs_warning,
-        serve_submit_jobs: serve.submit_jobs,
-        serve_cache_hit_frac: serve.cache_hit_frac,
-        serve_jobs_per_sec: serve.jobs_per_sec,
         fuzz_ops_per_sec,
         fuzz_coverage_frac,
         workload_source_kinds: "synthetic,mix".to_owned(),
@@ -591,39 +489,7 @@ impl BenchSweepReport {
             self.telemetry_accurate_prefetches.to_string(),
             false,
         );
-        put("shards", self.shards.to_string(), false);
-        put(
-            "shard_warmup_overlap",
-            self.shard_warmup_overlap.to_string(),
-            false,
-        );
-        put(
-            "single_run_sharded_ips",
-            format_f64(self.single_run_sharded_ips),
-            false,
-        );
-        put("sharded_speedup", format_f64(self.sharded_speedup), false);
-        put(
-            "shard_digest_identity",
-            self.shard_digest_identity.to_string(),
-            false,
-        );
         put("jobs_warning", format!("\"{}\"", self.jobs_warning), false);
-        put(
-            "serve_submit_jobs",
-            self.serve_submit_jobs.to_string(),
-            false,
-        );
-        put(
-            "serve_cache_hit_frac",
-            format_f64(self.serve_cache_hit_frac),
-            false,
-        );
-        put(
-            "serve_jobs_per_sec",
-            format_f64(self.serve_jobs_per_sec),
-            false,
-        );
         put("fuzz_ops_per_sec", format_f64(self.fuzz_ops_per_sec), false);
         put(
             "fuzz_coverage_frac",
@@ -723,15 +589,7 @@ impl BenchSweepReport {
             telemetry_overhead_measurement,
             telemetry_issued_prefetches: u64_field("telemetry_issued_prefetches")?,
             telemetry_accurate_prefetches: u64_field("telemetry_accurate_prefetches")?,
-            shards: u64_field("shards")?,
-            shard_warmup_overlap: u64_field("shard_warmup_overlap")?,
-            single_run_sharded_ips: f64_field("single_run_sharded_ips")?,
-            sharded_speedup: f64_field("sharded_speedup")?,
-            shard_digest_identity: bool_field("shard_digest_identity")?,
             jobs_warning: string_field("jobs_warning")?,
-            serve_submit_jobs: u64_field("serve_submit_jobs")?,
-            serve_cache_hit_frac: f64_field("serve_cache_hit_frac")?,
-            serve_jobs_per_sec: f64_field("serve_jobs_per_sec")?,
             fuzz_ops_per_sec: f64_field("fuzz_ops_per_sec")?,
             fuzz_coverage_frac: f64_field("fuzz_coverage_frac")?,
             workload_source_kinds: string_field("workload_source_kinds")?,
@@ -802,13 +660,9 @@ impl BenchSweepReport {
         {
             return fail("telemetry_overhead_frac must equal 1 - telemetry_ips / dcfb_ips");
         }
-        if self.telemetry_overhead_measurement != TELEMETRY_OVERHEAD_INTERLEAVED
-            && self.telemetry_overhead_measurement != TELEMETRY_OVERHEAD_ON_PATH
-            && self.telemetry_overhead_measurement != "off-path"
-        {
+        if self.telemetry_overhead_measurement != TELEMETRY_OVERHEAD_INTERLEAVED {
             return fail(&format!(
-                "telemetry_overhead_measurement must be \"interleaved-ab\", \"on-path\", or \
-                 \"off-path\", got {:?}",
+                "telemetry_overhead_measurement must be {TELEMETRY_OVERHEAD_INTERLEAVED:?}, got {:?}",
                 self.telemetry_overhead_measurement
             ));
         }
@@ -823,38 +677,8 @@ impl BenchSweepReport {
         if self.telemetry_accurate_prefetches > self.telemetry_issued_prefetches {
             return fail("accurate prefetches cannot exceed issued prefetches");
         }
-        if self.shards < 2 {
-            return fail("sharded timing must use at least 2 shards");
-        }
-        if self.shard_warmup_overlap == 0 {
-            return fail("shard_warmup_overlap must be positive");
-        }
-        if !ips_ok(self.single_run_sharded_ips) {
-            return fail("single_run_sharded_ips must be positive");
-        }
-        let expected_sharded = self.single_run_sharded_ips / self.single_run_dcfb_ips;
-        if !self.sharded_speedup.is_finite()
-            || (self.sharded_speedup - expected_sharded).abs()
-                > 1e-6 * expected_sharded.abs().max(1.0)
-        {
-            return fail("sharded_speedup must equal sharded_ips / dcfb_ips");
-        }
-        if !self.shard_digest_identity {
-            return fail("K=1 sharded digest diverged from the sequential run");
-        }
         if (self.jobs == 1) == self.jobs_warning.is_empty() {
             return fail("jobs_warning must be non-empty exactly when jobs == 1");
-        }
-        if self.serve_submit_jobs < 1 {
-            return fail("serve_submit_jobs must be >= 1");
-        }
-        if !self.serve_cache_hit_frac.is_finite()
-            || !(0.0..=1.0).contains(&self.serve_cache_hit_frac)
-        {
-            return fail("serve_cache_hit_frac must lie in [0, 1]");
-        }
-        if !ips_ok(self.serve_jobs_per_sec) {
-            return fail("serve_jobs_per_sec must be positive");
         }
         if !ips_ok(self.fuzz_ops_per_sec) {
             return fail("fuzz_ops_per_sec must be positive");
@@ -881,7 +705,7 @@ impl BenchSweepReport {
             return fail("mix_single_run_ips must be positive");
         }
         if !self.mix_digest_identity {
-            return fail("mix K=1 sharded digest diverged from the sequential resolved run");
+            return fail("a concurrent mix run diverged from the sequential resolved run");
         }
         Ok(())
     }
@@ -1105,15 +929,7 @@ mod tests {
             telemetry_overhead_measurement: TELEMETRY_OVERHEAD_INTERLEAVED.to_owned(),
             telemetry_issued_prefetches: 9_000,
             telemetry_accurate_prefetches: 7_500,
-            shards: 4,
-            shard_warmup_overlap: 2_500,
-            single_run_sharded_ips: 3.3e6,
-            sharded_speedup: 3.3e6 / 1.1e6,
-            shard_digest_identity: true,
             jobs_warning: String::new(),
-            serve_submit_jobs: 16,
-            serve_cache_hit_frac: 0.5,
-            serve_jobs_per_sec: 12.5,
             fuzz_ops_per_sec: 85_000.0,
             fuzz_coverage_frac: 0.65,
             workload_source_kinds: "synthetic,mix".to_owned(),
@@ -1141,8 +957,11 @@ mod tests {
         let mut r = sample_report();
         r.telemetry_overhead_measurement = "sideways".into();
         assert!(r.validate().is_err());
+        // Legacy provenances the harness no longer writes.
         r.telemetry_overhead_measurement = "off-path".into();
-        assert!(r.validate().is_ok());
+        assert!(r.validate().is_err());
+        r.telemetry_overhead_measurement = "on-path".into();
+        assert!(r.validate().is_err());
 
         let mut r = sample_report();
         r.runs = 5; // != workloads * methods
@@ -1176,22 +995,6 @@ mod tests {
         r.telemetry_accurate_prefetches = r.telemetry_issued_prefetches + 1;
         assert!(r.validate().is_err());
 
-        let mut r = sample_report();
-        r.shards = 1;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.shard_warmup_overlap = 0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.sharded_speedup = 99.0; // inconsistent with the ips pair
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.shard_digest_identity = false;
-        assert!(r.validate().is_err());
-
         // jobs_warning must track jobs == 1 in both directions.
         let mut r = sample_report();
         r.jobs = 1;
@@ -1199,20 +1002,6 @@ mod tests {
         r.jobs_warning = "jobs == 1: speedups understate multi-core hosts".into();
         assert!(r.validate().is_ok());
         r.jobs = 4;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.serve_submit_jobs = 0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.serve_cache_hit_frac = 1.5;
-        assert!(r.validate().is_err());
-        r.serve_cache_hit_frac = f64::NAN;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.serve_jobs_per_sec = 0.0;
         assert!(r.validate().is_err());
 
         let mut r = sample_report();

@@ -129,14 +129,7 @@ fn bench_sweep_report_is_valid_and_deterministic() {
         jobs: 2,
         methods: vec!["Baseline".to_owned(), "N4L".to_owned()],
     };
-    // The served-mix numbers come from the serve crate in production;
-    // a plausible stand-in keeps this test below the serve layer.
-    let serve = dcfb_bench::ServeMixMeasurement {
-        submit_jobs: 8,
-        cache_hit_frac: 0.5,
-        jobs_per_sec: 4.0,
-    };
-    let report = dcfb_bench::run_bench_sweep(&opts, &serve).expect("bench sweep runs");
+    let report = dcfb_bench::run_bench_sweep(&opts).expect("bench sweep runs");
     report.validate().expect("smoke report validates");
     assert!(report.deterministic, "parallel pass diverged: {report:?}");
     assert_eq!(report.methods, 2);

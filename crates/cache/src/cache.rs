@@ -176,20 +176,6 @@ impl CacheStats {
             self.demand_misses as f64 / self.demand_accesses as f64
         }
     }
-
-    /// Accumulates another window's counters into this one (shard
-    /// stitching: every field is a sum-mergeable event count).
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.demand_accesses += other.demand_accesses;
-        self.demand_hits += other.demand_hits;
-        self.demand_misses += other.demand_misses;
-        self.prefetch_hits += other.prefetch_hits;
-        self.fills += other.fills;
-        self.prefetch_fills += other.prefetch_fills;
-        self.evictions += other.evictions;
-        self.useless_prefetch_evictions += other.useless_prefetch_evictions;
-        self.probes += other.probes;
-    }
 }
 
 /// A set-associative, true-LRU cache over block numbers.

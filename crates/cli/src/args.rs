@@ -57,13 +57,6 @@ COMMANDS:
                          generator), --state persists/resumes the
                          campaign, --corpus-out writes the minimized
                          corpus text
-    serve                Run the simulation job server: accepts job
-                         submissions over HTTP/1.1 + JSON (see the
-                         dcfb-sdk crate for the client), memoizes
-                         results in a digest-keyed LRU cache, coalesces
-                         duplicate in-flight submissions, and persists
-                         its job table (--state) so a killed server
-                         resumes on restart. Requires --addr
     help                 Show this message
 
 OPTIONS:
@@ -97,26 +90,8 @@ OPTIONS:
     --corpus-out <FILE>  For `fuzz`: write the minimized corpus in the
                          replayable text form (the source of the
                          checked-in seed corpus)
-    --shards <K>         For `run`: slice the measured window into K
-                         time shards simulated concurrently and stitch
-                         the reports (default 1 = sequential; K=1 is
-                         byte-identical to sequential)
-    --warmup-overlap <N> Warm-only instruction prefix replayed before
-                         each shard after the first (default: a quarter
-                         of --warmup)
-    --addr <HOST:PORT>   For `serve`: listen address (port 0 picks an
-                         ephemeral port, printed on startup)
-    --state <FILE>       For `serve`: job-table persistence file;
-                         omit to disable crash recovery.
-                         For `fuzz`: campaign checkpoint file, saved
+    --state <FILE>       For `fuzz`: campaign checkpoint file, saved
                          every round and resumed when present
-    --workers <N>        For `serve`: worker-pool size (default 0 =
-                         DCFB_JOBS, which itself defaults to the host's
-                         available parallelism)
-    --queue-limit <N>    For `serve`: queued-job bound; submissions
-                         beyond it are rejected with 503 (default 1024)
-    --cache-budget <N>   For `serve`: result-cache byte budget
-                         (default 8388608)
 ";
 
 /// Parsed command line.
@@ -157,22 +132,8 @@ pub struct Cli {
     pub jobs: usize,
     /// `--corpus-out` for `fuzz`: minimized-corpus output path.
     pub corpus_out: Option<String>,
-    /// `--shards` for `run`: time shards to slice the window into.
-    /// Validated against the typed config rules at run time, not here.
-    pub shards: usize,
-    /// `--warmup-overlap` for `run`: warm-only prefix per shard
-    /// (`None` = a quarter of the warmup window).
-    pub warmup_overlap: Option<u64>,
-    /// `--addr` for `serve`: listen address.
-    pub addr: Option<String>,
-    /// `--state` for `serve`: job-table persistence file.
+    /// `--state` for `fuzz`: campaign checkpoint file.
     pub state: Option<String>,
-    /// `--workers` for `serve`: worker-pool size (0 = `DCFB_JOBS`).
-    pub workers: usize,
-    /// `--queue-limit` for `serve`: queued-job bound.
-    pub queue_limit: usize,
-    /// `--cache-budget` for `serve`: result-cache byte budget.
-    pub cache_budget: usize,
 }
 
 impl Cli {
@@ -206,13 +167,7 @@ impl Cli {
             quick: false,
             jobs: 0,
             corpus_out: None,
-            shards: 1,
-            warmup_overlap: None,
-            addr: None,
             state: None,
-            workers: 0,
-            queue_limit: 1024,
-            cache_budget: 8 << 20,
         };
         while let Some(flag) = it.next() {
             let mut value = |name: &str| -> Result<String, String> {
@@ -268,42 +223,7 @@ impl Cli {
                         .map_err(|_| "--jobs must be an integer")?;
                 }
                 "--corpus-out" => cli.corpus_out = Some(value("--corpus-out")?),
-                "--shards" => {
-                    // Range rules (>= 1, overlap within warmup) are
-                    // checked at run time by `ShardOptions::validate`,
-                    // so they surface as typed config errors (exit 3)
-                    // rather than usage errors.
-                    cli.shards = value("--shards")?
-                        .parse()
-                        .map_err(|_| "--shards must be an integer")?;
-                }
-                "--warmup-overlap" => {
-                    cli.warmup_overlap = Some(
-                        value("--warmup-overlap")?
-                            .parse()
-                            .map_err(|_| "--warmup-overlap must be an integer")?,
-                    );
-                }
-                "--addr" => cli.addr = Some(value("--addr")?),
                 "--state" => cli.state = Some(value("--state")?),
-                "--workers" => {
-                    cli.workers = value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers must be an integer")?;
-                }
-                "--queue-limit" => {
-                    cli.queue_limit = value("--queue-limit")?
-                        .parse()
-                        .map_err(|_| "--queue-limit must be an integer")?;
-                    if cli.queue_limit == 0 {
-                        return Err("--queue-limit must be positive".into());
-                    }
-                }
-                "--cache-budget" => {
-                    cli.cache_budget = value("--cache-budget")?
-                        .parse()
-                        .map_err(|_| "--cache-budget must be an integer")?;
-                }
                 "--json" => cli.json = true,
                 "--lenient" => cli.lenient = true,
                 "--quick" => cli.quick = true,
@@ -472,52 +392,6 @@ mod tests {
         assert_eq!(cli.seed, 42);
         assert!(cli.quick);
         assert!(!parse(&["chaos"]).unwrap().quick);
-    }
-
-    #[test]
-    fn parses_shard_flags() {
-        let cli = parse(&["run", "--shards", "4", "--warmup-overlap", "25000"]).unwrap();
-        assert_eq!(cli.shards, 4);
-        assert_eq!(cli.warmup_overlap, Some(25_000));
-        let defaults = parse(&["run"]).unwrap();
-        assert_eq!(defaults.shards, 1);
-        assert_eq!(defaults.warmup_overlap, None);
-        // `--shards 0` parses; the typed config validation rejects it
-        // at run time with exit 3 (see ShardOptions::validate).
-        assert_eq!(parse(&["run", "--shards", "0"]).unwrap().shards, 0);
-        assert!(parse(&["run", "--shards", "four"]).is_err());
-        assert!(parse(&["run", "--warmup-overlap", "x"]).is_err());
-    }
-
-    #[test]
-    fn parses_serve_flags() {
-        let cli = parse(&[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--state",
-            "jobs.json",
-            "--workers",
-            "3",
-            "--queue-limit",
-            "16",
-            "--cache-budget",
-            "4096",
-        ])
-        .unwrap();
-        assert_eq!(cli.command, "serve");
-        assert_eq!(cli.addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(cli.state.as_deref(), Some("jobs.json"));
-        assert_eq!(cli.workers, 3);
-        assert_eq!(cli.queue_limit, 16);
-        assert_eq!(cli.cache_budget, 4096);
-        let defaults = parse(&["serve"]).unwrap();
-        assert_eq!(defaults.addr, None);
-        assert_eq!(defaults.workers, 0);
-        assert_eq!(defaults.queue_limit, 1024);
-        assert_eq!(defaults.cache_budget, 8 << 20);
-        assert!(parse(&["serve", "--queue-limit", "0"]).is_err());
-        assert!(parse(&["serve", "--workers", "some"]).is_err());
     }
 
     #[test]

@@ -10,10 +10,7 @@ use dcfb_cache::CacheConfig;
 use dcfb_errors::DcfbError;
 use dcfb_frontend::ShotgunBtbConfig;
 use dcfb_sim::Simulator;
-use dcfb_sim::{
-    analysis, run_resolved, run_sharded_resolved, PrefetcherKind, ShardOptions, SimConfig,
-    SimReport,
-};
+use dcfb_sim::{analysis, run_resolved, PrefetcherKind, SimConfig, SimReport};
 use dcfb_trace::{CodeMemory, InstrStream, IsaMode, ReadMode, RecordedCode, VecTrace};
 use dcfb_workloads::{all_workloads, Walker, MIX_SYNTAX, TRACE_SYNTAX};
 use std::sync::Arc;
@@ -62,32 +59,9 @@ pub fn run(cli: &Cli) -> Result<(), DcfbError> {
     let spec = cli.require_source()?;
     let cfg = config_for(cli, &cli.method)?;
     let base_cfg = config_for(cli, "Baseline")?;
-    // Shard arguments are range-checked here, at argument time, so
-    // `--shards 0` or an overlap reaching past the measured window is
-    // a typed configuration error (exit 3) even on paths that would
-    // otherwise silently fall back to a sequential run.
-    let shard_opts = ShardOptions {
-        shards: cli.shards,
-        warmup_overlap: cli.warmup_overlap,
-        jobs: cli.shards,
-    };
-    shard_opts.validate(cfg.warmup_instrs)?;
     let resolved = spec.resolve(cfg.isa)?;
     let base = run_resolved(&resolved, base_cfg, cli.seed)?;
-    let r = if cli.shards > 1 {
-        let sharded = run_sharded_resolved(&cfg, &resolved, cli.seed, &shard_opts)?;
-        if !cli.json {
-            println!(
-                "sharded: {} shards (requested {}), warmup-overlap {}",
-                sharded.plan.shards.len(),
-                sharded.plan.requested,
-                sharded.plan.overlap
-            );
-        }
-        sharded.merged
-    } else {
-        run_resolved(&resolved, cfg, cli.seed)?
-    };
+    let r = run_resolved(&resolved, cfg, cli.seed)?;
     if cli.json {
         println!("{}", report_json(&r, Some(&base)).render());
         return Ok(());
@@ -267,9 +241,7 @@ pub fn bench_sweep(cli: &Cli) -> Result<(), DcfbError> {
         opts.measure,
         opts.jobs
     );
-    eprintln!("bench-sweep: measuring the served job mix through dcfb serve");
-    let serve_mix = dcfb_serve::measure_serve_mix(opts.warmup, opts.measure)?;
-    let report = dcfb_bench::run_bench_sweep(&opts, &serve_mix)?;
+    let report = dcfb_bench::run_bench_sweep(&opts)?;
     report.validate()?;
     let out = cli.out.as_deref().unwrap_or("BENCH_sweep.json");
     std::fs::write(out, report.to_json()).map_err(|e| DcfbError::io(out, &e))?;
@@ -295,26 +267,12 @@ pub fn bench_sweep(cli: &Cli) -> Result<(), DcfbError> {
         report.telemetry_accurate_prefetches
     );
     println!(
-        "sharded: {} shards (overlap {}) {:.0} instrs/s -> {:.2}x vs sequential, K=1 digest identity: {}",
-        report.shards,
-        report.shard_warmup_overlap,
-        report.single_run_sharded_ips,
-        report.sharded_speedup,
-        report.shard_digest_identity
-    );
-    println!(
-        "served mix: {} submissions, {:.0}% cache hits, {:.1} jobs/s through dcfb serve",
-        report.serve_submit_jobs,
-        report.serve_cache_hit_frac * 100.0,
-        report.serve_jobs_per_sec
-    );
-    println!(
         "fuzz campaign: {:.0} candidate ops/s, {:.1}% of the coverage map lit",
         report.fuzz_ops_per_sec,
         report.fuzz_coverage_frac * 100.0
     );
     println!(
-        "tenant mix: {} {:.0} instrs/s, K=1 digest identity: {} (sources: {})",
+        "tenant mix: {} {:.0} instrs/s, concurrent digest identity: {} (sources: {})",
         report.mix_workload,
         report.mix_single_run_ips,
         report.mix_digest_identity,
@@ -324,36 +282,6 @@ pub fn bench_sweep(cli: &Cli) -> Result<(), DcfbError> {
         eprintln!("warning: {}", report.jobs_warning);
     }
     println!("wrote {out}");
-    Ok(())
-}
-
-/// `dcfb serve` — the long-lived simulation job server. Binds the
-/// requested address, prints the bound address (port 0 resolves to an
-/// ephemeral port), and serves until a `POST /v1/shutdown` arrives.
-pub fn serve(cli: &Cli) -> Result<(), DcfbError> {
-    let Some(addr) = &cli.addr else {
-        return Err(DcfbError::Usage(
-            "--addr HOST:PORT is required for serve (port 0 picks an ephemeral port)".into(),
-        ));
-    };
-    let opts = dcfb_serve::ServeOptions {
-        addr: addr.clone(),
-        state_path: cli.state.as_ref().map(std::path::PathBuf::from),
-        workers: cli.workers,
-        queue_limit: cli.queue_limit,
-        cache_budget: cli.cache_budget,
-        ..dcfb_serve::ServeOptions::default()
-    };
-    let mut server = dcfb_serve::Server::spawn(opts)?;
-    println!("dcfb serve: listening on {}", server.local_addr());
-    if let Some(state) = &cli.state {
-        println!("dcfb serve: persisting job state to {state}");
-    }
-    server.wait();
-    println!(
-        "dcfb serve: shut down after {} executed job(s)",
-        server.executed()
-    );
     Ok(())
 }
 

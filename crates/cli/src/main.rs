@@ -15,7 +15,6 @@
 //! dcfb fuzz     [--seed N] [--ops N] [--jobs N] [--quick]
 //!               [--state camp.json] [--corpus-out corpus.txt]
 //! dcfb chaos    [--seed N] [--quick]
-//! dcfb serve    --addr 127.0.0.1:7070 [--state jobs.json] [--workers N]
 //! ```
 //!
 //! Common options: `--warmup N`, `--measure N`, `--seed N`,
@@ -25,8 +24,7 @@
 //! backtrace — and exits with a code describing what went wrong:
 //! 2 usage, 3 bad input (corrupt trace, unknown workload/method, bad
 //! config), 4 run failure, 5 host I/O, 6 supervised job timeout,
-//! 7 job quarantined, 8 protocol error (serve/SDK transport or a
-//! rejected request).
+//! 7 job quarantined.
 
 mod args;
 mod commands;
@@ -61,7 +59,6 @@ fn main() {
         "conformance" => commands::conformance(&cli),
         "fuzz" => commands::fuzz(&cli),
         "chaos" => commands::chaos(&cli),
-        "serve" => commands::serve(&cli),
         "help" | "--help" | "-h" => {
             println!("{}", args::USAGE);
             Ok(())

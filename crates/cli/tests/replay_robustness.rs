@@ -132,6 +132,14 @@ fn usage_and_bad_input_exit_codes() {
     // Unknown command / option → usage error (2).
     assert_one_line_error(&dcfb(&["frobnicate"]), 2);
     assert_one_line_error(&dcfb(&["run", "--bogus"]), 2);
+    // The removed job server and sharded execution are rejected, not
+    // silently ignored.
+    let out = dcfb(&["serve"]);
+    assert_one_line_error(&out, 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command \"serve\""));
+    let out = dcfb(&["run", "--workload", WORKLOAD, "--shards", "2"]);
+    assert_one_line_error(&out, 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option \"--shards\""));
     // Unknown workload / method, invalid config → bad input (3).
     assert_one_line_error(&dcfb(&["run", "--workload", "nope"]), 3);
     assert_one_line_error(

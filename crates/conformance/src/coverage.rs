@@ -11,7 +11,7 @@
 //! An input's coverage is the set of `(slot, bucket)` bits it lit; the
 //! campaign map is the bitwise OR over all evaluated inputs. Everything
 //! is a pure function of the op sequence, allocation-light, and merges
-//! associatively, so sharded campaigns can fold per-input maps in
+//! associatively, so parallel campaigns can fold per-input maps in
 //! candidate order and land on the same final map at any job count.
 
 use crate::fuzz::fuzz_proactive_config;

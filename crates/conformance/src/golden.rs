@@ -100,27 +100,6 @@ pub fn tenant_mix_golden() -> Result<&'static str, String> {
         .ok_or_else(|| "no `# tenant-mix` golden line (bless with DCFB_BLESS=1)".to_owned())
 }
 
-/// The `# shard-tolerance` annotations recorded alongside the exact
-/// goldens: `(counter, relative, absolute)` bounds the sharded-run
-/// parity check applies where warmup-overlap makes byte-identity
-/// impossible (K > 1).
-pub fn shard_tolerances() -> Result<Vec<(&'static str, f64, f64)>, String> {
-    GOLDEN
-        .lines()
-        .filter_map(|l| l.strip_prefix("# shard-tolerance\t"))
-        .map(|rest| {
-            let mut parts = rest.split('\t');
-            let counter = parts.next().unwrap_or_default();
-            let rel = parts.next().and_then(|s| s.parse::<f64>().ok());
-            let abs = parts.next().and_then(|s| s.parse::<f64>().ok());
-            match (rel, abs) {
-                (Some(rel), Some(abs)) if !counter.is_empty() => Ok((counter, rel, abs)),
-                _ => Err(format!("malformed shard-tolerance line: {rest:?}")),
-            }
-        })
-        .collect()
-}
-
 /// Replays the fixture through every registry method and diffs the
 /// digests against the checked-in goldens.
 ///
@@ -175,15 +154,6 @@ pub fn bless() -> Result<String, String> {
         let _ = writeln!(out, "{method}\t{digest}");
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/golden_digests.txt");
-    // Preserve `#` annotation lines (the shard tolerances): blessing
-    // recaptures the exact digests, not the documented tolerances. The
-    // `# tenant-mix` digest IS an exact golden, so recapture it too.
-    let existing = std::fs::read_to_string(path).unwrap_or_else(|_| GOLDEN.to_owned());
-    for line in existing.lines() {
-        if line.trim_start().starts_with('#') && !line.starts_with("# tenant-mix\t") {
-            let _ = writeln!(out, "{line}");
-        }
-    }
     let _ = writeln!(
         out,
         "# tenant-mix\t{}",

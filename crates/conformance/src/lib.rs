@@ -36,7 +36,6 @@ pub mod lockstep;
 pub mod mutate;
 pub mod ops;
 pub mod reference;
-pub mod shard;
 pub mod shrink;
 pub mod workload_source;
 
@@ -141,8 +140,8 @@ fn invariant_result(name: &str, outcome: Result<String, String>) -> CheckResult 
 }
 
 /// Runs every lockstep harness over `n_ops` freshly fuzzed ops, then
-/// the cross-prefetcher invariant checks, digest parity, and the
-/// sharded-execution parity gate. Everything derives deterministically
+/// the cross-prefetcher invariant checks, digest parity, corpus replay
+/// and workload-source parity. Everything derives deterministically
 /// from `seed`.
 pub fn run_full_suite(seed: u64, n_ops: usize) -> ConformanceReport {
     let mut checks = Vec::new();
@@ -227,12 +226,6 @@ pub fn run_full_suite(seed: u64, n_ops: usize) -> ConformanceReport {
         "digest-parity",
         golden::check_digest_parity(),
     ));
-    // ---- sharded-vs-sequential parity (exact at K=1, tolerance
-    // above; see DESIGN.md "Sharded execution & stitching") ----
-    checks.push(invariant_result(
-        "shard-parity",
-        shard::check_shard_parity(),
-    ));
     // ---- checked-in minimized fuzz corpus still passes lockstep ----
     checks.push(invariant_result(
         "corpus-replay",
@@ -240,7 +233,7 @@ pub fn run_full_suite(seed: u64, n_ops: usize) -> ConformanceReport {
     ));
     // ---- workload-source registry parity: synthetics via the
     // resolution layer byte-match the goldens; the blessed tenant-mix
-    // digest holds sequentially, at K=1, and across --jobs ----
+    // digest holds sequentially and on concurrent workers ----
     checks.push(invariant_result(
         "workload-source",
         workload_source::check_workload_source(),
@@ -263,10 +256,9 @@ mod tests {
         let report = run_full_suite(5, 300);
         let rendered = report.render();
         assert!(report.passed(), "conformance suite failed:\n{rendered}");
-        assert_eq!(report.checks.len(), 16);
+        assert_eq!(report.checks.len(), 15);
         assert!(rendered.contains("lockstep/proactive"));
         assert!(rendered.contains("invariant/digest-parity"));
-        assert!(rendered.contains("invariant/shard-parity"));
         assert!(rendered.contains("invariant/corpus-replay"));
         assert!(rendered.contains("invariant/workload-source"));
         assert!(rendered.contains("all checks passed"));

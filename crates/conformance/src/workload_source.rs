@@ -1,4 +1,4 @@
-//! Workload-source registry parity: the 16th conformance check.
+//! Workload-source registry parity: the 15th conformance check.
 //!
 //! The `WorkloadSource` registry (`dcfb-workloads/src/source.rs`) is a
 //! *resolution* layer — it must never perturb simulation. This check
@@ -6,22 +6,22 @@
 //!
 //! 1. **Synthetic parity.** Every method in the prefetch registry runs
 //!    the golden fixture through [`ResolvedWorkload::from_image`] (the
-//!    path `dcfb run`, the supervisor, and the job server all take now)
+//!    path `dcfb run` and the supervisor both take)
 //!    and each `SimReport::digest()` must be byte-identical to the
 //!    checked-in goldens captured via `Simulator::try_new` — same
 //!    fixture, different plumbing, zero drift.
 //! 2. **Tenant-mix golden.** A fixed two-tenant `mix:` spec runs once
 //!    sequentially and is pinned against the blessed `# tenant-mix`
 //!    digest in `golden_digests.txt`; the same resolved mix must then
-//!    be bit-identical under `--shards 1` and across `--jobs` values
-//!    (the interleaver schedule depends only on the quantum and the
-//!    trace seed, never on host parallelism).
+//!    reproduce that digest on [`MIX_WORKERS`] concurrent threads
+//!    sharing it (the interleaver schedule depends only on the quantum
+//!    and the trace seed, never on host parallelism).
 //!
 //! Re-bless after an intentional timing-model change with
 //! `DCFB_BLESS=1 cargo test -p dcfb-conformance golden`.
 
 use crate::golden;
-use dcfb_sim::{run_resolved, run_sharded_resolved, ShardOptions};
+use dcfb_sim::run_resolved;
 use dcfb_trace::IsaMode;
 use dcfb_workloads::{ResolvedWorkload, SourceSpec};
 
@@ -34,6 +34,10 @@ pub const TENANT_MIX_SPEC: &str = "mix:Web Frontend+Web Search,quantum=2500";
 /// headline composition).
 pub const TENANT_MIX_METHOD: &str = "SN4L+Dis+BTB";
 
+/// Concurrent runs of the pinned mix in the schedule-independence half
+/// of the check.
+pub const MIX_WORKERS: usize = 4;
+
 /// Runs the pinned tenant-mix spec sequentially and returns the report
 /// digest. `bless` uses this to recapture the `# tenant-mix` golden.
 pub fn tenant_mix_digest() -> Result<String, String> {
@@ -45,8 +49,8 @@ pub fn tenant_mix_digest() -> Result<String, String> {
 }
 
 /// The `invariant/workload-source` check: synthetic digests via the
-/// registry path, then the blessed tenant-mix digest plus jobs/K=1
-/// schedule-independence.
+/// registry path, then the blessed tenant-mix digest, sequentially and
+/// on concurrent workers sharing one resolved mix.
 pub fn check_workload_source() -> Result<String, String> {
     // Part 1: every registry method, resolved through the
     // workload-source layer, must reproduce the checked-in golden.
@@ -69,8 +73,8 @@ pub fn check_workload_source() -> Result<String, String> {
         ));
     }
 
-    // Part 2: the blessed tenant-mix digest, and bit-identity across
-    // shard/job shapes.
+    // Part 2: the blessed tenant-mix digest, sequentially and on
+    // concurrent workers.
     let spec = SourceSpec::parse(TENANT_MIX_SPEC).map_err(|e| e.to_string())?;
     let mix = spec.resolve(IsaMode::Fixed4).map_err(|e| e.to_string())?;
     let cfg = golden::fixture_config(TENANT_MIX_METHOD)?;
@@ -84,34 +88,36 @@ pub fn check_workload_source() -> Result<String, String> {
             seq.digest()
         ));
     }
-    let sharded = |shards: usize, jobs: usize| {
-        run_sharded_resolved(
-            &cfg,
-            &mix,
-            golden::FIXTURE_TRACE_SEED,
-            &ShardOptions {
-                shards,
-                warmup_overlap: None,
-                jobs,
-            },
-        )
-        .map_err(|e| e.to_string())
-    };
-    let k1 = sharded(1, 1)?;
-    if k1.merged.digest() != seq.digest() {
-        return Err("tenant-mix K=1 sharded digest diverged from the sequential run".to_owned());
-    }
-    let k4j1 = sharded(4, 1)?;
-    let k4j4 = sharded(4, 4)?;
-    if k4j1.merged.digest() != k4j4.merged.digest() {
-        return Err(
-            "tenant-mix sharded digest varies with --jobs (the interleaver must be \
-             schedule-independent)"
-                .to_owned(),
-        );
+    let concurrent: Vec<Result<String, String>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..MIX_WORKERS)
+            .map(|_| {
+                s.spawn(|| {
+                    run_resolved(&mix, cfg.clone(), golden::FIXTURE_TRACE_SEED)
+                        .map(|r| r.digest())
+                        .map_err(|e| e.to_string())
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .unwrap_or_else(|_| Err("tenant-mix worker panicked".to_owned()))
+            })
+            .collect()
+    });
+    for digest in concurrent {
+        if digest? != want {
+            return Err(
+                "tenant-mix digest varies when runs share the resolved mix concurrently \
+                 (the interleaver must be schedule-independent)"
+                    .to_owned(),
+            );
+        }
     }
     Ok(format!(
-        "{} methods registry-identical; tenant-mix golden + jobs/K=1 parity hold",
+        "{} methods registry-identical; tenant-mix golden holds sequentially and on \
+         {MIX_WORKERS} concurrent workers",
         goldens.len()
     ))
 }

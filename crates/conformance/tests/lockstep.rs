@@ -25,9 +25,9 @@ fn full_suite_runs_clean_at_10k_ops() {
         report.render()
     );
     assert_eq!(report.ops_per_structure, OPS);
-    // 8 lockstep harnesses + 4 invariants + digest parity + shard
-    // parity + corpus replay + workload-source registry parity.
-    assert_eq!(report.checks.len(), 16);
+    // 8 lockstep harnesses + 4 invariants + digest parity + corpus
+    // replay + workload-source registry parity.
+    assert_eq!(report.checks.len(), 15);
 }
 
 #[test]

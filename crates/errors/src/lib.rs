@@ -16,9 +16,7 @@
 //!   (a simulation panicked or produced an unusable result), `5` I/O
 //!   on the host filesystem, `6` a supervised job overran its deadline
 //!   and was cancelled, `7` a job was quarantined after exhausting its
-//!   retry budget, `8` a `dcfb serve` / SDK wire-protocol violation
-//!   (malformed HTTP framing or JSON, unexpected status, rejected
-//!   request).
+//!   retry budget. Code `8` is retired and must not be reused.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,8 +36,6 @@ pub const EXIT_IO: i32 = 5;
 pub const EXIT_TIMEOUT: i32 = 6;
 /// Exit code for a job quarantined after exhausting its retry budget.
 pub const EXIT_QUARANTINED: i32 = 7;
-/// Exit code for a `dcfb serve` / SDK wire-protocol violation.
-pub const EXIT_PROTOCOL: i32 = 8;
 
 /// Where in a trace byte stream a problem was found.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -244,14 +240,6 @@ pub enum DcfbError {
         /// The last attempt's one-line failure description.
         last_error: String,
     },
-    /// A `dcfb serve` / `dcfb-sdk` wire-protocol violation: malformed
-    /// HTTP framing or JSON on either side, an unexpected response
-    /// status, or a request the server rejected (unknown route, full
-    /// queue, bad job spec) (exit 8).
-    Protocol {
-        /// One-line description of what was wrong on the wire.
-        message: String,
-    },
 }
 
 impl DcfbError {
@@ -288,14 +276,6 @@ impl DcfbError {
             DcfbError::Io { .. } => EXIT_IO,
             DcfbError::Timeout { .. } => EXIT_TIMEOUT,
             DcfbError::Quarantined { .. } => EXIT_QUARANTINED,
-            DcfbError::Protocol { .. } => EXIT_PROTOCOL,
-        }
-    }
-
-    /// Builds a protocol error from any one-line message.
-    pub fn protocol(message: impl Into<String>) -> Self {
-        DcfbError::Protocol {
-            message: message.into(),
         }
     }
 }
@@ -335,7 +315,6 @@ impl fmt::Display for DcfbError {
                 f,
                 "job quarantined ({job}, config {config_digest}) after {failures} failed attempt(s): {last_error}"
             ),
-            DcfbError::Protocol { message } => write!(f, "protocol error: {message}"),
         }
     }
 }
@@ -407,7 +386,6 @@ mod tests {
             .exit_code(),
             7
         );
-        assert_eq!(DcfbError::protocol("bad request line").exit_code(), 8);
     }
 
     #[test]

@@ -115,15 +115,6 @@ impl BtbStats {
             self.misses as f64 / self.lookups as f64
         }
     }
-
-    /// Accumulates another window's counters into this one (shard
-    /// stitching).
-    pub fn absorb(&mut self, other: &BtbStats) {
-        self.lookups += other.lookups;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.inserts += other.inserts;
-    }
 }
 
 #[derive(Clone, Copy, Debug)]

@@ -126,18 +126,6 @@ impl ShotgunBtbStats {
             1.0 - self.c_hits as f64 / self.c_lookups as f64
         }
     }
-
-    /// Accumulates another window's counters into this one (shard
-    /// stitching: every field is a sum-mergeable event count).
-    pub fn absorb(&mut self, other: &ShotgunBtbStats) {
-        self.u_lookups += other.u_lookups;
-        self.u_hits += other.u_hits;
-        self.u_footprint_hits += other.u_footprint_hits;
-        self.c_lookups += other.c_lookups;
-        self.c_hits += other.c_hits;
-        self.r_lookups += other.r_lookups;
-        self.r_hits += other.r_hits;
-    }
 }
 
 #[derive(Clone, Copy, Debug)]

@@ -51,20 +51,6 @@ impl ShotgunStats {
             1.0 - self.dyn_footprint_hits as f64 / self.dyn_uncond as f64
         }
     }
-
-    /// Accumulates another window's counters into this one (shard
-    /// stitching: every field is a sum-mergeable event count).
-    pub fn absorb(&mut self, other: &ShotgunStats) {
-        self.btb_miss_stalls += other.btb_miss_stalls;
-        self.reactive_fills += other.reactive_fills;
-        self.regions_pushed += other.regions_pushed;
-        self.prefetches += other.prefetches;
-        self.footprint_prefetches += other.footprint_prefetches;
-        self.unresolved += other.unresolved;
-        self.redirects += other.redirects;
-        self.dyn_uncond += other.dyn_uncond;
-        self.dyn_footprint_hits += other.dyn_footprint_hits;
-    }
 }
 
 /// Accumulates the blocks touched right after an unconditional branch

@@ -64,7 +64,6 @@ pub mod config;
 pub mod experiment;
 pub mod machine;
 pub mod metrics;
-pub mod shard;
 
 pub use config::{PrefetcherKind, SimConfig};
 pub use experiment::{
@@ -73,8 +72,3 @@ pub use experiment::{
 };
 pub use machine::{RunControl, Simulator};
 pub use metrics::{SimReport, StallKind};
-pub use shard::{
-    merge_reports, plan_shards, record_stream, record_trace, run_shard, run_sharded,
-    run_sharded_resolved, shard_stream, ShardOptions, ShardPlan, ShardSpec, ShardedRun,
-    SliceStream,
-};

@@ -13,7 +13,7 @@ use dcfb_telemetry::{
 };
 use dcfb_trace::{Addr, CodeMemory, Instr, InstrStream};
 use dcfb_workloads::ProgramImage;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Cooperative run control for supervised execution: a cancel token
@@ -29,11 +29,6 @@ use std::sync::Arc;
 pub struct RunControl {
     cancel: Arc<AtomicBool>,
     budget_instrs: Option<u64>,
-    /// Optional shared progress cell: the per-cycle control check
-    /// publishes the lifetime retired-instruction count into it, so an
-    /// observer (the `dcfb serve` long-poll endpoint) can stream
-    /// progress without touching the simulator. `None` costs nothing.
-    progress: Option<Arc<AtomicU64>>,
 }
 
 impl RunControl {
@@ -51,20 +46,7 @@ impl RunControl {
         RunControl {
             cancel: Arc::new(AtomicBool::new(false)),
             budget_instrs: Some(n),
-            progress: None,
         }
-    }
-
-    /// Attaches a progress cell and returns the shared handle. Every
-    /// subsequent per-cycle check stores the lifetime retired count
-    /// into the cell (relaxed), so readers see a recent — not
-    /// cycle-exact — value. Publishing progress never changes simulated
-    /// behavior; the golden digests pin this.
-    pub fn observe_progress(&mut self) -> Arc<AtomicU64> {
-        let cell = self
-            .progress
-            .get_or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Arc::clone(cell)
     }
 
     /// Arms the cancel token. Safe from any thread; the simulator
@@ -84,12 +66,7 @@ impl RunControl {
     }
 
     /// Whether a run that has retired `instrs` instructions must stop.
-    /// Also publishes `instrs` to the progress cell, when one is
-    /// attached — this is the per-cycle hook `dcfb serve` streams from.
     pub fn should_stop(&self, instrs: u64) -> bool {
-        if let Some(cell) = &self.progress {
-            cell.store(instrs, Ordering::Relaxed);
-        }
         self.budget_instrs.is_some_and(|b| instrs >= b) || self.is_cancelled()
     }
 }

@@ -53,15 +53,6 @@ pub enum Ctr {
     /// (including resubmissions skipped because their config digest was
     /// already quarantined).
     JobQuarantines,
-    /// HTTP requests the job server parsed and routed.
-    ServeRequests,
-    /// Submissions answered from the memoized result cache.
-    ServeCacheHits,
-    /// Submissions coalesced onto an identical queued/running job.
-    ServeCoalesced,
-    /// Result-cache entries evicted under the byte budget (including
-    /// entries dropped by the integrity check).
-    ServeEvictions,
     /// Fuzz campaign candidates evaluated.
     FuzzCandidates,
     /// Fuzz inputs admitted to the corpus (coverage-increasing).
@@ -72,7 +63,7 @@ pub enum Ctr {
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 28;
+    pub const COUNT: usize = 24;
 
     /// All counters, in index order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
@@ -97,10 +88,6 @@ impl Ctr {
         Ctr::JobRetries,
         Ctr::JobTimeouts,
         Ctr::JobQuarantines,
-        Ctr::ServeRequests,
-        Ctr::ServeCacheHits,
-        Ctr::ServeCoalesced,
-        Ctr::ServeEvictions,
         Ctr::FuzzCandidates,
         Ctr::FuzzCorpusAdmissions,
         Ctr::FuzzDivergences,
@@ -130,10 +117,6 @@ impl Ctr {
             Ctr::JobRetries => "job_retries",
             Ctr::JobTimeouts => "job_timeouts",
             Ctr::JobQuarantines => "job_quarantines",
-            Ctr::ServeRequests => "serve_requests",
-            Ctr::ServeCacheHits => "serve_cache_hits",
-            Ctr::ServeCoalesced => "serve_coalesced",
-            Ctr::ServeEvictions => "serve_evictions",
             Ctr::FuzzCandidates => "fuzz_candidates",
             Ctr::FuzzCorpusAdmissions => "fuzz_corpus_admissions",
             Ctr::FuzzDivergences => "fuzz_divergences",

@@ -80,17 +80,6 @@ impl UncoreStats {
             self.total_queueing as f64 / self.requests as f64
         }
     }
-
-    /// Accumulates another window's counters into this one (shard
-    /// stitching: every field is a sum-mergeable event count).
-    pub fn absorb(&mut self, other: &UncoreStats) {
-        self.requests += other.requests;
-        self.prefetch_requests += other.prefetch_requests;
-        self.llc_hits += other.llc_hits;
-        self.llc_misses += other.llc_misses;
-        self.total_latency += other.total_latency;
-        self.total_queueing += other.total_queueing;
-    }
 }
 
 enum Llc {

@@ -13,8 +13,7 @@
 //! dispatches block lookups to the owning tenant and rebases the
 //! returned static instructions; [`MixStream`] rebases the dynamic
 //! stream the same way. Determinism: the interleaving depends only on
-//! `(images, quantum, trace_seed)` — never on wall clock, `--jobs`, or
-//! shard count.
+//! `(images, quantum, trace_seed)` — never on wall clock or `--jobs`.
 
 use crate::image::{ProgramImage, IMAGE_BASE};
 use crate::synth::Walker;

@@ -17,8 +17,8 @@
 //!   including `dcfb import` output), replayed over a [`RecordedCode`]
 //!   reconstruction.
 //!
-//! Every consumer (CLI run/compare/profile/record, bench sweep, the
-//! job server) funnels through [`SourceSpec::parse`] +
+//! Every consumer (CLI run/compare/profile/record, the bench sweep and
+//! supervised batches) funnels through [`SourceSpec::parse`] +
 //! [`SourceSpec::resolve`], so mixes and imported traces are first-class
 //! everywhere a workload name is accepted.
 
