@@ -192,6 +192,14 @@ impl MshrFile {
         done.sort_by_key(|c| c.ready_at);
     }
 
+    /// The earliest completion cycle among outstanding entries
+    /// (`u64::MAX` when none are outstanding): a drain before this
+    /// cycle completes nothing.
+    #[inline]
+    pub fn earliest_ready(&self) -> u64 {
+        self.earliest_ready
+    }
+
     /// Number of outstanding entries.
     pub fn occupancy(&self) -> usize {
         self.blocks.len()

@@ -10,6 +10,7 @@
 use crate::lockstep::Model;
 use crate::ops::{branch_set, BtbBufOp, CodeLayout, DisTableOp, EngineOp, PfBufOp, RluOp, SeqOp};
 use dcfb_cache::PrefetchBuffer;
+use dcfb_frontend::{BranchSpan, BtbEntry};
 use dcfb_prefetch::context::MockContext;
 use dcfb_prefetch::{
     BtbPrefetchBuffer, Dis, DisTable, InstrPrefetcher, RecentInstrs, Rlu, SeqTable, Sn4l,
@@ -91,8 +92,23 @@ impl Model for ProdRlu {
     }
 }
 
-/// Production `BtbPrefetchBuffer` under the [`BtbBufOp`] vocabulary.
-pub struct ProdBtbBuffer(pub BtbPrefetchBuffer);
+/// Production `BtbPrefetchBuffer` under the [`BtbBufOp`] vocabulary,
+/// with the arena its branch spans index (every fill appends its
+/// branch set, as the simulator's branch store does on first decode).
+pub struct ProdBtbBuffer {
+    buf: BtbPrefetchBuffer,
+    arena: Vec<BtbEntry>,
+}
+
+impl ProdBtbBuffer {
+    /// Wraps `buf` with an empty arena.
+    pub fn new(buf: BtbPrefetchBuffer) -> Self {
+        ProdBtbBuffer {
+            buf,
+            arena: Vec::new(),
+        }
+    }
+}
 
 impl Model for ProdBtbBuffer {
     type Op = BtbBufOp;
@@ -100,21 +116,19 @@ impl Model for ProdBtbBuffer {
     fn apply(&mut self, op: &BtbBufOp) -> String {
         match op {
             BtbBufOp::Fill { block, n } => {
-                format!(
-                    "displaced={:?}",
-                    self.0.fill(*block, branch_set(*block, *n))
-                )
+                let span = BranchSpan::push(&mut self.arena, &branch_set(*block, *n));
+                format!("displaced={:?}", self.buf.fill(*block, span))
             }
-            BtbBufOp::Take(pc) => match self.0.take_for(*pc) {
+            BtbBufOp::Take(pc) => match self.buf.take_for(*pc, &self.arena) {
                 Some(branches) => format!("took={}", branches.len()),
                 None => "took=none".to_owned(),
             },
-            BtbBufOp::Contains(pc) => self.0.contains_branch(*pc).to_string(),
+            BtbBufOp::Contains(pc) => self.buf.contains_branch(*pc, &self.arena).to_string(),
         }
     }
 
     fn finish(&mut self) -> String {
-        let (fills, lookups, hits) = self.0.counters();
+        let (fills, lookups, hits) = self.buf.counters();
         format!("fills={fills} lookups={lookups} hits={hits}")
     }
 }

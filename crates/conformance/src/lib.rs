@@ -179,7 +179,7 @@ pub fn run_full_suite(seed: u64, n_ops: usize) -> ConformanceReport {
     let h = Harness::new("btb-buffer", || {
         (
             Box::new(RefBtbBuffer::new(FUZZ_BTB_BUF.0, FUZZ_BTB_BUF.1)) as _,
-            Box::new(ProdBtbBuffer(BtbPrefetchBuffer::new(
+            Box::new(ProdBtbBuffer::new(BtbPrefetchBuffer::new(
                 FUZZ_BTB_BUF.0,
                 FUZZ_BTB_BUF.1,
             ))) as _,

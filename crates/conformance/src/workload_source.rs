@@ -127,6 +127,47 @@ pub fn check_workload_source() -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// The simulator calls its two production drivers through an enum;
+    /// `try_with_driver(build_driver(..))` runs the same drivers boxed
+    /// behind the `FrontendDriver` trait object. Both must produce the
+    /// same report for every registry method and the pinned tenant mix.
+    #[test]
+    fn static_dispatch_matches_the_boxed_driver_seam() {
+        use dcfb_sim::machine::build_driver;
+        use dcfb_sim::Simulator;
+        let mix = SourceSpec::parse(TENANT_MIX_SPEC)
+            .unwrap()
+            .resolve(IsaMode::Fixed4)
+            .unwrap();
+        let fixture = ResolvedWorkload::from_image(golden::fixture_image());
+        let cases = dcfb_prefetch::method_names()
+            .map(|m| (m, &fixture))
+            .chain([(TENANT_MIX_METHOD, &mix)]);
+        let mut checked = 0;
+        for (method, w) in cases {
+            let mut cfg = golden::fixture_config(method).unwrap();
+            cfg.warmup_instrs = 10_000;
+            cfg.measure_instrs = 20_000;
+            let digest = |mut sim: Simulator| {
+                let mut stream = w.stream(golden::FIXTURE_TRACE_SEED);
+                sim.run(&mut stream).digest()
+            };
+            let name = w.name().to_owned();
+            let direct =
+                Simulator::try_with_code(cfg.clone(), w.code(), w.start_pc(), name.clone());
+            let driver = build_driver(&cfg, w.start_pc());
+            let boxed = Simulator::try_with_driver(cfg, w.code(), name, driver);
+            assert_eq!(
+                digest(direct.unwrap()),
+                digest(boxed.unwrap()),
+                "{method} on {}",
+                w.name()
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 16, "15 registry methods plus the tenant mix");
+    }
+
     #[test]
     fn workload_source_check_passes() {
         let summary = check_workload_source().unwrap_or_else(|e| panic!("{e}"));

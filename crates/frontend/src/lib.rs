@@ -14,11 +14,16 @@
 //! * [`Predecoder`] — block pre-decoding, the mechanism behind both the
 //!   Dis prefetcher's target extraction and Confluence-style BTB
 //!   prefilling, including the variable-length-ISA path that consumes
-//!   branch footprints.
+//!   branch footprints,
+//! * [`BranchStore`] — the per-run dense store of every block's
+//!   pre-decoded branches, handed out as `Copy` [`BranchSpan`]s: how
+//!   the simulator serves those pre-decodes (checked against
+//!   [`Predecoder`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod branch_store;
 pub mod btb;
 pub mod ftq;
 pub mod predecoder;
@@ -26,6 +31,7 @@ pub mod ras;
 pub mod shotgun_btb;
 pub mod tage;
 
+pub use branch_store::{BranchSpan, BranchStore};
 pub use btb::{BranchClass, Btb, BtbConfig, BtbEntry, BtbStats};
 pub use ftq::{Ftq, FtqEntry};
 pub use predecoder::{PredecodedBlock, Predecoder};

@@ -11,6 +11,10 @@
 //!   *offset*; the pre-decoder recovers the target,
 //! * **reactive BTB fills** in Boomerang/Shotgun.
 //!
+//! The simulator serves all three from its per-run
+//! [`BranchStore`](crate::BranchStore), which decodes each block once;
+//! this pre-decoder is the reference that store is tested against.
+//!
 //! On a fixed-length ISA all 16 slots of a 64-byte block decode in
 //! parallel. On a variable-length ISA instruction boundaries are
 //! unknown; the pre-decoder needs a *branch footprint* (BF) naming the
@@ -175,6 +179,10 @@ mod tests {
                     }
                 })
                 .collect()
+        }
+
+        fn block_slot(&self, block: Block) -> Option<usize> {
+            (block == 1).then_some(0)
         }
     }
 

@@ -6,18 +6,20 @@
 //! cache block, so a whole block's branches are stored in a single
 //! buffer access. The paper's configuration is 32 entries, 2-way
 //! set-associative (1 KB).
+//!
+//! An entry holds a [`BranchSpan`] into the simulator's per-run branch
+//! store rather than a copy of the branches: a fill is two words, and
+//! the lookups that need the branches themselves take the store's
+//! arena as an argument.
 
-use dcfb_frontend::BtbEntry;
+use dcfb_frontend::{BranchSpan, BtbEntry};
 use dcfb_trace::{block_of, Addr, Block};
-use std::sync::Arc;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct BufEntry {
     block: Block,
     stamp: u64,
-    /// Shared with the pre-decode cache: a fill stores the `Arc`, not a
-    /// copy of the branch set.
-    branches: Arc<[BtbEntry]>,
+    branches: BranchSpan,
 }
 
 /// A small set-associative buffer of pre-decoded block branch sets.
@@ -63,11 +65,12 @@ impl BtbPrefetchBuffer {
         ((block as usize) & (self.sets - 1)) * self.ways
     }
 
-    /// Stores the branches of `block`, replacing the set's LRU entry.
-    /// Empty branch sets are ignored (returns `None`). Returns the
-    /// block whose entry was displaced, if any — telemetry uses it to
-    /// spot early-evicted BTB prefetches.
-    pub fn fill(&mut self, block: Block, branches: Arc<[BtbEntry]>) -> Option<Block> {
+    /// Stores the branches of `block` (a span of the arena later
+    /// lookups are given), replacing the set's LRU entry. Empty branch
+    /// sets are ignored (returns `None`). Returns the block whose entry
+    /// was displaced, if any — telemetry uses it to spot early-evicted
+    /// BTB prefetches.
+    pub fn fill(&mut self, block: Block, branches: BranchSpan) -> Option<Block> {
         if branches.is_empty() {
             return None;
         }
@@ -100,34 +103,30 @@ impl BtbPrefetchBuffer {
         displaced
     }
 
-    /// Looks for the branch at `pc`; on a hit, removes and returns the
-    /// *whole block entry's* branches (they move into the BTB together,
-    /// §V-C).
-    pub fn take_for(&mut self, pc: Addr) -> Option<Arc<[BtbEntry]>> {
-        self.lookups += 1;
+    /// The way of the set holding the branch at `pc`, if any.
+    fn find(&self, pc: Addr, arena: &[BtbEntry]) -> Option<usize> {
         let block = block_of(pc);
         let base = self.base(block);
-        for i in base..base + self.ways {
-            let matches = self.slots[i]
-                .as_ref()
-                .is_some_and(|e| e.block == block && e.branches.iter().any(|b| b.pc == pc));
-            if matches {
-                self.hits += 1;
-                return self.slots[i].take().map(|e| e.branches);
-            }
-        }
-        None
+        (base..base + self.ways).find(|&i| {
+            self.slots[i].is_some_and(|e| {
+                e.block == block && e.branches.resolve(arena).iter().any(|b| b.pc == pc)
+            })
+        })
+    }
+
+    /// Looks for the branch at `pc`; on a hit, removes and returns the
+    /// *whole block entry's* branches (they move into the BTB together,
+    /// §V-C) as a span of `arena`.
+    pub fn take_for(&mut self, pc: Addr, arena: &[BtbEntry]) -> Option<BranchSpan> {
+        self.lookups += 1;
+        let i = self.find(pc, arena)?;
+        self.hits += 1;
+        self.slots[i].take().map(|e| e.branches)
     }
 
     /// Non-destructive residency check for the branch at `pc`.
-    pub fn contains_branch(&self, pc: Addr) -> bool {
-        let block = block_of(pc);
-        let base = self.base(block);
-        (base..base + self.ways).any(|i| {
-            self.slots[i]
-                .as_ref()
-                .is_some_and(|e| e.block == block && e.branches.iter().any(|b| b.pc == pc))
-        })
+    pub fn contains_branch(&self, pc: Addr, arena: &[BtbEntry]) -> bool {
+        self.find(pc, arena).is_some()
     }
 
     /// `(fills, lookups, hits)` counters.
@@ -156,55 +155,69 @@ mod tests {
         }
     }
 
+    /// A buffer plus the arena its spans index.
+    #[derive(Default)]
+    struct Arena(Vec<BtbEntry>);
+
+    impl Arena {
+        fn span(&mut self, branches: &[BtbEntry]) -> BranchSpan {
+            BranchSpan::push(&mut self.0, branches)
+        }
+    }
+
     #[test]
     fn fill_take_roundtrip() {
+        let mut a = Arena::default();
         let mut b = BtbPrefetchBuffer::paper_sized();
         let pc = 100 * 64 + 8;
-        b.fill(100, vec![entry(pc, 0x999), entry(pc + 4, 0x888)].into());
-        assert!(b.contains_branch(pc));
-        assert!(b.contains_branch(pc + 4));
-        let branches = b.take_for(pc).unwrap();
-        assert_eq!(branches.len(), 2);
+        b.fill(100, a.span(&[entry(pc, 0x999), entry(pc + 4, 0x888)]));
+        assert!(b.contains_branch(pc, &a.0));
+        assert!(b.contains_branch(pc + 4, &a.0));
+        let branches = b.take_for(pc, &a.0).unwrap();
+        assert_eq!(branches.resolve(&a.0).len(), 2);
         // Whole entry consumed.
-        assert!(!b.contains_branch(pc + 4));
+        assert!(!b.contains_branch(pc + 4, &a.0));
         assert_eq!(b.counters(), (1, 1, 1));
     }
 
     #[test]
     fn miss_on_absent_branch() {
+        let mut a = Arena::default();
         let mut b = BtbPrefetchBuffer::paper_sized();
-        b.fill(100, vec![entry(100 * 64, 1)].into());
-        assert!(b.take_for(100 * 64 + 32).is_none());
-        assert!(b.take_for(101 * 64).is_none());
+        b.fill(100, a.span(&[entry(100 * 64, 1)]));
+        assert!(b.take_for(100 * 64 + 32, &a.0).is_none());
+        assert!(b.take_for(101 * 64, &a.0).is_none());
     }
 
     #[test]
     fn empty_fill_ignored() {
         let mut b = BtbPrefetchBuffer::paper_sized();
-        b.fill(7, Vec::new().into());
+        b.fill(7, BranchSpan::EMPTY);
         assert_eq!(b.counters().0, 0);
     }
 
     #[test]
     fn lru_within_set() {
+        let mut a = Arena::default();
         let mut b = BtbPrefetchBuffer::new(4, 2); // 2 sets
                                                   // Blocks 0, 2, 4 all map to set 0.
-        b.fill(0, vec![entry(0, 1)].into());
-        b.fill(2, vec![entry(2 * 64, 1)].into());
+        b.fill(0, a.span(&[entry(0, 1)]));
+        b.fill(2, a.span(&[entry(2 * 64, 1)]));
         // Touch block 0's entry via refill to make block 2 LRU.
-        b.fill(0, vec![entry(0, 9)].into());
-        b.fill(4, vec![entry(4 * 64, 1)].into());
-        assert!(b.contains_branch(0));
-        assert!(!b.contains_branch(2 * 64));
-        assert!(b.contains_branch(4 * 64));
+        b.fill(0, a.span(&[entry(0, 9)]));
+        b.fill(4, a.span(&[entry(4 * 64, 1)]));
+        assert!(b.contains_branch(0, &a.0));
+        assert!(!b.contains_branch(2 * 64, &a.0));
+        assert!(b.contains_branch(4 * 64, &a.0));
     }
 
     #[test]
     fn refill_updates_in_place() {
+        let mut a = Arena::default();
         let mut b = BtbPrefetchBuffer::paper_sized();
-        b.fill(5, vec![entry(5 * 64, 1)].into());
-        b.fill(5, vec![entry(5 * 64, 2), entry(5 * 64 + 8, 3)].into());
-        let taken = b.take_for(5 * 64).unwrap();
+        b.fill(5, a.span(&[entry(5 * 64, 1)]));
+        b.fill(5, a.span(&[entry(5 * 64, 2), entry(5 * 64 + 8, 3)]));
+        let taken = b.take_for(5 * 64, &a.0).unwrap().resolve(&a.0);
         assert_eq!(taken.len(), 2);
         assert_eq!(taken[0].target, 2);
     }

@@ -8,9 +8,17 @@
 use dcfb_frontend::BtbEntry;
 use dcfb_telemetry::PfSource;
 use dcfb_trace::{Addr, Block, Instr};
-use std::sync::Arc;
 
 /// The machine surface a prefetcher may use.
+///
+/// The simulator's implementation serves every pre-decode —
+/// [`PrefetchContext::prefill_btb_buffer`] and
+/// [`PrefetchContext::decode_branch_at`] — from its per-run branch
+/// store (`dcfb_frontend::BranchStore`): a block is decoded once, and
+/// repeat decodes cost one vector index with no hashing, allocation,
+/// or reference-count traffic. These calls sit on the proactive
+/// engine's per-RLU-miss path, so implementations must keep them that
+/// cheap.
 pub trait PrefetchContext {
     /// Current simulation cycle.
     fn cycle(&self) -> u64;
@@ -26,12 +34,12 @@ pub trait PrefetchContext {
     /// prefetcher's DisTable-lookup + pre-decode pipeline, §VII-D).
     fn issue_prefetch(&mut self, block: Block, source: PfSource, extra_delay: u64);
 
-    /// Pre-decodes `block`, returning every branch found. In hardware
-    /// this requires the block's bytes (resident or just arrived); the
-    /// simulator enforces availability. The result is a shared slice so
-    /// the machine can serve repeat decodes of a static block from a
-    /// per-block cache instead of re-allocating.
-    fn predecode(&mut self, block: Block) -> Arc<[BtbEntry]>;
+    /// Pre-decodes `block` and deposits the branches found into the
+    /// BTB prefetch buffer (§V-C: the "+BTB" step of every RLU miss).
+    /// On a variable-length ISA only the branches named by the
+    /// block's DV-LLC branch footprint are found. A block with no
+    /// (findable) branches leaves the buffer untouched.
+    fn prefill_btb_buffer(&mut self, block: Block);
 
     /// Pre-decodes only the instruction at `byte_offset` of `block`
     /// (the Dis replay path). Returns `None` if it is not a branch.
@@ -41,11 +49,6 @@ pub trait PrefetchContext {
     /// (used when the target is not in the instruction encoding).
     /// Does not disturb BTB statistics.
     fn btb_target(&mut self, pc: Addr) -> Option<Addr>;
-
-    /// Deposits pre-decoded branches into the BTB prefetch buffer. The
-    /// shared slice from [`PrefetchContext::predecode`] is stored as-is
-    /// (no per-event copy of the branch set).
-    fn fill_btb_buffer(&mut self, block: Block, branches: Arc<[BtbEntry]>);
 }
 
 /// The last two demanded instructions, which the Dis prefetcher decodes
@@ -130,6 +133,11 @@ pub trait InstrPrefetcher {
 /// The machine surface a *BTB-directed* engine (Boomerang, Shotgun)
 /// uses to run ahead of fetch: branch prediction, RAS, cache probes,
 /// prefetch issue, and pre-decoding for reactive BTB fills.
+///
+/// [`RunaheadContext::predecode`] borrows the block's branches straight
+/// out of the simulator's per-run branch store (the same store behind
+/// [`PrefetchContext`]): the engine reads them in place and copies only
+/// what it inserts into its own BTB.
 pub trait RunaheadContext {
     /// Current simulation cycle.
     fn cycle(&self) -> u64;
@@ -153,9 +161,9 @@ pub trait RunaheadContext {
     /// (resident in the L1i — in-flight blocks are not yet decodable).
     fn block_present(&self, block: Block) -> bool;
 
-    /// Pre-decodes `block`, returning its branches as a shared slice
-    /// (see [`PrefetchContext::predecode`]).
-    fn predecode(&mut self, block: Block) -> Arc<[BtbEntry]>;
+    /// Pre-decodes `block`, returning its branches in address order.
+    /// The slice borrows the context until the caller is done with it.
+    fn predecode(&mut self, block: Block) -> &[BtbEntry];
 }
 
 /// A scriptable context for unit tests.
@@ -175,7 +183,8 @@ pub struct MockContext {
     pub code: std::collections::HashMap<Block, Vec<BtbEntry>>,
     /// BTB contents for `btb_target`.
     pub btb: std::collections::HashMap<Addr, Addr>,
-    /// Branches deposited into the BTB prefetch buffer.
+    /// Blocks pre-decoded into the BTB prefetch buffer, with the
+    /// branches found.
     pub btb_buffer_fills: Vec<(Block, Vec<BtbEntry>)>,
     /// Direction returned by `predict_cond` for pcs in this set
     /// (everything else predicts not-taken).
@@ -216,17 +225,8 @@ impl RunaheadContext for MockContext {
         self.resident.contains(&block)
     }
 
-    fn predecode(&mut self, block: Block) -> Arc<[BtbEntry]> {
-        self.decode_arc(block)
-    }
-}
-
-impl MockContext {
-    fn decode_arc(&self, block: Block) -> Arc<[BtbEntry]> {
-        self.code
-            .get(&block)
-            .map(|v| Arc::from(v.as_slice()))
-            .unwrap_or_else(|| Arc::from([].as_slice()))
+    fn predecode(&mut self, block: Block) -> &[BtbEntry] {
+        self.code.get(&block).map(Vec::as_slice).unwrap_or(&[])
     }
 }
 
@@ -246,8 +246,11 @@ impl PrefetchContext for MockContext {
         self.resident.insert(block); // arrives eventually; tests treat as in-flight
     }
 
-    fn predecode(&mut self, block: Block) -> Arc<[BtbEntry]> {
-        self.decode_arc(block)
+    /// Records every prefill, including those of blocks without
+    /// branches, so lockstep checks see each pre-decode request.
+    fn prefill_btb_buffer(&mut self, block: Block) {
+        let branches = self.code.get(&block).cloned().unwrap_or_default();
+        self.btb_buffer_fills.push((block, branches));
     }
 
     fn decode_branch_at(&mut self, block: Block, byte_offset: u32) -> Option<BtbEntry> {
@@ -260,10 +263,6 @@ impl PrefetchContext for MockContext {
 
     fn btb_target(&mut self, pc: Addr) -> Option<Addr> {
         self.btb.get(&pc).copied()
-    }
-
-    fn fill_btb_buffer(&mut self, block: Block, branches: Arc<[BtbEntry]>) {
-        self.btb_buffer_fills.push((block, branches.to_vec()));
     }
 }
 

@@ -241,9 +241,8 @@ impl Sn4lDisBtb {
                 }
             }
             if self.cfg.btb_prefetch {
-                let branches = ctx.predecode(block);
+                ctx.prefill_btb_buffer(block);
                 self.stats.predecoded += 1;
-                ctx.fill_btb_buffer(block, branches);
             }
             self.push_trigger(block, depth, src == Source::Dis);
         }
@@ -327,9 +326,8 @@ impl InstrPrefetcher for Sn4lDisBtb {
         // pre-decoder on first sight.
         self.rlu.note_demand(block);
         if self.cfg.btb_prefetch && !hit {
-            let branches = ctx.predecode(block);
+            ctx.prefill_btb_buffer(block);
             self.stats.predecoded += 1;
-            ctx.fill_btb_buffer(block, branches);
         }
         // Proactive trigger at depth 0.
         self.push_trigger(block, 0, true);

@@ -243,10 +243,17 @@ impl DisTable {
 /// The Recently-Looked-Up (RLU) filter (§V-B): the addresses of the
 /// last eight blocks looked up by the prefetcher or demanded by the
 /// processor. A hit means "do not look up the cache again".
+///
+/// A fixed-capacity FIFO ring (8 slots in the paper configuration):
+/// replacement overwrites the oldest slot in place instead of shifting
+/// the survivors down.
 #[derive(Clone, Debug)]
 pub struct Rlu {
-    entries: Vec<Block>,
-    capacity: usize,
+    slots: Box<[Block]>,
+    /// Occupied slots (`slots[..len]`); grows to capacity, then stays.
+    len: usize,
+    /// Oldest slot once full: the next one to overwrite.
+    oldest: usize,
     hits: u64,
     misses: u64,
 }
@@ -260,10 +267,31 @@ impl Rlu {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RLU capacity must be non-zero");
         Rlu {
-            entries: Vec::with_capacity(capacity),
-            capacity,
+            slots: vec![0; capacity].into_boxed_slice(),
+            len: 0,
+            oldest: 0,
             hits: 0,
             misses: 0,
+        }
+    }
+
+    #[inline]
+    fn contains(&self, block: Block) -> bool {
+        self.slots[..self.len].contains(&block)
+    }
+
+    /// Records `block`, replacing the oldest entry when full.
+    #[inline]
+    fn push(&mut self, block: Block) {
+        if self.len < self.slots.len() {
+            self.slots[self.len] = block;
+            self.len += 1;
+        } else {
+            self.slots[self.oldest] = block;
+            self.oldest += 1;
+            if self.oldest == self.slots.len() {
+                self.oldest = 0;
+            }
         }
     }
 
@@ -271,26 +299,20 @@ impl Rlu {
     /// if the block was recently looked up (caller should skip the
     /// cache lookup).
     pub fn check_insert(&mut self, block: Block) -> bool {
-        if self.entries.contains(&block) {
+        if self.contains(block) {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if self.entries.len() == self.capacity {
-            self.entries.remove(0);
-        }
-        self.entries.push(block);
+        self.push(block);
         false
     }
 
     /// Notes a processor demand for `block` (demands also populate the
     /// RLU per §V-B).
     pub fn note_demand(&mut self, block: Block) {
-        if !self.entries.contains(&block) {
-            if self.entries.len() == self.capacity {
-                self.entries.remove(0);
-            }
-            self.entries.push(block);
+        if !self.contains(block) {
+            self.push(block);
         }
     }
 
@@ -414,6 +436,17 @@ mod tests {
         r.check_insert(2);
         r.check_insert(3); // evicts 1
         assert!(!r.check_insert(1), "1 must have been evicted");
+    }
+
+    #[test]
+    fn rlu_ring_keeps_exactly_the_last_capacity_blocks() {
+        let mut r = Rlu::new(3);
+        for b in 0..10 {
+            assert!(!r.check_insert(b));
+        }
+        // The ring wrapped three times: only 7, 8, 9 remain.
+        assert!(r.check_insert(7) && r.check_insert(8) && r.check_insert(9));
+        assert!(!r.check_insert(6));
     }
 
     #[test]

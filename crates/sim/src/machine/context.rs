@@ -7,7 +7,6 @@ use dcfb_frontend::BtbEntry;
 use dcfb_prefetch::{PrefetchContext, RunaheadContext};
 use dcfb_telemetry::PfSource;
 use dcfb_trace::{block_base, Addr, Block};
-use std::sync::Arc;
 
 impl PrefetchContext for Machine {
     fn cycle(&self) -> u64 {
@@ -24,24 +23,24 @@ impl PrefetchContext for Machine {
         self.request_below(block, source, extra_delay);
     }
 
-    fn predecode(&mut self, block: Block) -> Arc<[BtbEntry]> {
-        self.predecode_block(block)
+    fn prefill_btb_buffer(&mut self, block: Block) {
+        let span = self.predecode_span(block);
+        if span.is_empty() {
+            return; // the buffer ignores empty sets; don't count a fill
+        }
+        let displaced = self.btb_buffer.fill(block, span);
+        if let Some(t) = self.telem.as_deref_mut() {
+            t.btbpf_fill(block, displaced);
+        }
     }
 
-    /// Fixed4 replays are answered from the per-block pre-decode
-    /// cache (the branch whose pc is `block_base + byte_offset`), so a
-    /// block is decoded once per run; variable-length replays decode
-    /// against the code memory every time.
+    /// Replays are answered from the branch store (the branch whose pc
+    /// is `block_base + byte_offset`) on either ISA: Dis replay decodes
+    /// at a recorded offset, so it needs no footprint.
     fn decode_branch_at(&mut self, block: Block, byte_offset: u32) -> Option<BtbEntry> {
-        if self.predecoder.isa().self_describing_boundaries() {
-            let pc = block_base(block) + Addr::from(byte_offset);
-            self.cached_branches(block)
-                .iter()
-                .find(|e| e.pc == pc)
-                .copied()
-        } else {
-            self.predecoder.decode_at(&self.code, block, byte_offset)
-        }
+        let pc = block_base(block) + Addr::from(byte_offset);
+        let span = self.branches.span(&*self.code, block);
+        self.branches.get(span).iter().find(|e| e.pc == pc).copied()
     }
 
     fn btb_target(&mut self, pc: Addr) -> Option<Addr> {
@@ -49,16 +48,6 @@ impl PrefetchContext for Machine {
             self.btb.lookup(pc).map(|e| e.target)
         } else {
             None
-        }
-    }
-
-    fn fill_btb_buffer(&mut self, block: Block, branches: Arc<[BtbEntry]>) {
-        if branches.is_empty() {
-            return; // the buffer ignores empty sets; don't count a fill
-        }
-        let displaced = self.btb_buffer.fill(block, branches);
-        if let Some(t) = self.telem.as_deref_mut() {
-            t.btbpf_fill(block, displaced);
         }
     }
 }
@@ -92,7 +81,8 @@ impl RunaheadContext for Machine {
         self.l1i.contains(block)
     }
 
-    fn predecode(&mut self, block: Block) -> Arc<[BtbEntry]> {
-        self.predecode_block(block)
+    fn predecode(&mut self, block: Block) -> &[BtbEntry] {
+        let span = self.predecode_span(block);
+        self.branches.get(span)
     }
 }

@@ -32,8 +32,7 @@ impl DecoupledDriver {
         // Direction prediction for conditionals.
         let mut mispredicted = false;
         if let InstrKind::CondBranch { taken: actual } = i.kind {
-            let pred = m.tage.predict(i.pc);
-            m.tage.update(i.pc, actual);
+            let pred = m.tage.update(i.pc, actual);
             m.note_tage(pred == actual);
             if pred != actual {
                 mispredicted = true;
@@ -65,11 +64,11 @@ impl DecoupledDriver {
                     // BTB miss on a taken branch: check the BTB prefetch
                     // buffer first (§V-C), otherwise pay the
                     // decode-detect bubble.
-                    if let Some(branches) = m.btb_buffer.take_for(i.pc) {
+                    if let Some(span) = m.btb_buffer.take_for(i.pc, m.branches.arena()) {
                         if let Some(t) = m.telem.as_deref_mut() {
                             t.btbpf_hit(block_of(i.pc));
                         }
-                        for b in branches.iter() {
+                        for b in m.branches.get(span) {
                             let class = b.class;
                             let target = if b.target != 0 { b.target } else { i.target };
                             m.btb.insert(BtbEntry {

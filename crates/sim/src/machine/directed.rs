@@ -138,8 +138,7 @@ impl FrontendDriver for DirectedDriver {
             // learning, then restart discovery at the first resolved
             // control transfer.
             if let InstrKind::CondBranch { taken } = instr.kind {
-                let pred = m.tage.predict(instr.pc);
-                m.tage.update(instr.pc, taken);
+                let pred = m.tage.update(instr.pc, taken);
                 m.note_tage(pred == taken);
             }
             let _ = self.arch_ras_note(instr);
@@ -162,8 +161,7 @@ impl FrontendDriver for DirectedDriver {
         // achieves, which our history-stale discovery pass cannot.
         let mut would_predict_correctly = false;
         if let InstrKind::CondBranch { taken } = instr.kind {
-            let pred = m.tage.predict(instr.pc);
-            m.tage.update(instr.pc, taken);
+            let pred = m.tage.update(instr.pc, taken);
             m.note_tage(pred == taken);
             would_predict_correctly = pred == taken;
         }

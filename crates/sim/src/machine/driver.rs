@@ -141,10 +141,91 @@ pub trait FrontendDriver {
 /// Builds the [`FrontendDriver`] for `cfg.prefetcher` via the method
 /// registry's [`DriverPlan`].
 pub fn build_driver(cfg: &SimConfig, start_pc: Addr) -> Box<dyn FrontendDriver> {
-    match cfg.prefetcher.build(cfg.isa, start_pc) {
-        DriverPlan::Decoupled(pf) => Box::new(DecoupledDriver::new(pf)),
-        DriverPlan::Directed(engine) => {
-            Box::new(DirectedDriver::new(engine, Ftq::new(cfg.ftq_entries)))
+    match Driver::build(cfg, start_pc) {
+        Driver::Decoupled(d) => Box::new(d),
+        Driver::Directed(d) => Box::new(d),
+        Driver::Boxed(d) => d,
+    }
+}
+
+/// The driver a [`Simulator`](super::Simulator) runs: the two
+/// production drivers as enum variants, so the shared loop's
+/// per-instruction hooks are direct (inlinable) calls, plus a boxed
+/// variant for an explicit driver handed to
+/// [`Simulator::try_with_driver`](super::Simulator::try_with_driver).
+pub(crate) enum Driver {
+    Decoupled(DecoupledDriver),
+    Directed(DirectedDriver),
+    Boxed(Box<dyn FrontendDriver>),
+}
+
+impl Driver {
+    /// The production driver for `cfg.prefetcher`.
+    pub(crate) fn build(cfg: &SimConfig, start_pc: Addr) -> Driver {
+        match cfg.prefetcher.build(cfg.isa, start_pc) {
+            DriverPlan::Decoupled(pf) => Driver::Decoupled(DecoupledDriver::new(pf)),
+            DriverPlan::Directed(engine) => {
+                Driver::Directed(DirectedDriver::new(engine, Ftq::new(cfg.ftq_entries)))
+            }
         }
+    }
+}
+
+/// Forwards one [`FrontendDriver`] call to whichever driver `$driver`
+/// holds.
+macro_rules! dispatch {
+    ($driver:expr, $d:ident => $call:expr) => {
+        match $driver {
+            Driver::Decoupled($d) => $call,
+            Driver::Directed($d) => $call,
+            Driver::Boxed($d) => $call,
+        }
+    };
+}
+
+impl FrontendDriver for Driver {
+    #[inline]
+    fn begin_cycle(&mut self, m: &mut Machine) {
+        dispatch!(self, d => d.begin_cycle(m))
+    }
+
+    #[inline]
+    fn gate(&mut self, m: &mut Machine, cfg: &SimConfig, instr: &Instr, dispatched: u32) -> Gate {
+        dispatch!(self, d => d.gate(m, cfg, instr, dispatched))
+    }
+
+    #[inline]
+    fn after_demand(&mut self, m: &mut Machine, block: Block, outcome: &DemandOutcome) {
+        dispatch!(self, d => d.after_demand(m, block, outcome))
+    }
+
+    #[inline]
+    fn consume(&mut self, m: &mut Machine, cfg: &SimConfig, instr: &Instr) -> Consumed {
+        dispatch!(self, d => d.consume(m, cfg, instr))
+    }
+
+    #[inline]
+    fn end_cycle(&mut self, m: &mut Machine) {
+        dispatch!(self, d => d.end_cycle(m))
+    }
+
+    fn pump(&mut self, m: &mut Machine) {
+        dispatch!(self, d => d.pump(m))
+    }
+
+    fn pump_batch(&mut self, m: &mut Machine, resume: u64, pumps: u64) {
+        dispatch!(self, d => d.pump_batch(m, resume, pumps))
+    }
+
+    fn sample(&self) -> (Option<u64>, Option<(u64, u64)>) {
+        dispatch!(self, d => d.sample())
+    }
+
+    fn on_reset(&mut self) {
+        dispatch!(self, d => d.on_reset())
+    }
+
+    fn finish_report(&self, r: &mut SimReport) {
+        dispatch!(self, d => d.finish_report(r))
     }
 }

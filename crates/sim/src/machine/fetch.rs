@@ -1,42 +1,45 @@
-//! The fetch core: pre-decode (with the Fixed4 per-block cache and the
-//! DV-LLC footprint path), TAGE accuracy bookkeeping, and the bounded
-//! wrong-path traffic model.
+//! The fetch core: pre-decode served from the per-run branch store
+//! (with the DV-LLC footprint view for variable-length ISAs), TAGE
+//! accuracy bookkeeping, and the bounded wrong-path traffic model.
 
 use super::Machine;
-use dcfb_frontend::{BranchClass, BtbEntry};
-use dcfb_trace::{block_of, Block, Instr, InstrKind};
-use std::sync::Arc;
+use dcfb_cache::footprint::{BranchFootprint, BF_CAPACITY};
+use dcfb_frontend::{BranchClass, BranchSpan};
+use dcfb_trace::{block_of, block_offset, Block, Instr, InstrKind};
 
 impl Machine {
-    /// Pre-decodes `block`, supplying a branch footprint from the
-    /// DV-LLC in variable-length mode. Fixed-width decodes are served
-    /// from a per-block cache: the program image is static, so a block
-    /// only ever decodes one way, and hot blocks are re-decoded by the
-    /// prefetchers thousands of times per run.
-    pub(crate) fn predecode_block(&mut self, block: Block) -> Arc<[BtbEntry]> {
-        if self.predecoder.isa().self_describing_boundaries() {
-            Arc::clone(self.cached_branches(block))
-        } else {
-            let bf = self.uncore.dvllc_mut().and_then(|dv| dv.bf_lookup(block));
-            self.predecoder
-                .decode(&self.code, block, bf.as_ref())
-                .branches
-                .into()
+    /// The branches a pre-decode of `block` finds, as a span of the
+    /// branch store.
+    ///
+    /// A fixed-width pre-decoder finds every branch. A variable-length
+    /// one decodes only at the offsets of the block's DV-LLC branch
+    /// footprint (§V-D); the footprint is always the block's first
+    /// [`BF_CAPACITY`] branches (see [`Machine::footprint_of`]), so it
+    /// finds exactly that prefix of the block's span — and nothing
+    /// without a footprint. The `bf_lookup` still runs so the DV-LLC's
+    /// footprint hit/miss statistics count every pre-decode.
+    pub(crate) fn predecode_span(&mut self, block: Block) -> BranchSpan {
+        let all = self.branches.span(&*self.code, block);
+        if self.fixed_boundaries {
+            return all;
+        }
+        match self.uncore.dvllc_mut().and_then(|dv| dv.bf_lookup(block)) {
+            Some(bf) => all.prefix(bf.len()),
+            None => BranchSpan::EMPTY,
         }
     }
 
-    /// The Fixed4 pre-decode of `block`, decoding it on first use.
-    /// Only valid for self-describing encodings.
-    pub(crate) fn cached_branches(&mut self, block: Block) -> &Arc<[BtbEntry]> {
-        let Machine {
-            predecode_cache,
-            predecoder,
-            code,
-            ..
-        } = self;
-        predecode_cache
-            .entry(block)
-            .or_insert_with(|| predecoder.decode(code, block, None).branches.into())
+    /// The branch footprint a fill of `block` deposits in the DV-LLC
+    /// in variable-length mode: what `BranchFootprint::from_block`
+    /// builds, the byte offsets of the block's first [`BF_CAPACITY`]
+    /// branches.
+    pub(crate) fn footprint_of(&mut self, block: Block) -> BranchFootprint {
+        let span = self.branches.span(&*self.code, block);
+        let mut bf = BranchFootprint::new();
+        for b in self.branches.get(span).iter().take(BF_CAPACITY) {
+            bf.push(block_offset(b.pc) as u8);
+        }
+        bf
     }
 
     pub(crate) fn note_tage(&mut self, correct: bool) {

@@ -66,6 +66,11 @@ impl Machine {
     /// Drains completed fetches into the L1i (or prefetch buffer),
     /// firing fill/evict hooks on `pf`.
     pub(crate) fn drain_fills(&mut self, mut pf: Option<&mut (dyn InstrPrefetcher + 'static)>) {
+        // Most cycles complete nothing: return before touching the
+        // scratch vector.
+        if self.cycle < self.mshr.earliest_ready() {
+            return;
+        }
         let mut done = std::mem::take(&mut self.fill_scratch);
         self.mshr.drain_ready_into(self.cycle, &mut done);
         for &c in &done {
@@ -115,9 +120,8 @@ impl Machine {
                 }
                 // In variable-length mode, deposit the block's branch
                 // footprint alongside it in the DV-LLC (§V-D).
-                if !self.predecoder.isa().self_describing_boundaries() {
-                    let instrs = self.code.instrs_in_block(c.block);
-                    let (bf, _) = dcfb_cache::BranchFootprint::from_block(&instrs);
+                if !self.fixed_boundaries {
+                    let bf = self.footprint_of(c.block);
                     if let Some(dv) = self.uncore.dvllc_mut() {
                         dv.insert_bf(c.block, bf);
                     }
@@ -142,7 +146,6 @@ impl Machine {
                 was_prefetched: false,
             };
         }
-        self.stats_note_demand(block);
         if let Some(t) = self.telem.as_deref_mut() {
             t.add(Ctr::DemandAccesses, 1);
         }
@@ -181,7 +184,7 @@ impl Machine {
                 };
             }
         }
-        self.classify_miss(block, false);
+        self.classify_miss(block);
         if let Some(t) = self.telem.as_deref_mut() {
             t.add(Ctr::DemandMisses, 1);
             t.pf_demand_miss(block);
@@ -227,9 +230,7 @@ impl Machine {
         }
     }
 
-    fn stats_note_demand(&mut self, _block: Block) {}
-
-    fn classify_miss(&mut self, block: Block, _buffer_hit: bool) {
+    fn classify_miss(&mut self, block: Block) {
         let ctr = match self.prev_demand_block {
             Some(prev) if block == prev + 1 => {
                 self.stats.seq_misses += 1;
@@ -249,12 +250,7 @@ impl Machine {
     /// CMAL accounting for a late (in-flight) prefetch resolved at
     /// `ready`: the fraction of the original latency that prefetching
     /// already covered when the demand arrived.
-    pub(crate) fn account_late_prefetch(&mut self, block: Block, ready: u64) {
-        // The MSHR entry knows issue time only until drained; derive
-        // covered cycles from issue metadata if still present.
-        if let Some(issued_ready) = self.mshr.ready_at(block) {
-            let _ = issued_ready;
-        }
+    pub(crate) fn account_late_prefetch(&mut self, ready: u64) {
         let total_guess = 34.0_f64.max((ready.saturating_sub(self.cycle)) as f64 + 1.0);
         let remaining = ready.saturating_sub(self.cycle) as f64;
         let covered = (total_guess - remaining).max(0.0);

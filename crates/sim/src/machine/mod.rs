@@ -4,8 +4,9 @@
 //! * **memory plane** ([`memory`]) — L1i, MSHRs, prefetch buffer, and
 //!   the uncore below them: demand accesses, fills, and the
 //!   CMAL/timeliness accounting;
-//! * **fetch core** ([`fetch`]) — pre-decode, TAGE bookkeeping, and
-//!   wrong-path traffic past mispredictions;
+//! * **fetch core** ([`fetch`]) — pre-decode from the per-run branch
+//!   store, TAGE bookkeeping, and wrong-path traffic past
+//!   mispredictions;
 //! * **prefetcher context** ([`context`]) — the [`Machine`]'s
 //!   implementations of the `dcfb-prefetch` context traits, through
 //!   which every prefetcher and discovery engine observes and acts on
@@ -14,7 +15,10 @@
 //!   the per-cycle loop is written once in [`sim`]; everything
 //!   method-specific sits behind the [`FrontendDriver`] trait, with the
 //!   conventional decoupled frontend and the BTB-directed (FTQ-driven)
-//!   frontend as its two implementations.
+//!   frontend as its two implementations. The simulator calls them
+//!   through a three-way enum (the two production drivers, plus a boxed
+//!   driver for the explicit-driver seam), so the per-instruction hooks
+//!   are direct calls.
 //!
 //! Two driver styles share one [`Machine`]:
 //!
@@ -52,7 +56,7 @@ pub use sim::{RunControl, Simulator};
 
 use crate::config::SimConfig;
 use dcfb_cache::{Completion, MshrFile, PrefetchBuffer, SetAssocCache};
-use dcfb_frontend::{Btb, BtbEntry, Predecoder, ReturnAddressStack, Tage, TageConfig};
+use dcfb_frontend::{BranchStore, Btb, ReturnAddressStack, Tage, TageConfig};
 use dcfb_prefetch::{BtbPrefetchBuffer, RecentInstrs};
 use dcfb_telemetry::{RunTelemetry, TelemetryConfig};
 use dcfb_trace::{Block, CodeMemory};
@@ -99,7 +103,10 @@ pub struct Machine {
     pub(crate) btb_buffer: BtbPrefetchBuffer,
     pub(crate) tage: Tage,
     pub(crate) ras: ReturnAddressStack,
-    pub(crate) predecoder: Predecoder,
+    /// Whether the ISA's instruction boundaries are self-describing
+    /// (Fixed4): the pre-decoder then sees every branch of a block,
+    /// while a variable-length pre-decoder needs a DV-LLC footprint.
+    pub(crate) fixed_boundaries: bool,
     pub(crate) code: Arc<dyn CodeMemory + Send + Sync>,
     pub(crate) workload_name: String,
     pub(crate) recent: RecentInstrs,
@@ -107,11 +114,12 @@ pub struct Machine {
     /// Latency of completed prefetches still resident (CMAL accounting).
     /// FxHash: touched on every prefetch fill/evict/demand hit.
     pub(crate) prefetch_latency: FxHashMap<Block, u64>,
-    /// Pre-decode results per static block. Valid only for
-    /// self-describing encodings (Fixed4), where a block always decodes
-    /// the same way; variable-length decoding depends on the DV-LLC's
-    /// current branch footprint and is never cached.
-    pub(crate) predecode_cache: FxHashMap<Block, Arc<[BtbEntry]>>,
+    /// Every block's branches, decoded once per run and indexed by the
+    /// code memory's block slot. Serves the BTB prefetch buffer (whose
+    /// entries are spans of this store), Dis replay, the reactive BTB
+    /// fills of the directed engines, and — as a footprint-sized
+    /// prefix — variable-length pre-decode (see [`fetch`]).
+    pub(crate) branches: BranchStore,
     /// Reused per-cycle scratch for MSHR completions.
     pub(crate) fill_scratch: Vec<Completion>,
     pub(crate) perfect_l1i: bool,
@@ -143,13 +151,13 @@ impl Machine {
             btb_buffer: BtbPrefetchBuffer::paper_sized(),
             tage: Tage::new(TageConfig::default()),
             ras: ReturnAddressStack::new(32),
-            predecoder: Predecoder::new(cfg.isa),
+            fixed_boundaries: cfg.isa.self_describing_boundaries(),
             code,
             workload_name,
             recent: RecentInstrs::default(),
             prev_demand_block: None,
             prefetch_latency: FxHashMap::default(),
-            predecode_cache: FxHashMap::default(),
+            branches: BranchStore::new(),
             fill_scratch: Vec::new(),
             perfect_l1i: cfg.perfect_l1i,
             stats: RawStats::default(),

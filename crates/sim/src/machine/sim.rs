@@ -2,7 +2,7 @@
 //! every frontend driver, plus warmup/measurement orchestration, the
 //! decoupled-core retire model, stall accounting, and report assembly.
 
-use super::driver::{build_driver, Consumed, FrontendDriver, Gate, StallCause};
+use super::driver::{Consumed, Driver, FrontendDriver, Gate, StallCause};
 use super::memory::DemandOutcome;
 use super::{Machine, RawStats};
 use crate::config::SimConfig;
@@ -75,7 +75,7 @@ impl RunControl {
 pub struct Simulator {
     cfg: SimConfig,
     machine: Machine,
-    driver: Box<dyn FrontendDriver>,
+    driver: Driver,
     /// One-instruction lookahead from the trace.
     pending: Option<Instr>,
     /// Retire-side clock of the decoupled-core model: each retired
@@ -158,7 +158,7 @@ impl Simulator {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
-        let driver = build_driver(&cfg, start_pc);
+        let driver = Driver::build(&cfg, start_pc);
         Simulator::assemble(cfg, code, workload_name, driver)
     }
 
@@ -178,14 +178,19 @@ impl Simulator {
         driver: Box<dyn FrontendDriver>,
     ) -> Result<Self, DcfbError> {
         cfg.validate()?;
-        Ok(Simulator::assemble(cfg, code, workload_name, driver))
+        Ok(Simulator::assemble(
+            cfg,
+            code,
+            workload_name,
+            Driver::Boxed(driver),
+        ))
     }
 
     fn assemble(
         cfg: SimConfig,
         code: Arc<dyn CodeMemory + Send + Sync>,
         workload_name: String,
-        driver: Box<dyn FrontendDriver>,
+        driver: Driver,
     ) -> Self {
         let machine = Machine::new(&cfg, code, workload_name);
         let telem_stride = machine
@@ -253,7 +258,10 @@ impl Simulator {
         // window; stall fetch (backend-bound, not a frontend stall).
         let min_fetch = self.retire_clock - Self::ROB_CYCLES;
         if (self.machine.cycle as f64) < min_fetch {
-            let target = min_fetch.ceil() as u64;
+            // `min_fetch.ceil()` without the libm call: `min_fetch` is
+            // positive here, so the cast truncates to its floor.
+            let floor = min_fetch as u64;
+            let target = floor + u64::from((floor as f64) < min_fetch);
             self.machine.stats.cycles += target - self.machine.cycle;
             self.machine.cycle = target;
         }
@@ -444,7 +452,7 @@ impl Simulator {
                         had_prefetch,
                     } => {
                         if had_prefetch {
-                            self.machine.account_late_prefetch(block, ready_at);
+                            self.machine.account_late_prefetch(ready_at);
                         }
                         self.stall(ready_at, StallCause::L1i);
                         return;

@@ -539,56 +539,140 @@ fn mock_driver_exercises_the_shared_loop() {
     );
 }
 
-/// Every 4-byte offset of every block in `blocks`: the machine's
-/// cache-served Dis replay must equal the uncached pre-decoder.
-fn assert_replay_matches_predecoder(workload: &str, blocks: &[Block]) {
+/// The branch store against the uncached pre-decoder it replaces, for
+/// every block in `blocks` of `code` under `isa`:
+///
+/// * the store-served pre-decode equals `Predecoder::decode` — on
+///   Fixed4 with no footprint, on a variable-length ISA first with no
+///   DV-LLC footprint and then with the footprint a fill deposits;
+/// * Dis replay (`decode_branch_at`) equals `Predecoder::decode_at` at
+///   every byte offset.
+///
+/// Returns `(branches replayed, blocks checked with a footprint)`.
+fn assert_store_matches_predecoder(
+    label: &str,
+    isa: IsaMode,
+    code: Arc<dyn dcfb_trace::CodeMemory + Send + Sync>,
+    blocks: &[Block],
+) -> (usize, usize) {
+    use dcfb_cache::BranchFootprint;
     use dcfb_frontend::Predecoder;
     use dcfb_prefetch::PrefetchContext;
-    let resolved = dcfb_workloads::resolve_workload(workload, IsaMode::Fixed4).expect("workload");
-    let cfg = SimConfig::for_method("SN4L+Dis+BTB").expect("method");
-    let mut m = Machine::new(&cfg, resolved.code(), resolved.name().to_string());
-    let code = resolved.code();
-    let mut reference = Predecoder::new(IsaMode::Fixed4);
-    let mut branches = 0;
+    let mut cfg = SimConfig::for_method("SN4L+Dis+BTB").expect("method");
+    cfg.isa = isa;
+    cfg.uncore.dvllc = isa == IsaMode::Variable;
+    let mut m = Machine::new(&cfg, Arc::clone(&code), label.to_string());
+    let mut reference = Predecoder::new(isa);
+    let mut replay_reference = Predecoder::new(isa);
+    let mut predecode_checked = |m: &mut Machine, block: Block| {
+        // Peek the footprint the machine's own lookup will find.
+        let bf = m.uncore.dvllc_mut().and_then(|dv| dv.bf_lookup(block));
+        let span = m.predecode_span(block);
+        assert_eq!(
+            m.branches.get(span),
+            reference.decode(&code, block, bf.as_ref()).branches,
+            "{label}: predecode of block {block:#x} (footprint {bf:?})"
+        );
+        bf.is_some()
+    };
+    let (mut branches, mut with_footprint) = (0, 0);
     for &block in blocks {
-        for off in (0..64).step_by(4) {
-            let cached = m.decode_branch_at(block, off);
+        predecode_checked(&mut m, block);
+        if isa == IsaMode::Variable {
+            // Deposit the footprint as an L1i fill does: the block
+            // enters the DV-LLC (switching its set to BF-holder mode),
+            // then its footprint goes in beside it.
+            let (bf, _) = BranchFootprint::from_block(&code.instrs_in_block(block));
+            assert_eq!(m.footprint_of(block), bf, "{label}: footprint {block:#x}");
+            let now = m.cycle;
+            let _ = m.uncore.access(now, block, false, true);
+            if let Some(dv) = m.uncore.dvllc_mut() {
+                dv.insert_bf(block, bf);
+            }
+            with_footprint += usize::from(predecode_checked(&mut m, block));
+        }
+        for off in 0..64 {
+            let replayed = m.decode_branch_at(block, off);
             assert_eq!(
-                cached,
-                reference.decode_at(&code, block, off),
-                "{workload}: block {block:#x} offset {off}"
+                replayed,
+                replay_reference.decode_at(&code, block, off),
+                "{label}: block {block:#x} offset {off}"
             );
-            branches += usize::from(cached.is_some());
+            branches += usize::from(replayed.is_some());
         }
     }
-    assert!(branches > 1_000, "{workload}: only {branches} branches");
+    (branches, with_footprint)
 }
 
 /// Every block of each tenant's image, rebased as a `mix:` source
 /// rebases it (tenant `i` by `i * TENANT_STRIDE`), plus one block of
 /// margin on each side (decodes to nothing).
-fn tenant_blocks(tenants: &[&str]) -> Vec<Block> {
+fn tenant_blocks(tenants: &[&str], isa: IsaMode) -> Vec<Block> {
     use dcfb_trace::block_of;
     use dcfb_workloads::image::IMAGE_BASE;
     let mut blocks = Vec::new();
     for (i, name) in tenants.iter().enumerate() {
         let image = dcfb_workloads::workload(name)
             .expect("catalog workload")
-            .image(IsaMode::Fixed4);
+            .image(isa);
         let offset = i as u64 * dcfb_workloads::TENANT_STRIDE;
         blocks.extend(block_of(IMAGE_BASE + offset) - 1..=block_of(image.end() + offset));
     }
     blocks
 }
 
+/// Runs the store check over a resolved workload source on both ISAs.
+fn assert_source_matches_predecoder(source: &str, tenants: &[&str]) {
+    for isa in [IsaMode::Fixed4, IsaMode::Variable] {
+        let resolved = dcfb_workloads::resolve_workload(source, isa).expect("workload");
+        let blocks = tenant_blocks(tenants, isa);
+        let (branches, with_fp) =
+            assert_store_matches_predecoder(source, isa, resolved.code(), &blocks);
+        assert!(
+            branches > 1_000,
+            "{source} {isa:?}: only {branches} branches"
+        );
+        if isa == IsaMode::Variable {
+            assert!(with_fp > 1_000, "{source}: only {with_fp} footprints");
+        }
+    }
+}
+
 #[test]
 fn cached_dis_replay_matches_predecoder_on_catalog_image() {
-    let blocks = tenant_blocks(&["Web Frontend"]);
-    assert_replay_matches_predecoder("Web Frontend", &blocks);
+    assert_source_matches_predecoder("Web Frontend", &["Web Frontend"]);
 }
 
 #[test]
 fn cached_dis_replay_matches_predecoder_on_mix() {
-    let blocks = tenant_blocks(&["Web Frontend", "Web Search"]);
-    assert_replay_matches_predecoder("mix:Web Frontend+Web Search", &blocks);
+    assert_source_matches_predecoder(
+        "mix:Web Frontend+Web Search",
+        &["Web Frontend", "Web Search"],
+    );
+}
+
+/// A `RecordedCode` reconstructed from a walked trace: every recorded
+/// block plus its unrecorded neighbours (no slot, decode empty).
+#[test]
+fn cached_dis_replay_matches_predecoder_on_recorded_trace() {
+    use dcfb_trace::{InstrStream, RecordedCode};
+    for isa in [IsaMode::Fixed4, IsaMode::Variable] {
+        let image = dcfb_workloads::workload("Web Frontend")
+            .expect("catalog workload")
+            .image(isa);
+        let mut walker = dcfb_workloads::Walker::new(image, 7);
+        let trace: Vec<Instr> = (0..200_000).filter_map(|_| walker.next_instr()).collect();
+        let mut blocks: Vec<Block> = trace
+            .iter()
+            .flat_map(|i| [i.block() - 1, i.block(), i.block() + 1])
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        let code = Arc::new(RecordedCode::from_trace(&trace));
+        let (branches, with_fp) = assert_store_matches_predecoder("trace", isa, code, &blocks);
+        assert!(branches > 500, "{isa:?}: only {branches} branches");
+        if isa == IsaMode::Variable {
+            assert!(with_fp > 500, "only {with_fp} footprints");
+        }
+    }
 }

@@ -20,6 +20,14 @@ pub trait CodeMemory {
     /// hold no code (data, padding, unmapped).
     fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr>;
 
+    /// The dense slot of `block`: a small index, unique per block,
+    /// assigned to every block that holds code (`None` means the block
+    /// holds none). Slots are stable for the life of the code memory
+    /// and cluster near zero, so per-block side tables (the simulator's
+    /// pre-decode store) can be plain vectors indexed by slot instead
+    /// of hash maps keyed by block.
+    fn block_slot(&self, block: Block) -> Option<usize>;
+
     /// Returns `true` if `block` contains at least one instruction.
     fn is_code_block(&self, block: Block) -> bool {
         !self.instrs_in_block(block).is_empty()
@@ -30,17 +38,29 @@ impl<T: CodeMemory + ?Sized> CodeMemory for &T {
     fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
         (**self).instrs_in_block(block)
     }
+
+    fn block_slot(&self, block: Block) -> Option<usize> {
+        (**self).block_slot(block)
+    }
 }
 
 impl<T: CodeMemory + ?Sized> CodeMemory for Box<T> {
     fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
         (**self).instrs_in_block(block)
     }
+
+    fn block_slot(&self, block: Block) -> Option<usize> {
+        (**self).block_slot(block)
+    }
 }
 
 impl<T: CodeMemory + ?Sized> CodeMemory for std::sync::Arc<T> {
     fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
         (**self).instrs_in_block(block)
+    }
+
+    fn block_slot(&self, block: Block) -> Option<usize> {
+        (**self).block_slot(block)
     }
 }
 
@@ -54,9 +74,16 @@ impl<T: CodeMemory + ?Sized> CodeMemory for std::sync::Arc<T> {
 /// observed resolved targets. Blocks the trace never executed decode as
 /// empty — exactly what a pre-decoder warmed only by execution would
 /// know, and a conservative under-approximation for prefetchers.
+///
+/// Slots are assigned in first-observation order as the recording is
+/// built, so [`CodeMemory::block_slot`] is the block's index into the
+/// recording's dense per-block table.
 #[derive(Clone, Debug, Default)]
 pub struct RecordedCode {
-    blocks: fxhash::FxHashMap<Block, Vec<StaticInstr>>,
+    /// Block → slot in `blocks`.
+    slots: fxhash::FxHashMap<Block, usize>,
+    /// Per-slot instructions, in ascending pc order.
+    blocks: Vec<Vec<StaticInstr>>,
 }
 
 impl RecordedCode {
@@ -77,7 +104,12 @@ impl RecordedCode {
     /// Incorporates one dynamic instruction (idempotent per pc).
     pub fn observe(&mut self, i: &crate::Instr) {
         let block = crate::block_of(i.pc);
-        let list = self.blocks.entry(block).or_default();
+        let next = self.blocks.len();
+        let slot = *self.slots.entry(block).or_insert(next);
+        if slot == next {
+            self.blocks.push(Vec::new());
+        }
+        let list = &mut self.blocks[slot];
         match list.binary_search_by_key(&i.pc, |s| s.pc) {
             Ok(_) => {} // already recorded
             Err(pos) => {
@@ -103,13 +135,19 @@ impl RecordedCode {
 
     /// Number of distinct instructions observed.
     pub fn instr_count(&self) -> usize {
-        self.blocks.values().map(Vec::len).sum()
+        self.blocks.iter().map(Vec::len).sum()
     }
 }
 
 impl CodeMemory for RecordedCode {
     fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
-        self.blocks.get(&block).cloned().unwrap_or_default()
+        self.block_slot(block)
+            .map(|slot| self.blocks[slot].clone())
+            .unwrap_or_default()
+    }
+
+    fn block_slot(&self, block: Block) -> Option<usize> {
+        self.slots.get(&block).copied()
     }
 }
 
@@ -135,6 +173,10 @@ mod tests {
                     target: None,
                 })
                 .collect()
+        }
+
+        fn block_slot(&self, block: Block) -> Option<usize> {
+            (block < 8).then_some(block as usize)
         }
     }
 
@@ -170,8 +212,12 @@ mod tests {
         let call = b2.iter().find(|s| s.pc == 0x2004).unwrap();
         assert_eq!(call.kind, StaticKind::IndirectCall);
         assert_eq!(call.target, None);
-        // Unseen blocks decode empty.
+        // Unseen blocks decode empty and have no slot; seen blocks get
+        // dense slots in first-observation order.
         assert!(rec.instrs_in_block(0xdead).is_empty());
+        assert_eq!(rec.block_slot(0xdead), None);
+        assert_eq!(rec.block_slot(crate::block_of(0x1000)), Some(0));
+        assert_eq!(rec.block_slot(crate::block_of(0x2000)), Some(1));
     }
 
     #[test]
@@ -194,5 +240,7 @@ mod tests {
         let boxed: Box<dyn CodeMemory> = Box::new(Toy);
         assert_eq!(boxed.instrs_in_block(2).len(), 4);
         assert!(boxed.is_code_block(2));
+        assert_eq!(boxed.block_slot(2), Some(2));
+        assert_eq!(std::sync::Arc::new(Toy).block_slot(9), None);
     }
 }

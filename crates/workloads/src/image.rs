@@ -8,7 +8,9 @@
 //! alternative, loops, call sites) ending in a single `Return`.
 
 use crate::params::WorkloadParams;
-use dcfb_trace::{block_of, Addr, Block, CodeMemory, IsaMode, StaticInstr, StaticKind};
+use dcfb_trace::{
+    block_of, Addr, Block, CodeMemory, IsaMode, StaticInstr, StaticKind, BLOCK_BYTES,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -559,6 +561,13 @@ impl ProgramImage {
         (cond, uncond, indirect, rets)
     }
 
+    /// Number of block slots: one per 64-byte block from
+    /// [`IMAGE_BASE`] up to [`ProgramImage::end`]. Block `b` of the
+    /// image has slot `b - block_of(IMAGE_BASE)`.
+    pub fn block_slots(&self) -> usize {
+        self.end.saturating_sub(IMAGE_BASE).div_ceil(BLOCK_BYTES) as usize
+    }
+
     /// The instructions of `block` as a slice (no allocation).
     pub fn block_slice(&self, block: Block) -> &[StaticInstr] {
         let base = block << dcfb_trace::BLOCK_BITS;
@@ -571,6 +580,13 @@ impl ProgramImage {
 impl CodeMemory for ProgramImage {
     fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
         self.block_slice(block).to_vec()
+    }
+
+    /// The block's offset from the image base, for blocks inside the
+    /// image.
+    fn block_slot(&self, block: Block) -> Option<usize> {
+        let slot = block.checked_sub(block_of(IMAGE_BASE))? as usize;
+        (slot < self.block_slots()).then_some(slot)
     }
 }
 
@@ -709,6 +725,22 @@ mod tests {
         assert!(!via_trait.is_empty());
         for i in &via_trait {
             assert_eq!(block_of(i.pc), some_block);
+        }
+    }
+
+    #[test]
+    fn block_slots_cover_exactly_the_code_blocks() {
+        let img = build();
+        let first = block_of(IMAGE_BASE);
+        let last = block_of(img.end() - 1);
+        assert_eq!(img.block_slots() as u64, last - first + 1);
+        assert_eq!(img.block_slot(first), Some(0));
+        assert_eq!(img.block_slot(last), Some(img.block_slots() - 1));
+        assert_eq!(img.block_slot(first - 1), None);
+        assert_eq!(img.block_slot(last + 1), None);
+        assert_eq!(img.block_slot(0), None);
+        for i in img.instrs() {
+            assert!(img.block_slot(block_of(i.pc)).is_some());
         }
     }
 

@@ -36,6 +36,9 @@ struct Tenant {
     /// Rebased half-open code range `[lo, hi)`.
     lo: Addr,
     hi: Addr,
+    /// First block slot of this tenant: the tenants' slot ranges are
+    /// laid end to end in tenant order.
+    slot_base: usize,
 }
 
 /// A [`CodeMemory`] that unions several rebased program images.
@@ -51,40 +54,56 @@ impl MixCode {
     /// Builds the union code memory. Tenant `i` is rebased by
     /// `i * TENANT_STRIDE`; tenant 0 keeps its native addresses.
     pub fn new(images: &[Arc<ProgramImage>]) -> Self {
+        let mut slot_base = 0;
         let tenants = images
             .iter()
             .enumerate()
             .map(|(i, image)| {
                 let offset = (i as Addr) * TENANT_STRIDE;
-                Tenant {
+                let t = Tenant {
                     lo: IMAGE_BASE + offset,
                     hi: image.end() + offset,
                     offset,
                     image: Arc::clone(image),
-                }
+                    slot_base,
+                };
+                slot_base += image.block_slots();
+                t
             })
             .collect();
         MixCode { tenants }
+    }
+
+    /// The tenant owning `block`, with the block's tenant-local number.
+    fn locate(&self, block: Block) -> Option<(&Tenant, Block)> {
+        let addr = block_base(block);
+        self.tenants
+            .iter()
+            .find(|t| addr >= t.lo && addr < t.hi)
+            .map(|t| (t, block - (t.offset >> BLOCK_BITS)))
     }
 }
 
 impl CodeMemory for MixCode {
     fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
-        let addr = block_base(block);
-        for t in &self.tenants {
-            if addr >= t.lo && addr < t.hi {
-                let inner = block - (t.offset >> BLOCK_BITS);
-                let mut instrs = t.image.instrs_in_block(inner);
-                for s in &mut instrs {
-                    s.pc += t.offset;
-                    if let Some(target) = s.target.as_mut() {
-                        *target += t.offset;
-                    }
-                }
-                return instrs;
+        let Some((t, inner)) = self.locate(block) else {
+            return Vec::new();
+        };
+        let mut instrs = t.image.instrs_in_block(inner);
+        for s in &mut instrs {
+            s.pc += t.offset;
+            if let Some(target) = s.target.as_mut() {
+                *target += t.offset;
             }
         }
-        Vec::new()
+        instrs
+    }
+
+    /// The owning tenant's slot base plus the block's slot in the
+    /// tenant's own image.
+    fn block_slot(&self, block: Block) -> Option<usize> {
+        let (t, inner) = self.locate(block)?;
+        t.image.block_slot(inner).map(|s| t.slot_base + s)
     }
 }
 
@@ -202,6 +221,26 @@ mod tests {
         }
         // A block in neither tenant decodes to nothing.
         assert!(code.instrs_in_block(0).is_empty());
+        assert_eq!(code.block_slot(0), None);
+    }
+
+    #[test]
+    fn mix_code_slots_are_dense_and_disjoint() {
+        let images = two_images();
+        let code = MixCode::new(&images);
+        let total = images[0].block_slots() + images[1].block_slots();
+        let mut seen = vec![false; total];
+        for (i, image) in images.iter().enumerate() {
+            let shift = (i as Addr * TENANT_STRIDE) >> BLOCK_BITS;
+            let first = block_of(IMAGE_BASE) + shift;
+            for b in first..first + image.block_slots() as u64 {
+                let slot = code.block_slot(b).unwrap();
+                assert!(!seen[slot], "slot {slot} assigned twice");
+                seen[slot] = true;
+            }
+            assert_eq!(code.block_slot(first - 1), None);
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

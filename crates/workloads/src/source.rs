@@ -336,13 +336,15 @@ impl ResolvedWorkload {
     /// Builds a fresh instruction stream. Streams from the same
     /// `(spec, trace_seed)` are bit-identical; synthetic streams match
     /// `Walker::new(image, trace_seed)` exactly.
-    pub fn stream(&self, trace_seed: u64) -> Box<dyn InstrStream + Send> {
+    pub fn stream(&self, trace_seed: u64) -> SourceStream {
         match &self.factory {
-            StreamFactory::Synthetic(image) => Box::new(Walker::new(Arc::clone(image), trace_seed)),
-            StreamFactory::Mix { images, quantum } => {
-                Box::new(MixStream::new(images, *quantum, trace_seed))
+            StreamFactory::Synthetic(image) => {
+                SourceStream::Synthetic(Walker::new(Arc::clone(image), trace_seed))
             }
-            StreamFactory::Replay(trace) => Box::new(ArcReplay {
+            StreamFactory::Mix { images, quantum } => {
+                SourceStream::Mix(MixStream::new(images, *quantum, trace_seed))
+            }
+            StreamFactory::Replay(trace) => SourceStream::Replay(ArcReplay {
                 trace: Arc::clone(trace),
                 pos: 0,
             }),
@@ -350,9 +352,33 @@ impl ResolvedWorkload {
     }
 }
 
-/// Owned replay cursor over a shared trace — the `Box<dyn InstrStream>`
-/// counterpart of the borrowing [`dcfb_trace::ReplayStream`].
-struct ArcReplay {
+/// The instruction stream of a [`ResolvedWorkload`], one variant per
+/// source kind. A concrete type rather than a boxed trait object, so a
+/// simulator run over a synthetic source inlines the walker's
+/// per-instruction fast path into its fetch loop.
+pub enum SourceStream {
+    /// A synthetic workload's walker.
+    Synthetic(Walker),
+    /// A multi-tenant interleaving.
+    Mix(MixStream),
+    /// A recorded trace, replayed from the start.
+    Replay(ArcReplay),
+}
+
+impl InstrStream for SourceStream {
+    #[inline]
+    fn next_instr(&mut self) -> Option<Instr> {
+        match self {
+            SourceStream::Synthetic(w) => w.next_instr(),
+            SourceStream::Mix(m) => m.next_instr(),
+            SourceStream::Replay(r) => r.next_instr(),
+        }
+    }
+}
+
+/// Owned replay cursor over a shared trace — the owning counterpart of
+/// the borrowing [`dcfb_trace::ReplayStream`].
+pub struct ArcReplay {
     trace: Arc<VecTrace>,
     pos: usize,
 }

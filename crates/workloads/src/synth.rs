@@ -20,7 +20,12 @@ pub struct Walker {
     rng: SmallRng,
     cur_fn: u32,
     cur_bb: u32,
-    cur_instr: u32,
+    /// Index in [`ProgramImage::instrs`] of the next instruction.
+    cur_idx: u32,
+    /// Index of the current basic block's last instruction (its
+    /// terminator): every instruction before it is a plain
+    /// [`StaticKind::Other`], emitted without looking at the block.
+    bb_last: u32,
     stack: Vec<(u32, u32)>, // (function, resume bb)
     /// Remaining trips of the loop at (function, bb), when active.
     loop_counts: fxhash::FxHashMap<(u32, u32), u32>,
@@ -34,12 +39,13 @@ pub struct Walker {
 impl Walker {
     /// Creates a walker over `image` seeded with `seed`.
     pub fn new(image: Arc<ProgramImage>, seed: u64) -> Self {
-        Walker {
+        let mut w = Walker {
             image,
             rng: SmallRng::seed_from_u64(seed ^ 0x00a1_7e57_0000_0001),
             cur_fn: 0,
             cur_bb: 0,
-            cur_instr: 0,
+            cur_idx: 0,
+            bb_last: 0,
             stack: Vec::with_capacity(64),
             loop_counts: fxhash::FxHashMap::default(),
             emitted: 0,
@@ -47,7 +53,9 @@ impl Walker {
             max_depth_seen: 0,
             #[cfg(debug_assertions)]
             expected_pc: None,
-        }
+        };
+        w.enter(0, 0);
+        w
     }
 
     /// The image this walker executes.
@@ -74,124 +82,20 @@ impl Walker {
     fn bb_start(&self, f: u32, bb: u32) -> Addr {
         self.image.functions()[f as usize].blocks[bb as usize].start
     }
-}
 
-/// Where the walker goes after emitting a block terminator.
-enum Next {
-    Stay,          // advance within the block
-    Bb(u32),       // another bb of the same function
-    CallInto(u32), // push frame, enter callee
-    Pop,           // return to caller frame
-}
+    /// Moves to the start of basic block `bb` of function `f`.
+    #[inline]
+    fn enter(&mut self, f: u32, bb: u32) {
+        let b = &self.image.functions()[f as usize].blocks[bb as usize];
+        self.cur_fn = f;
+        self.cur_bb = bb;
+        self.cur_idx = b.first_instr;
+        self.bb_last = b.first_instr + b.n_instrs - 1;
+    }
 
-impl InstrStream for Walker {
-    fn next_instr(&mut self) -> Option<Instr> {
-        // Borrowed, not cloned: the image `Arc` is shared with the
-        // machine's code memory and with concurrent runs of the same
-        // workload, so a per-instruction refcount write would bounce
-        // its cache line between cores.
-        let image: &ProgramImage = &self.image;
-        let func = &image.functions()[self.cur_fn as usize];
-        let bb = &func.blocks[self.cur_bb as usize];
-        let idx = (bb.first_instr + self.cur_instr) as usize;
-        let s = &image.instrs()[idx];
-        let is_last = self.cur_instr + 1 == bb.n_instrs;
-
-        let (out, next) = if !is_last {
-            debug_assert_eq!(s.kind, StaticKind::Other);
-            (Instr::other(s.pc, s.size), Next::Stay)
-        } else {
-            match &bb.term {
-                Terminator::FallThrough => {
-                    debug_assert_eq!(s.kind, StaticKind::Other);
-                    (Instr::other(s.pc, s.size), Next::Bb(self.cur_bb + 1))
-                }
-                Terminator::Cond { p_taken, taken_to } => {
-                    let taken = self.rng.gen_range(0.0..1.0) < *p_taken;
-                    let instr = Instr::branch(
-                        s.pc,
-                        s.size,
-                        InstrKind::CondBranch { taken },
-                        self.bb_start(self.cur_fn, *taken_to),
-                    );
-                    let next = if taken {
-                        Next::Bb(*taken_to)
-                    } else {
-                        Next::Bb(self.cur_bb + 1)
-                    };
-                    (instr, next)
-                }
-                Terminator::Loop { iters, taken_to } => {
-                    let key = (self.cur_fn, self.cur_bb);
-                    let remaining = self.loop_counts.entry(key).or_insert(*iters);
-                    let taken = *remaining > 1;
-                    if taken {
-                        *remaining -= 1;
-                    } else {
-                        self.loop_counts.remove(&key);
-                    }
-                    let instr = Instr::branch(
-                        s.pc,
-                        s.size,
-                        InstrKind::CondBranch { taken },
-                        self.bb_start(self.cur_fn, *taken_to),
-                    );
-                    let next = if taken {
-                        Next::Bb(*taken_to)
-                    } else {
-                        Next::Bb(self.cur_bb + 1)
-                    };
-                    (instr, next)
-                }
-                Terminator::Jump { to } => (
-                    Instr::branch(
-                        s.pc,
-                        s.size,
-                        InstrKind::Jump,
-                        self.bb_start(self.cur_fn, *to),
-                    ),
-                    Next::Bb(*to),
-                ),
-                Terminator::Call { callee } => (
-                    Instr::branch(
-                        s.pc,
-                        s.size,
-                        InstrKind::Call,
-                        image.functions()[*callee as usize].entry,
-                    ),
-                    Next::CallInto(*callee),
-                ),
-                Terminator::IndirectCall {
-                    callees,
-                    cum_weights,
-                } => {
-                    let u: f64 = self.rng.gen_range(0.0..1.0);
-                    let pick = cum_weights
-                        .partition_point(|&c| c < u)
-                        .min(callees.len() - 1);
-                    let callee = callees[pick];
-                    (
-                        Instr::branch(
-                            s.pc,
-                            s.size,
-                            InstrKind::IndirectCall,
-                            image.functions()[callee as usize].entry,
-                        ),
-                        Next::CallInto(callee),
-                    )
-                }
-                Terminator::Return => {
-                    // Safety net (0, 0): never hit, the dispatcher never
-                    // returns.
-                    let (rf, rbb) = self.stack.last().copied().unwrap_or((0, 0));
-                    (
-                        Instr::branch(s.pc, s.size, InstrKind::Return, self.bb_start(rf, rbb)),
-                        Next::Pop,
-                    )
-                }
-            }
-        };
-
+    /// Debug-build check that the stream is control-flow consistent.
+    #[inline]
+    fn check_continuity(&mut self, out: &Instr) {
         #[cfg(debug_assertions)]
         {
             if let Some(exp) = self.expected_pc {
@@ -199,33 +103,157 @@ impl InstrStream for Walker {
             }
             self.expected_pc = Some(out.next_pc());
         }
+        let _ = out;
+    }
+}
+
+/// Where the walker goes after emitting a block terminator.
+enum Next {
+    Bb(u32),       // another bb of the same function
+    CallInto(u32), // push frame, enter callee
+    Pop,           // return to caller frame
+}
+
+impl InstrStream for Walker {
+    /// Inlinable fast path: inside a basic block every instruction
+    /// before the terminator is a plain fall-through, emitted from the
+    /// flat instruction array alone.
+    #[inline]
+    fn next_instr(&mut self) -> Option<Instr> {
+        if self.cur_idx < self.bb_last {
+            let s = &self.image.instrs()[self.cur_idx as usize];
+            debug_assert_eq!(s.kind, StaticKind::Other);
+            let out = Instr::other(s.pc, s.size);
+            self.cur_idx += 1;
+            self.check_continuity(&out);
+            self.emitted += 1;
+            return Some(out);
+        }
+        Some(self.terminator())
+    }
+}
+
+impl Walker {
+    /// Emits the current basic block's terminator and moves to the
+    /// next basic block.
+    fn terminator(&mut self) -> Instr {
+        // Borrowed, not cloned: the image `Arc` is shared with the
+        // machine's code memory and with concurrent runs of the same
+        // workload, so a per-instruction refcount write would bounce
+        // its cache line between cores.
+        let image: &ProgramImage = &self.image;
+        let s = &image.instrs()[self.cur_idx as usize];
+        let bb = &image.functions()[self.cur_fn as usize].blocks[self.cur_bb as usize];
+        let (out, next) = match &bb.term {
+            Terminator::FallThrough => {
+                debug_assert_eq!(s.kind, StaticKind::Other);
+                (Instr::other(s.pc, s.size), Next::Bb(self.cur_bb + 1))
+            }
+            Terminator::Cond { p_taken, taken_to } => {
+                let taken = self.rng.gen_range(0.0..1.0) < *p_taken;
+                let instr = Instr::branch(
+                    s.pc,
+                    s.size,
+                    InstrKind::CondBranch { taken },
+                    self.bb_start(self.cur_fn, *taken_to),
+                );
+                let next = if taken {
+                    Next::Bb(*taken_to)
+                } else {
+                    Next::Bb(self.cur_bb + 1)
+                };
+                (instr, next)
+            }
+            Terminator::Loop { iters, taken_to } => {
+                let key = (self.cur_fn, self.cur_bb);
+                let remaining = self.loop_counts.entry(key).or_insert(*iters);
+                let taken = *remaining > 1;
+                if taken {
+                    *remaining -= 1;
+                } else {
+                    self.loop_counts.remove(&key);
+                }
+                let instr = Instr::branch(
+                    s.pc,
+                    s.size,
+                    InstrKind::CondBranch { taken },
+                    self.bb_start(self.cur_fn, *taken_to),
+                );
+                let next = if taken {
+                    Next::Bb(*taken_to)
+                } else {
+                    Next::Bb(self.cur_bb + 1)
+                };
+                (instr, next)
+            }
+            Terminator::Jump { to } => (
+                Instr::branch(
+                    s.pc,
+                    s.size,
+                    InstrKind::Jump,
+                    self.bb_start(self.cur_fn, *to),
+                ),
+                Next::Bb(*to),
+            ),
+            Terminator::Call { callee } => (
+                Instr::branch(
+                    s.pc,
+                    s.size,
+                    InstrKind::Call,
+                    image.functions()[*callee as usize].entry,
+                ),
+                Next::CallInto(*callee),
+            ),
+            Terminator::IndirectCall {
+                callees,
+                cum_weights,
+            } => {
+                let u: f64 = self.rng.gen_range(0.0..1.0);
+                let pick = cum_weights
+                    .partition_point(|&c| c < u)
+                    .min(callees.len() - 1);
+                let callee = callees[pick];
+                (
+                    Instr::branch(
+                        s.pc,
+                        s.size,
+                        InstrKind::IndirectCall,
+                        image.functions()[callee as usize].entry,
+                    ),
+                    Next::CallInto(callee),
+                )
+            }
+            Terminator::Return => {
+                // Safety net (0, 0): never hit, the dispatcher never
+                // returns.
+                let (rf, rbb) = self.stack.last().copied().unwrap_or((0, 0));
+                (
+                    Instr::branch(s.pc, s.size, InstrKind::Return, self.bb_start(rf, rbb)),
+                    Next::Pop,
+                )
+            }
+        };
+
+        self.check_continuity(&out);
 
         match next {
-            Next::Stay => self.cur_instr += 1,
-            Next::Bb(b) => {
-                self.cur_bb = b;
-                self.cur_instr = 0;
-            }
+            Next::Bb(b) => self.enter(self.cur_fn, b),
             Next::CallInto(callee) => {
                 self.stack.push((self.cur_fn, self.cur_bb + 1));
                 self.max_depth_seen = self.max_depth_seen.max(self.stack.len());
                 if self.cur_fn == 0 {
                     self.transactions += 1;
                 }
-                self.cur_fn = callee;
-                self.cur_bb = 0;
-                self.cur_instr = 0;
+                self.enter(callee, 0);
             }
             Next::Pop => {
                 let (rf, rbb) = self.stack.pop().unwrap_or((0, 0));
-                self.cur_fn = rf;
-                self.cur_bb = rbb;
-                self.cur_instr = 0;
+                self.enter(rf, rbb);
             }
         }
 
         self.emitted += 1;
-        Some(out)
+        out
     }
 }
 
