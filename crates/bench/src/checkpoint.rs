@@ -7,11 +7,10 @@
 //! skips everything already present, so a batch killed halfway (or one
 //! with a crashing figure) does not redo hours of simulation.
 //!
-//! The format uses no external dependencies: the writer escapes the
-//! JSON string subset it needs, and the reader parses exactly that
-//! shape (an object whose keys and values are strings), rejecting
-//! anything else. Checkpoints written by a different build are safe to
-//! load — worst case the markdown is regenerated.
+//! Reading and writing go through the workspace's one JSON codec,
+//! [`dcfb_telemetry::json`]; the reader accepts only an object whose
+//! values are strings. Checkpoints written by a different build are
+//! safe to load — worst case the markdown is regenerated.
 //!
 //! Mirroring the trace v2 strict/lenient split, there are two readers:
 //! [`Checkpoint::from_json`] rejects any damage (the safe default for
@@ -21,6 +20,7 @@
 //! the torn tail entry, not the whole batch's progress.
 
 use dcfb_errors::DcfbError;
+use dcfb_telemetry::json::{self, JsonValue};
 use std::path::{Path, PathBuf};
 
 /// Environment variable enabling resume from a checkpoint.
@@ -88,9 +88,9 @@ impl Checkpoint {
         let mut out = String::from("{\n");
         for (i, (k, v)) in self.entries.iter().enumerate() {
             out.push_str("  ");
-            escape_into(k, &mut out);
+            json::write_escaped(&mut out, k);
             out.push_str(": ");
-            escape_into(v, &mut out);
+            json::write_escaped(&mut out, v);
             if i + 1 < self.entries.len() {
                 out.push(',');
             }
@@ -107,7 +107,9 @@ impl Checkpoint {
     /// Returns [`DcfbError::Config`] naming the byte offset of the
     /// first syntax problem.
     pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        Parser::new(text).object()
+        let mut cp = Checkpoint::new();
+        parse_into(text, &mut cp)?;
+        Ok(cp)
     }
 
     /// Parses the flat JSON object format leniently: every complete
@@ -115,9 +117,8 @@ impl Checkpoint {
     /// salvaged. Returns the salvaged checkpoint plus the one-line
     /// reason parsing stopped early (`None` for an undamaged file).
     pub fn from_json_lenient(text: &str) -> (Self, Option<String>) {
-        let mut p = Parser::new(text);
         let mut cp = Checkpoint::new();
-        let reason = p.object_into(&mut cp).err().map(|e| e.to_string());
+        let reason = parse_into(text, &mut cp).err().map(|e| e.to_string());
         (cp, reason)
     }
 
@@ -177,169 +178,23 @@ impl Checkpoint {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A parser for exactly the object-of-strings subset this module
-/// writes.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> DcfbError {
-        DcfbError::Config(format!(
-            "malformed checkpoint JSON at byte {}: {what}",
-            self.pos
-        ))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\n' || b == b'\r' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), DcfbError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
+/// Feeds every `"key": "string"` pair of `text` into `cp` as it is
+/// parsed, so on error `cp` holds exactly the salvageable prefix: the
+/// strict path discards it, the lenient path keeps it.
+fn parse_into(text: &str, cp: &mut Checkpoint) -> Result<(), DcfbError> {
+    json::parse_object_entries(text, |key, value| match value {
+        JsonValue::Str(markdown) => {
+            cp.put(&key, &markdown);
             Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
         }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn object(&mut self) -> Result<Checkpoint, DcfbError> {
-        let mut cp = Checkpoint::new();
-        self.object_into(&mut cp)?;
-        Ok(cp)
-    }
-
-    /// Parses the object into `cp` entry by entry. Each complete
-    /// `"key": "value"` pair is recorded before the separator after it
-    /// is examined, so on error `cp` holds exactly the salvageable
-    /// prefix — the strict path discards it, the lenient path keeps it.
-    fn object_into(&mut self, cp: &mut Checkpoint) -> Result<(), DcfbError> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.string()?;
-                cp.put(&key, &value);
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing data"));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, DcfbError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("bad \\u code point"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                b => {
-                    // Re-decode UTF-8 continuation bytes as written.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
+        _ => Err("expected '\"'".to_owned()),
+    })
+    .map_err(|e| {
+        DcfbError::Config(format!(
+            "malformed checkpoint JSON at byte {}: {}",
+            e.at, e.what
+        ))
+    })
 }
 
 #[cfg(test)]
@@ -356,6 +211,26 @@ mod tests {
         let json = cp.to_json();
         let back = Checkpoint::from_json(&json).unwrap();
         assert_eq!(back, cp);
+    }
+
+    #[test]
+    fn on_disk_bytes_and_torn_file_error_are_pinned() {
+        let mut cp = Checkpoint::new();
+        cp.put("fig\"01", "a\\b\nc");
+        cp.put("tab1", "ctl\u{1}");
+        let json = cp.to_json();
+        assert_eq!(
+            json,
+            "{\n  \"fig\\\"01\": \"a\\\\b\\nc\",\n  \"tab1\": \"ctl\\u0001\"\n}"
+        );
+        let torn = &json[..json.len() - 3];
+        assert_eq!(
+            Checkpoint::from_json(torn).unwrap_err().to_string(),
+            format!(
+                "invalid configuration: malformed checkpoint JSON at byte {}: unterminated string",
+                torn.len()
+            )
+        );
     }
 
     #[test]
@@ -377,18 +252,29 @@ mod tests {
 
     #[test]
     fn malformed_json_is_rejected() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\"}",
-            "{\"a\": 1}",
-            "{\"a\": \"b\",}",
-            "{\"a\": \"b\"} trailing",
-            "[\"a\"]",
-            "{\"a\": \"unterminated}",
+        // The wording is part of the interface: `dcfb chaos` prints it.
+        for (bad, at, what) in [
+            ("", 0, "expected '{'"),
+            ("{", 1, "expected '\"'"),
+            ("[\"a\"]", 0, "expected '{'"),
+            ("{\"a\"}", 4, "expected ':'"),
+            ("{\"a\": 1}", 6, "expected '\"'"),
+            ("{\"a\": \"b\",}", 10, "expected '\"'"),
+            ("{\"a\": \"b\" \"c\"}", 10, "expected ',' or '}'"),
+            ("{\"a\": \"b\"} trailing", 11, "trailing data"),
+            ("{\"a\": \"unterminated}", 20, "unterminated string"),
+            ("{\"a\": \"b\\", 9, "unterminated escape"),
+            ("{\"a\": \"\\q\"}", 9, "unknown escape"),
+            ("{\"a\": \"\\u12\"}", 9, "bad \\u escape"),
+            ("{\"a\": \"\\ud800\"}", 13, "bad \\u code point"),
         ] {
             let err = Checkpoint::from_json(bad).unwrap_err();
             assert!(matches!(err, DcfbError::Config(_)), "{bad:?} gave {err:?}");
+            assert_eq!(
+                err.to_string(),
+                format!("invalid configuration: malformed checkpoint JSON at byte {at}: {what}"),
+                "{bad:?}"
+            );
         }
     }
 

@@ -12,7 +12,7 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::sweep::parallel_map_jobs;
-use dcfb_conformance::campaign::{evaluate, run_sequential, Campaign, CampaignConfig};
+use dcfb_conformance::campaign::{evaluate, Campaign, CampaignConfig};
 use dcfb_conformance::corpus::{parse_ops, CORPUS_SCHEMA};
 use dcfb_conformance::coverage::{baseline_coverage, CoverageMap, COVERAGE_BITS};
 use dcfb_conformance::ops::EngineOp;
@@ -51,8 +51,7 @@ impl FuzzOptions {
     }
 }
 
-/// Everything one campaign run produced, for the CLI and for the
-/// bench-sweep v6 fuzz metrics.
+/// Everything one campaign run produced, for the CLI.
 #[derive(Clone, Debug)]
 pub struct FuzzReport {
     /// The campaign seed.
@@ -258,23 +257,6 @@ pub fn run_fuzz_campaign(opts: &FuzzOptions) -> Result<FuzzReport, DcfbError> {
     Ok(report_of(&campaign, jobs, seconds))
 }
 
-/// The fixed-shape quick campaign the bench-sweep fuzz metrics time
-/// (sequential, no persistence — the sweep wants engine throughput,
-/// not pool scheduling).
-///
-/// # Errors
-///
-/// [`DcfbError::Config`] if the built-in quick shape fails validation
-/// (it cannot, short of a code bug).
-pub fn quick_campaign_metrics(seed: u64) -> Result<(f64, f64), DcfbError> {
-    let t0 = Instant::now();
-    let campaign = run_sequential(CampaignConfig::quick(seed)).map_err(config_err)?;
-    let seconds = t0.elapsed().as_secs_f64().max(1e-9);
-    let ops_per_sec = campaign.ops_executed() as f64 / seconds;
-    let frac = f64::from(campaign.coverage().bit_count()) / COVERAGE_BITS as f64;
-    Ok((ops_per_sec, frac))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -391,12 +373,5 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, DcfbError::Config(_)), "{err:?}");
         assert_eq!(err.exit_code(), 3);
-    }
-
-    #[test]
-    fn quick_metrics_are_positive_fractions() {
-        let (ops_per_sec, frac) = quick_campaign_metrics(42).unwrap();
-        assert!(ops_per_sec > 0.0);
-        assert!(frac > 0.0 && frac <= 1.0, "{frac}");
     }
 }

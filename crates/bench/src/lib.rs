@@ -3,7 +3,11 @@
 //! The experiment harness: one generator per table and figure of the
 //! paper, shared by the `fig*`/`tab*` binaries and by
 //! `all_experiments`, which regenerates everything and emits
-//! `EXPERIMENTS.md`-ready markdown.
+//! `EXPERIMENTS.md`-ready markdown. Around it: the worker pool
+//! ([`sweep`]), the batch checkpoint ([`checkpoint`]), the job
+//! supervisor, the pooled fuzz driver and the chaos campaign.
+//! Simulator throughput is measured by the repository benchmark
+//! (`perfbench/`), not here.
 //!
 //! Run scale is controlled by environment variables so CI can be quick
 //! and a full reproduction can be thorough:
@@ -31,5 +35,4 @@ pub use supervisor::{
     BackoffPolicy, Deadline, JobEnvelope, JobOutcome, JobRecord, JobStatus, SupervisionReport,
     Supervisor, SupervisorOptions,
 };
-pub use sweep::{run_bench_sweep, BenchSweepReport, SweepOptions};
 pub use table::Table;

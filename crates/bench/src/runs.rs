@@ -3,7 +3,6 @@
 
 use dcfb_errors::{panic_message, DcfbError};
 use dcfb_sim::{SimConfig, SimReport, Simulator};
-use dcfb_telemetry::TelemetryReport;
 use dcfb_trace::IsaMode;
 use dcfb_workloads::{all_workloads, ProgramImage, ResolvedWorkload, SourceSpec, Walker, Workload};
 use std::collections::HashMap;
@@ -181,21 +180,6 @@ pub fn run(workload: &Workload, cfg: SimConfig) -> SimReport {
     let mut sim = Simulator::new(cfg, Arc::clone(&image));
     let mut walker = Walker::new(image, TRACE_SEED);
     sim.run(&mut walker)
-}
-
-/// [`run`] with telemetry enabled, returning the finalized metrics
-/// alongside the report. Uses the cached image so timed callers measure
-/// simulation throughput, not image construction.
-pub fn run_profiled(workload: &Workload, mut cfg: SimConfig) -> (SimReport, TelemetryReport) {
-    cfg.telemetry = true;
-    let image = image_for(workload, cfg.isa);
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = Walker::new(image, TRACE_SEED);
-    let report = sim.run(&mut walker);
-    // Telemetry was enabled above, so the report is always present.
-    #[allow(clippy::expect_used)]
-    let telemetry = sim.take_telemetry().expect("telemetry enabled");
-    (report, telemetry)
 }
 
 fn baseline_cache() -> &'static KeyedOnce<String, SimReport> {

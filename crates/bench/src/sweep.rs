@@ -1,4 +1,5 @@
-//! The parallel sweep executor and the `bench-sweep` perf harness.
+//! The worker pool every parallel consumer shares: the figure sweep,
+//! the job supervisor, the fuzz campaign and the repository benchmark.
 //!
 //! Every `(workload, method)` simulation in this reproduction is an
 //! independent deterministic computation (fixed [`crate::runs::TRACE_SEED`],
@@ -8,23 +9,13 @@
 //! returns results **in item order**: workers pull the next index from an
 //! atomic counter and write into that index's slot, so the merged output
 //! is byte-identical to a sequential run regardless of completion order.
-//!
-//! The second half of this module is the perf-trajectory harness behind
-//! `dcfb bench-sweep`: it times the sweep sequentially and in parallel,
-//! times single-run engine throughput (simulated instructions per
-//! second), and writes the results as `BENCH_sweep.json` so later PRs
-//! can compare against the recorded trajectory.
 
-use crate::runs::{self, measure_instrs, warmup_instrs, workloads};
-use dcfb_errors::DcfbError;
-use dcfb_sim::{run_resolved, SimConfig, SimReport};
-use dcfb_workloads::Workload;
+use crate::runs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Environment variable selecting the worker-pool size.
-pub const JOBS_ENV: &str = "DCFB_JOBS";
+const JOBS_ENV: &str = "DCFB_JOBS";
 
 /// The worker-pool size: `DCFB_JOBS` when set (0 is treated as 1),
 /// otherwise the host's available parallelism.
@@ -58,8 +49,8 @@ where
     parallel_map_jobs(items, jobs(), f)
 }
 
-/// [`parallel_map`] with an explicit worker count (used by the timing
-/// harness to compare `jobs = 1` against `jobs = N` directly).
+/// [`parallel_map`] with an explicit worker count (the supervisor, the
+/// fuzz campaign and the repository benchmark choose their own).
 pub fn parallel_map_jobs<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send + Sync,
@@ -98,762 +89,6 @@ where
     assert_eq!(out.len(), n, "worker pool lost results");
     out
 }
-
-/// Scale and shape of one `bench-sweep` measurement.
-#[derive(Clone, Debug)]
-pub struct SweepOptions {
-    /// Warmup instructions per run.
-    pub warmup: u64,
-    /// Measured instructions per run.
-    pub measure: u64,
-    /// Worker count for the parallel pass.
-    pub jobs: usize,
-    /// Methods crossed with every workload.
-    pub methods: Vec<String>,
-}
-
-impl Default for SweepOptions {
-    /// Scale from the `DCFB_WARMUP`/`DCFB_MEASURE` environment, jobs
-    /// from `DCFB_JOBS`, and a four-method cross-section of the paper's
-    /// sweep (baseline, sequential, the proposed method, BTB-directed).
-    fn default() -> Self {
-        SweepOptions {
-            warmup: warmup_instrs(),
-            measure: measure_instrs(),
-            jobs: jobs(),
-            methods: ["Baseline", "N4L", "SN4L+Dis+BTB", "Shotgun"]
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect(),
-        }
-    }
-}
-
-/// The measurements `bench-sweep` records (serialized as
-/// `BENCH_sweep.json`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchSweepReport {
-    /// Schema tag ([`BENCH_SWEEP_SCHEMA`]).
-    pub schema: String,
-    /// Cores the host reports.
-    pub host_cores: u64,
-    /// Worker count used for the parallel pass.
-    pub jobs: u64,
-    /// Workloads in the sweep.
-    pub workloads: u64,
-    /// Methods in the sweep.
-    pub methods: u64,
-    /// Total `(workload, method)` runs per pass.
-    pub runs: u64,
-    /// Warmup instructions per run.
-    pub warmup_instrs: u64,
-    /// Measured instructions per run.
-    pub measure_instrs: u64,
-    /// Wall-clock seconds for the sequential pass.
-    pub seq_seconds: f64,
-    /// Wall-clock seconds for the parallel pass.
-    pub par_seconds: f64,
-    /// `seq_seconds / par_seconds`.
-    pub sweep_speedup: f64,
-    /// Whether the parallel pass reproduced the sequential reports
-    /// bit-for-bit.
-    pub deterministic: bool,
-    /// Instructions simulated by each single-run timing (warmup +
-    /// measure).
-    pub single_run_instrs: u64,
-    /// Single-run throughput, baseline config (simulated instrs/sec).
-    pub single_run_baseline_ips: f64,
-    /// Single-run throughput, SN4L+Dis+BTB config (simulated
-    /// instrs/sec). Telemetry is off, as in every other pass — this is
-    /// the number the < 2 % telemetry-off regression budget guards.
-    pub single_run_dcfb_ips: f64,
-    /// Single-run throughput, SN4L+Dis+BTB with telemetry enabled
-    /// (simulated instrs/sec).
-    pub single_run_dcfb_telemetry_ips: f64,
-    /// Throughput cost of enabling telemetry:
-    /// `1 - telemetry_ips / dcfb_ips`. Small negative values are timer
-    /// noise; anything below −5 % fails validation (the interleaved
-    /// measurement cannot legitimately produce it).
-    pub telemetry_overhead_frac: f64,
-    /// Provenance of `telemetry_overhead_frac`: always
-    /// `"interleaved-ab"` — the off/on timings alternated round-robin
-    /// and each arm took its best round, so slow host-frequency drift
-    /// cancels out.
-    pub telemetry_overhead_measurement: String,
-    /// Prefetches issued during the telemetry-enabled run, summed over
-    /// every prefetcher source.
-    pub telemetry_issued_prefetches: u64,
-    /// Accurately-timed prefetches during the telemetry-enabled run.
-    pub telemetry_accurate_prefetches: u64,
-    /// Non-empty exactly when the parallel pass ran with one worker:
-    /// `sweep_speedup` then understates what a multi-core host would
-    /// measure.
-    pub jobs_warning: String,
-    /// Throughput of the quick conformance-fuzz campaign: candidate
-    /// ops evaluated (coverage probe + three lockstep harnesses) per
-    /// wall-clock second.
-    pub fuzz_ops_per_sec: f64,
-    /// Fraction of the behavioral coverage map the quick campaign lit
-    /// (bits hit / total bits); in `(0, 1]` by construction.
-    pub fuzz_coverage_frac: f64,
-    /// Workload-source registry kinds this sweep exercised,
-    /// comma-separated (`"synthetic,mix"`: the cross-product rows are
-    /// synthetic, the tenant-mix row below comes from the `mix:`
-    /// source).
-    pub workload_source_kinds: String,
-    /// Canonical spec of the tenant-mix throughput row (e.g.
-    /// `mix:OLTP (DB A)+Web (Apache)`).
-    pub mix_workload: String,
-    /// Single-run SN4L+Dis+BTB throughput on the tenant mix (simulated
-    /// instrs/sec) — the multi-tenant counterpart of
-    /// `single_run_dcfb_ips`.
-    pub mix_single_run_ips: f64,
-    /// Whether `jobs` concurrent copies of the mix run on the worker
-    /// pool all reproduced the sequential resolved run bit-for-bit
-    /// (must be true — the determinism contract of the interleaver).
-    pub mix_digest_identity: bool,
-}
-
-/// Schema tag for `BENCH_sweep.json`.
-///
-/// v8 records, per host (`host_cores`, `jobs`, and the sweep shape):
-/// the sequential and parallel sweep wall times with their ratio and a
-/// determinism flag; single-run throughput for Baseline and
-/// SN4L+Dis+BTB with telemetry off and on (timed as interleaved A/B
-/// rounds) plus the telemetry-run prefetch counts; the quick fuzz
-/// campaign's throughput and coverage; and a tenant-mix throughput row
-/// from the `mix:` workload source with its determinism flag.
-/// Reports of earlier schemas are rejected.
-pub const BENCH_SWEEP_SCHEMA: &str = "dcfb-bench-sweep-v8";
-
-/// `telemetry_overhead_measurement` value for the measurement this
-/// crate performs: off/on timings alternate round-robin
-/// ([`TELEMETRY_AB_ROUNDS`] rounds) and each arm keeps its best round,
-/// so slow host-frequency drift between the arms cancels instead of
-/// appearing as a large negative overhead.
-pub const TELEMETRY_OVERHEAD_INTERLEAVED: &str = "interleaved-ab";
-
-/// Interleaved off/on timing rounds per arm for the telemetry
-/// overhead measurement.
-pub const TELEMETRY_AB_ROUNDS: usize = 3;
-
-/// Lowest `telemetry_overhead_frac` validation accepts: the
-/// interleaved measurement bounds timer noise well under 5 %.
-pub const TELEMETRY_OVERHEAD_FLOOR: f64 = -0.05;
-
-fn sweep_config(method: &str, opts: &SweepOptions) -> Result<SimConfig, DcfbError> {
-    let mut cfg = runs::try_method_config(method)?;
-    cfg.warmup_instrs = opts.warmup;
-    cfg.measure_instrs = opts.measure;
-    Ok(cfg)
-}
-
-/// Runs the timed sweep: one sequential pass, one parallel pass at
-/// `opts.jobs`, plus the single-run throughput timings. Both passes
-/// execute the identical `(workload, method)` cross product.
-///
-/// # Errors
-///
-/// Returns [`DcfbError::UnknownMethod`] for a bad method name in
-/// `opts.methods`.
-pub fn run_bench_sweep(opts: &SweepOptions) -> Result<BenchSweepReport, DcfbError> {
-    let ws = workloads();
-    let mut pairs: Vec<(Workload, SimConfig)> = Vec::new();
-    for m in &opts.methods {
-        let cfg = sweep_config(m, opts)?;
-        for w in &ws {
-            pairs.push((w.clone(), cfg.clone()));
-        }
-    }
-    // Warm the image cache outside the timed region so both passes
-    // measure simulation throughput, not one-time image construction.
-    for (w, cfg) in &pairs {
-        let _ = runs::image_for(w, cfg.isa);
-    }
-
-    let t0 = Instant::now();
-    let seq: Vec<SimReport> = pairs
-        .iter()
-        .map(|(w, cfg)| runs::run(w, cfg.clone()))
-        .collect();
-    let seq_seconds = t0.elapsed().as_secs_f64().max(1e-9);
-
-    let t1 = Instant::now();
-    let par: Vec<SimReport> = parallel_map_jobs(pairs.clone(), opts.jobs, |(w, cfg)| {
-        runs::run(w, cfg.clone())
-    });
-    let par_seconds = t1.elapsed().as_secs_f64().max(1e-9);
-
-    let deterministic = seq.len() == par.len()
-        && seq
-            .iter()
-            .zip(par.iter())
-            .all(|(a, b)| a.digest() == b.digest());
-
-    let single_run_instrs = opts.warmup + opts.measure;
-    let single_ips = |method: &str| -> Result<f64, DcfbError> {
-        let cfg = sweep_config(method, opts)?;
-        let w = ws.first().cloned();
-        let Some(w) = w else {
-            return Ok(0.0);
-        };
-        let t = Instant::now();
-        let _ = runs::run(&w, cfg);
-        Ok(single_run_instrs as f64 / t.elapsed().as_secs_f64().max(1e-9))
-    };
-    let single_run_baseline_ips = single_ips("Baseline")?;
-
-    // Telemetry overhead, measured as interleaved A/B rounds: the
-    // off and on timings alternate (off, on, off, on, ...) and each arm
-    // keeps its fastest round. A one-shot pair (v6) let host frequency
-    // drift between the two distant timings masquerade as a −17.5 %
-    // "overhead"; interleaving exposes both arms to the same drift and
-    // the per-arm minimum discards transient stalls.
-    let (single_run_dcfb_ips, single_run_dcfb_telemetry_ips, telemetry_issued, telemetry_accurate) =
-        match ws.first() {
-            None => (0.0, 0.0, 0, 0),
-            Some(w) => {
-                let cfg = sweep_config("SN4L+Dis+BTB", opts)?;
-                let mut best_off = f64::INFINITY;
-                let mut best_on = f64::INFINITY;
-                let mut issued = 0u64;
-                let mut accurate = 0u64;
-                for _ in 0..TELEMETRY_AB_ROUNDS {
-                    let t = Instant::now();
-                    let _ = runs::run(w, cfg.clone());
-                    best_off = best_off.min(t.elapsed().as_secs_f64().max(1e-9));
-                    let t = Instant::now();
-                    let (_report, telem) = runs::run_profiled(w, cfg.clone());
-                    best_on = best_on.min(t.elapsed().as_secs_f64().max(1e-9));
-                    // Deterministic simulation: every round issues the same
-                    // prefetches, so the last round's counters stand for all.
-                    issued = telem.doc.timeliness.iter().map(|row| row.issued).sum();
-                    accurate = telem.doc.timeliness.iter().map(|row| row.accurate).sum();
-                }
-                (
-                    single_run_instrs as f64 / best_off,
-                    single_run_instrs as f64 / best_on,
-                    issued,
-                    accurate,
-                )
-            }
-        };
-    let telemetry_overhead_frac =
-        if single_run_dcfb_ips > 0.0 && single_run_dcfb_telemetry_ips > 0.0 {
-            1.0 - single_run_dcfb_telemetry_ips / single_run_dcfb_ips
-        } else {
-            0.0
-        };
-
-    let host_cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1) as u64;
-
-    // The quick fuzz campaign, timed sequentially: deterministic work,
-    // so the ops/s is a clean engine-throughput number and the coverage
-    // fraction is identical on every host.
-    let (fuzz_ops_per_sec, fuzz_coverage_frac) = crate::fuzz::quick_campaign_metrics(42)?;
-
-    // The workload-source axis: one tenant-mix throughput row through
-    // the registry's `mix:` source, plus the concurrent-copies probe
-    // the interleaver's determinism contract rests on. A single-workload
-    // sweep (DCFB_WORKLOADS=1) mixes the workload with itself.
-    let mix_workload = match (ws.first(), ws.get(1)) {
-        (Some(a), Some(b)) => format!("mix:{}+{}", a.name, b.name),
-        (Some(a), None) => format!("mix:{}+{}", a.name, a.name),
-        _ => String::new(),
-    };
-    let (mix_single_run_ips, mix_digest_identity) = if mix_workload.is_empty() {
-        (0.0, true)
-    } else {
-        let cfg = sweep_config("SN4L+Dis+BTB", opts)?;
-        let resolved = runs::resolved_for(&mix_workload, cfg.isa)?;
-        let t = Instant::now();
-        let seq_report = run_resolved(&resolved, cfg.clone(), runs::TRACE_SEED)?;
-        let ips = single_run_instrs as f64 / t.elapsed().as_secs_f64().max(1e-9);
-        let copies = parallel_map_jobs(vec![(); opts.jobs], opts.jobs, |()| {
-            run_resolved(&resolved, cfg.clone(), runs::TRACE_SEED).map(|r| r.digest())
-        });
-        let seq_digest = seq_report.digest();
-        let mut identical = true;
-        for digest in copies {
-            identical &= digest? == seq_digest;
-        }
-        (ips, identical)
-    };
-
-    let jobs_warning = if opts.jobs <= 1 {
-        format!(
-            "jobs == 1 on a {host_cores}-core host: the parallel pass ran \
-             serially, so sweep_speedup understates what a multi-core host \
-             would measure"
-        )
-    } else {
-        String::new()
-    };
-
-    Ok(BenchSweepReport {
-        schema: BENCH_SWEEP_SCHEMA.to_owned(),
-        host_cores,
-        jobs: opts.jobs as u64,
-        workloads: ws.len() as u64,
-        methods: opts.methods.len() as u64,
-        runs: pairs.len() as u64,
-        warmup_instrs: opts.warmup,
-        measure_instrs: opts.measure,
-        seq_seconds,
-        par_seconds,
-        sweep_speedup: seq_seconds / par_seconds,
-        deterministic,
-        single_run_instrs,
-        single_run_baseline_ips,
-        single_run_dcfb_ips,
-        single_run_dcfb_telemetry_ips,
-        telemetry_overhead_frac,
-        telemetry_overhead_measurement: TELEMETRY_OVERHEAD_INTERLEAVED.to_owned(),
-        telemetry_issued_prefetches: telemetry_issued,
-        telemetry_accurate_prefetches: telemetry_accurate,
-        jobs_warning,
-        fuzz_ops_per_sec,
-        fuzz_coverage_frac,
-        workload_source_kinds: "synthetic,mix".to_owned(),
-        mix_workload,
-        mix_single_run_ips,
-        mix_digest_identity,
-    })
-}
-
-impl BenchSweepReport {
-    /// Serializes as a flat JSON object (stable key order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut put = |key: &str, value: String, last: bool| {
-            out.push_str("  \"");
-            out.push_str(key);
-            out.push_str("\": ");
-            out.push_str(&value);
-            if !last {
-                out.push(',');
-            }
-            out.push('\n');
-        };
-        put("schema", format!("\"{}\"", self.schema), false);
-        put("host_cores", self.host_cores.to_string(), false);
-        put("jobs", self.jobs.to_string(), false);
-        put("workloads", self.workloads.to_string(), false);
-        put("methods", self.methods.to_string(), false);
-        put("runs", self.runs.to_string(), false);
-        put("warmup_instrs", self.warmup_instrs.to_string(), false);
-        put("measure_instrs", self.measure_instrs.to_string(), false);
-        put("seq_seconds", format_f64(self.seq_seconds), false);
-        put("par_seconds", format_f64(self.par_seconds), false);
-        put("sweep_speedup", format_f64(self.sweep_speedup), false);
-        put("deterministic", self.deterministic.to_string(), false);
-        put(
-            "single_run_instrs",
-            self.single_run_instrs.to_string(),
-            false,
-        );
-        put(
-            "single_run_baseline_ips",
-            format_f64(self.single_run_baseline_ips),
-            false,
-        );
-        put(
-            "single_run_dcfb_ips",
-            format_f64(self.single_run_dcfb_ips),
-            false,
-        );
-        put(
-            "single_run_dcfb_telemetry_ips",
-            format_f64(self.single_run_dcfb_telemetry_ips),
-            false,
-        );
-        put(
-            "telemetry_overhead_frac",
-            format_f64(self.telemetry_overhead_frac),
-            false,
-        );
-        put(
-            "telemetry_overhead_measurement",
-            format!("\"{}\"", self.telemetry_overhead_measurement),
-            false,
-        );
-        put(
-            "telemetry_issued_prefetches",
-            self.telemetry_issued_prefetches.to_string(),
-            false,
-        );
-        put(
-            "telemetry_accurate_prefetches",
-            self.telemetry_accurate_prefetches.to_string(),
-            false,
-        );
-        put("jobs_warning", format!("\"{}\"", self.jobs_warning), false);
-        put("fuzz_ops_per_sec", format_f64(self.fuzz_ops_per_sec), false);
-        put(
-            "fuzz_coverage_frac",
-            format_f64(self.fuzz_coverage_frac),
-            false,
-        );
-        put(
-            "workload_source_kinds",
-            format!("\"{}\"", self.workload_source_kinds),
-            false,
-        );
-        put("mix_workload", format!("\"{}\"", self.mix_workload), false);
-        put(
-            "mix_single_run_ips",
-            format_f64(self.mix_single_run_ips),
-            false,
-        );
-        put(
-            "mix_digest_identity",
-            self.mix_digest_identity.to_string(),
-            true,
-        );
-        out.push_str("}\n");
-        out
-    }
-
-    /// Parses the flat JSON object written by [`BenchSweepReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// [`DcfbError::Config`] on malformed JSON or missing/mistyped
-    /// fields.
-    pub fn from_json(text: &str) -> Result<Self, DcfbError> {
-        let fields = parse_flat_object(text)?;
-        let get = |key: &str| -> Result<&JsonScalar, DcfbError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| {
-                    DcfbError::Config(format!("BENCH_sweep.json: missing field {key:?}"))
-                })
-        };
-        let u64_field = |key: &str| -> Result<u64, DcfbError> {
-            match get(key)? {
-                JsonScalar::Number(n) if n.fract() == 0.0 && *n >= 0.0 => Ok(*n as u64),
-                other => Err(DcfbError::Config(format!(
-                    "BENCH_sweep.json: field {key:?} must be an unsigned integer, got {other:?}"
-                ))),
-            }
-        };
-        let f64_field = |key: &str| -> Result<f64, DcfbError> {
-            match get(key)? {
-                JsonScalar::Number(n) => Ok(*n),
-                other => Err(DcfbError::Config(format!(
-                    "BENCH_sweep.json: field {key:?} must be a number, got {other:?}"
-                ))),
-            }
-        };
-        let string_field = |key: &str| -> Result<String, DcfbError> {
-            match get(key)? {
-                JsonScalar::String(s) => Ok(s.clone()),
-                other => Err(DcfbError::Config(format!(
-                    "BENCH_sweep.json: field {key:?} must be a string, got {other:?}"
-                ))),
-            }
-        };
-        let bool_field = |key: &str| -> Result<bool, DcfbError> {
-            match get(key)? {
-                JsonScalar::Bool(b) => Ok(*b),
-                other => Err(DcfbError::Config(format!(
-                    "BENCH_sweep.json: field {key:?} must be a boolean, got {other:?}"
-                ))),
-            }
-        };
-        let schema = string_field("schema")?;
-        let telemetry_overhead_measurement = string_field("telemetry_overhead_measurement")?;
-        let deterministic = bool_field("deterministic")?;
-        Ok(BenchSweepReport {
-            schema,
-            host_cores: u64_field("host_cores")?,
-            jobs: u64_field("jobs")?,
-            workloads: u64_field("workloads")?,
-            methods: u64_field("methods")?,
-            runs: u64_field("runs")?,
-            warmup_instrs: u64_field("warmup_instrs")?,
-            measure_instrs: u64_field("measure_instrs")?,
-            seq_seconds: f64_field("seq_seconds")?,
-            par_seconds: f64_field("par_seconds")?,
-            sweep_speedup: f64_field("sweep_speedup")?,
-            deterministic,
-            single_run_instrs: u64_field("single_run_instrs")?,
-            single_run_baseline_ips: f64_field("single_run_baseline_ips")?,
-            single_run_dcfb_ips: f64_field("single_run_dcfb_ips")?,
-            single_run_dcfb_telemetry_ips: f64_field("single_run_dcfb_telemetry_ips")?,
-            telemetry_overhead_frac: f64_field("telemetry_overhead_frac")?,
-            telemetry_overhead_measurement,
-            telemetry_issued_prefetches: u64_field("telemetry_issued_prefetches")?,
-            telemetry_accurate_prefetches: u64_field("telemetry_accurate_prefetches")?,
-            jobs_warning: string_field("jobs_warning")?,
-            fuzz_ops_per_sec: f64_field("fuzz_ops_per_sec")?,
-            fuzz_coverage_frac: f64_field("fuzz_coverage_frac")?,
-            workload_source_kinds: string_field("workload_source_kinds")?,
-            mix_workload: string_field("mix_workload")?,
-            mix_single_run_ips: f64_field("mix_single_run_ips")?,
-            mix_digest_identity: bool_field("mix_digest_identity")?,
-        })
-    }
-
-    /// Structural validity: the schema tag matches and every metric is
-    /// non-empty and internally consistent. This is what the verify
-    /// flow checks after a smoke sweep.
-    ///
-    /// # Errors
-    ///
-    /// [`DcfbError::Config`] describing the first violated invariant.
-    pub fn validate(&self) -> Result<(), DcfbError> {
-        let fail = |what: &str| {
-            Err(DcfbError::Config(format!(
-                "BENCH_sweep.json invalid: {what}"
-            )))
-        };
-        if self.schema != BENCH_SWEEP_SCHEMA {
-            return fail(&format!(
-                "schema {:?} != {BENCH_SWEEP_SCHEMA:?}",
-                self.schema
-            ));
-        }
-        if self.host_cores < 1 || self.jobs < 1 {
-            return fail("host_cores and jobs must be >= 1");
-        }
-        if self.workloads < 1 || self.methods < 1 {
-            return fail("workloads and methods must be non-empty");
-        }
-        if self.runs != self.workloads * self.methods {
-            return fail("runs must equal workloads * methods");
-        }
-        if self.warmup_instrs + self.measure_instrs == 0 {
-            return fail("warmup + measure must be non-zero");
-        }
-        if self.seq_seconds <= 0.0
-            || self.par_seconds <= 0.0
-            || !self.seq_seconds.is_finite()
-            || !self.par_seconds.is_finite()
-        {
-            return fail("pass timings must be positive");
-        }
-        let ratio = self.seq_seconds / self.par_seconds;
-        if !(self.sweep_speedup > 0.0
-            && (self.sweep_speedup - ratio).abs() <= 1e-6 * ratio.max(1.0))
-        {
-            return fail("sweep_speedup must equal seq_seconds / par_seconds");
-        }
-        if !self.deterministic {
-            return fail("parallel pass diverged from the sequential pass");
-        }
-        let ips_ok = |x: f64| x.is_finite() && x > 0.0;
-        if self.single_run_instrs == 0
-            || !ips_ok(self.single_run_baseline_ips)
-            || !ips_ok(self.single_run_dcfb_ips)
-            || !ips_ok(self.single_run_dcfb_telemetry_ips)
-        {
-            return fail("single-run throughput metrics must be positive");
-        }
-        let expected = 1.0 - self.single_run_dcfb_telemetry_ips / self.single_run_dcfb_ips;
-        if !self.telemetry_overhead_frac.is_finite()
-            || (self.telemetry_overhead_frac - expected).abs() > 1e-6 * expected.abs().max(1.0)
-        {
-            return fail("telemetry_overhead_frac must equal 1 - telemetry_ips / dcfb_ips");
-        }
-        if self.telemetry_overhead_measurement != TELEMETRY_OVERHEAD_INTERLEAVED {
-            return fail(&format!(
-                "telemetry_overhead_measurement must be {TELEMETRY_OVERHEAD_INTERLEAVED:?}, got {:?}",
-                self.telemetry_overhead_measurement
-            ));
-        }
-        if self.telemetry_overhead_frac < TELEMETRY_OVERHEAD_FLOOR {
-            return fail(&format!(
-                "telemetry_overhead_frac {} below the {TELEMETRY_OVERHEAD_FLOOR} floor: the \
-                 interleaved A/B measurement cannot legitimately make telemetry look > 5 % \
-                 faster than no telemetry",
-                self.telemetry_overhead_frac
-            ));
-        }
-        if self.telemetry_accurate_prefetches > self.telemetry_issued_prefetches {
-            return fail("accurate prefetches cannot exceed issued prefetches");
-        }
-        if (self.jobs == 1) == self.jobs_warning.is_empty() {
-            return fail("jobs_warning must be non-empty exactly when jobs == 1");
-        }
-        if !ips_ok(self.fuzz_ops_per_sec) {
-            return fail("fuzz_ops_per_sec must be positive");
-        }
-        if !self.fuzz_coverage_frac.is_finite()
-            || self.fuzz_coverage_frac <= 0.0
-            || self.fuzz_coverage_frac > 1.0
-        {
-            return fail("fuzz_coverage_frac must lie in (0, 1]");
-        }
-        if self.workload_source_kinds != "synthetic,mix" {
-            return fail(&format!(
-                "workload_source_kinds must be \"synthetic,mix\", got {:?}",
-                self.workload_source_kinds
-            ));
-        }
-        if !self.mix_workload.starts_with("mix:") {
-            return fail(&format!(
-                "mix_workload must be a mix: spec, got {:?}",
-                self.mix_workload
-            ));
-        }
-        if !ips_ok(self.mix_single_run_ips) {
-            return fail("mix_single_run_ips must be positive");
-        }
-        if !self.mix_digest_identity {
-            return fail("a concurrent mix run diverged from the sequential resolved run");
-        }
-        Ok(())
-    }
-}
-
-fn format_f64(x: f64) -> String {
-    // Rust's shortest-roundtrip Display is JSON-compatible for finite
-    // values; timings are clamped positive before they get here.
-    if x.is_finite() {
-        let s = format!("{x}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "0.0".to_owned()
-    }
-}
-
-/// One scalar JSON value in the flat `BENCH_sweep.json` object.
-#[derive(Clone, Debug, PartialEq)]
-enum JsonScalar {
-    String(String),
-    Number(f64),
-    Bool(bool),
-}
-
-/// Parses a flat JSON object of scalar values (string, number, true,
-/// false) — exactly the shape [`BenchSweepReport::to_json`] writes.
-fn parse_flat_object(text: &str) -> Result<Vec<(String, JsonScalar)>, DcfbError> {
-    let mut p = Scanner {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.expect(b'{')?;
-    let mut out = Vec::new();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            let value = p.scalar()?;
-            out.push((key, value));
-            match p.peek() {
-                Some(b',') => p.pos += 1,
-                Some(b'}') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => return Err(p.err("expected ',' or '}'")),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data"));
-    }
-    Ok(out)
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Scanner<'_> {
-    fn err(&self, what: &str) -> DcfbError {
-        DcfbError::Config(format!(
-            "malformed bench-sweep JSON at byte {}: {what}",
-            self.pos
-        ))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\n' | b'\r' | b'\t') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), DcfbError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, DcfbError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?;
-                if s.contains('\\') {
-                    return Err(self.err("escapes are not used in bench-sweep JSON"));
-                }
-                self.pos += 1;
-                return Ok(s.to_owned());
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn scalar(&mut self) -> Result<JsonScalar, DcfbError> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonScalar::String(self.string()?)),
-            Some(b't') if self.bytes[self.pos..].starts_with(b"true") => {
-                self.pos += 4;
-                Ok(JsonScalar::Bool(true))
-            }
-            Some(b'f') if self.bytes[self.pos..].starts_with(b"false") => {
-                self.pos += 5;
-                Ok(JsonScalar::Bool(false))
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                while let Some(&b) = self.bytes.get(self.pos) {
-                    if matches!(b, b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E') {
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(JsonScalar::Number)
-                    .ok_or_else(|| self.err("bad number"))
-            }
-            _ => Err(self.err("expected a scalar value")),
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
@@ -905,161 +140,5 @@ mod tests {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
         assert_eq!(jobs(), host);
-    }
-
-    fn sample_report() -> BenchSweepReport {
-        BenchSweepReport {
-            schema: BENCH_SWEEP_SCHEMA.to_owned(),
-            host_cores: 4,
-            jobs: 4,
-            workloads: 2,
-            methods: 4,
-            runs: 8,
-            warmup_instrs: 10_000,
-            measure_instrs: 50_000,
-            seq_seconds: 2.0,
-            par_seconds: 0.8,
-            sweep_speedup: 2.5,
-            deterministic: true,
-            single_run_instrs: 60_000,
-            single_run_baseline_ips: 1.5e6,
-            single_run_dcfb_ips: 1.1e6,
-            single_run_dcfb_telemetry_ips: 1.0e6,
-            telemetry_overhead_frac: 1.0 - 1.0e6 / 1.1e6,
-            telemetry_overhead_measurement: TELEMETRY_OVERHEAD_INTERLEAVED.to_owned(),
-            telemetry_issued_prefetches: 9_000,
-            telemetry_accurate_prefetches: 7_500,
-            jobs_warning: String::new(),
-            fuzz_ops_per_sec: 85_000.0,
-            fuzz_coverage_frac: 0.65,
-            workload_source_kinds: "synthetic,mix".to_owned(),
-            mix_workload: "mix:OLTP (DB A)+Web (Apache),quantum=10000".to_owned(),
-            mix_single_run_ips: 0.9e6,
-            mix_digest_identity: true,
-        }
-    }
-
-    #[test]
-    fn bench_sweep_json_round_trips_and_validates() {
-        let r = sample_report();
-        let json = r.to_json();
-        let back = BenchSweepReport::from_json(&json).unwrap();
-        assert_eq!(back, r);
-        back.validate().unwrap();
-    }
-
-    #[test]
-    fn validation_rejects_broken_reports() {
-        let mut r = sample_report();
-        r.schema = "wrong".into();
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.telemetry_overhead_measurement = "sideways".into();
-        assert!(r.validate().is_err());
-        // Legacy provenances the harness no longer writes.
-        r.telemetry_overhead_measurement = "off-path".into();
-        assert!(r.validate().is_err());
-        r.telemetry_overhead_measurement = "on-path".into();
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.runs = 5; // != workloads * methods
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.par_seconds = 0.0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.sweep_speedup = 99.0; // inconsistent with the timings
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.deterministic = false;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.single_run_dcfb_ips = 0.0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.single_run_dcfb_telemetry_ips = 0.0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.telemetry_overhead_frac = 0.5; // inconsistent with the ips pair
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.telemetry_accurate_prefetches = r.telemetry_issued_prefetches + 1;
-        assert!(r.validate().is_err());
-
-        // jobs_warning must track jobs == 1 in both directions.
-        let mut r = sample_report();
-        r.jobs = 1;
-        assert!(r.validate().is_err());
-        r.jobs_warning = "jobs == 1: speedups understate multi-core hosts".into();
-        assert!(r.validate().is_ok());
-        r.jobs = 4;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.fuzz_ops_per_sec = 0.0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.fuzz_coverage_frac = 0.0;
-        assert!(r.validate().is_err());
-        r.fuzz_coverage_frac = 1.25;
-        assert!(r.validate().is_err());
-        r.fuzz_coverage_frac = f64::NAN;
-        assert!(r.validate().is_err());
-        r.fuzz_coverage_frac = 1.0;
-        assert!(r.validate().is_ok());
-
-        // The satellite fix: a drift-sized negative overhead fraction
-        // (the v6 artifact) is rejected, small timer noise is not.
-        let mut r = sample_report();
-        r.single_run_dcfb_telemetry_ips = r.single_run_dcfb_ips * 1.175;
-        r.telemetry_overhead_frac = 1.0 - 1.175;
-        assert!(r.validate().is_err());
-        let mut r = sample_report();
-        r.single_run_dcfb_telemetry_ips = r.single_run_dcfb_ips * 1.02;
-        r.telemetry_overhead_frac = 1.0 - 1.02;
-        assert!(r.validate().is_ok());
-
-        let mut r = sample_report();
-        r.workload_source_kinds = "synthetic".into();
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.mix_workload = "OLTP (DB A)".into();
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.mix_single_run_ips = 0.0;
-        assert!(r.validate().is_err());
-
-        let mut r = sample_report();
-        r.mix_digest_identity = false;
-        assert!(r.validate().is_err());
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "{\"schema\": }",
-            "{\"schema\": \"x\"} trailing",
-            "[1, 2]",
-            "{\"schema\": \"x\", \"jobs\": \"not-a-number\"}",
-        ] {
-            assert!(BenchSweepReport::from_json(bad).is_err(), "{bad:?}");
-        }
-        // Missing fields are typed errors too.
-        let err = BenchSweepReport::from_json("{\"schema\": \"dcfb-bench-sweep-v1\"}").unwrap_err();
-        assert!(matches!(err, DcfbError::Config(_)));
     }
 }

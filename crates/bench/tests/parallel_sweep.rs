@@ -3,8 +3,7 @@
 //! * crash isolation, retry, failure summary, and checkpoint/resume
 //!   must behave identically under `DCFB_JOBS=4` and `DCFB_JOBS=1`;
 //! * the figure document (stdout) and the checkpoint file must be
-//!   byte-identical for every job count;
-//! * the `bench-sweep` JSON report round-trips and validates.
+//!   byte-identical for every job count.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -114,29 +113,4 @@ fn figure_output_is_byte_identical_across_job_counts() {
     );
 
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// In-process bench-sweep at smoke scale: the report validates, its
-/// JSON round-trips, and the parallel pass reproduced the sequential
-/// results exactly.
-#[test]
-fn bench_sweep_report_is_valid_and_deterministic() {
-    // Scale comes straight from SweepOptions, not the env, so this
-    // test is independent of DCFB_* in the surrounding environment.
-    let opts = dcfb_bench::SweepOptions {
-        warmup: 400,
-        measure: 800,
-        jobs: 2,
-        methods: vec!["Baseline".to_owned(), "N4L".to_owned()],
-    };
-    let report = dcfb_bench::run_bench_sweep(&opts).expect("bench sweep runs");
-    report.validate().expect("smoke report validates");
-    assert!(report.deterministic, "parallel pass diverged: {report:?}");
-    assert_eq!(report.methods, 2);
-    assert_eq!(report.runs, report.workloads * report.methods);
-
-    let json = report.to_json();
-    let back = dcfb_bench::BenchSweepReport::from_json(&json).expect("round-trip");
-    assert_eq!(back, report);
-    back.validate().expect("round-tripped report validates");
 }

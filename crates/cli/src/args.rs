@@ -21,11 +21,6 @@ COMMANDS:
                          <prefix>.trace.json (Chrome trace events);
                          --out sets the prefix (default \"profile\")
     sweep-btb            Ours-vs-Shotgun as the BTB shrinks (Fig. 18)
-    bench-sweep          Time the experiment sweep (sequential vs
-                         parallel) and engine throughput; writes
-                         BENCH_sweep.json (--out overrides). Scale and
-                         worker count come from DCFB_WARMUP,
-                         DCFB_MEASURE, DCFB_WORKLOADS and DCFB_JOBS
     record               Write a workload trace to a file (any source:
                          synthetic, mix:, or trace:)
     replay               Simulate an external trace file

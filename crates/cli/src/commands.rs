@@ -227,64 +227,6 @@ pub fn sweep_btb(cli: &Cli) -> Result<(), DcfbError> {
     Ok(())
 }
 
-/// `dcfb bench-sweep` — the perf-trajectory harness: times the
-/// experiment sweep sequentially and in parallel (`DCFB_JOBS` workers),
-/// measures single-run engine throughput, and writes the validated
-/// measurements as JSON (default `BENCH_sweep.json`).
-pub fn bench_sweep(cli: &Cli) -> Result<(), DcfbError> {
-    let opts = dcfb_bench::SweepOptions::default();
-    eprintln!(
-        "bench-sweep: {} workloads x {} methods, warmup {} / measure {}, {} jobs",
-        dcfb_bench::workloads().len(),
-        opts.methods.len(),
-        opts.warmup,
-        opts.measure,
-        opts.jobs
-    );
-    let report = dcfb_bench::run_bench_sweep(&opts)?;
-    report.validate()?;
-    let out = cli.out.as_deref().unwrap_or("BENCH_sweep.json");
-    std::fs::write(out, report.to_json()).map_err(|e| DcfbError::io(out, &e))?;
-    println!(
-        "sweep: {} runs, sequential {:.2}s, parallel {:.2}s ({} jobs, {} cores) -> {:.2}x, deterministic: {}",
-        report.runs,
-        report.seq_seconds,
-        report.par_seconds,
-        report.jobs,
-        report.host_cores,
-        report.sweep_speedup,
-        report.deterministic
-    );
-    println!(
-        "single-run throughput: Baseline {:.0} instrs/s, SN4L+Dis+BTB {:.0} instrs/s",
-        report.single_run_baseline_ips, report.single_run_dcfb_ips
-    );
-    println!(
-        "telemetry on: {:.0} instrs/s ({:+.2}% vs off), {} prefetches issued, {} accurate",
-        report.single_run_dcfb_telemetry_ips,
-        -report.telemetry_overhead_frac * 100.0,
-        report.telemetry_issued_prefetches,
-        report.telemetry_accurate_prefetches
-    );
-    println!(
-        "fuzz campaign: {:.0} candidate ops/s, {:.1}% of the coverage map lit",
-        report.fuzz_ops_per_sec,
-        report.fuzz_coverage_frac * 100.0
-    );
-    println!(
-        "tenant mix: {} {:.0} instrs/s, concurrent digest identity: {} (sources: {})",
-        report.mix_workload,
-        report.mix_single_run_ips,
-        report.mix_digest_identity,
-        report.workload_source_kinds
-    );
-    if !report.jobs_warning.is_empty() {
-        eprintln!("warning: {}", report.jobs_warning);
-    }
-    println!("wrote {out}");
-    Ok(())
-}
-
 fn print_report(r: &SimReport, base: &SimReport) {
     println!("workload : {}", r.workload);
     println!("method   : {}", r.method);

@@ -1,4 +1,7 @@
-//! Tiny hand-rolled JSON emitter (keeps the CLI dependency-free).
+//! The flat JSON objects `dcfb run --json` prints, escaped through the
+//! workspace's one JSON codec.
+
+use dcfb_telemetry::json::write_escaped;
 
 /// Builds one flat JSON object from key/value pairs.
 #[derive(Default)]
@@ -14,14 +17,15 @@ impl JsonObject {
 
     /// Adds a string field (escaped).
     pub fn string(&mut self, key: &str, value: &str) -> &mut Self {
-        self.fields
-            .push(format!("\"{}\": \"{}\"", escape(key), escape(value)));
+        let mut quoted = String::new();
+        write_escaped(&mut quoted, value);
+        self.fields.push(field(key, &quoted));
         self
     }
 
     /// Adds an integer field.
     pub fn int(&mut self, key: &str, value: u64) -> &mut Self {
-        self.fields.push(format!("\"{}\": {value}", escape(key)));
+        self.fields.push(field(key, &value.to_string()));
         self
     }
 
@@ -32,7 +36,7 @@ impl JsonObject {
         } else {
             "null".to_owned()
         };
-        self.fields.push(format!("\"{}\": {v}", escape(key)));
+        self.fields.push(field(key, &v));
         self
     }
 
@@ -42,19 +46,12 @@ impl JsonObject {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `"key": ` followed by `value`.
+fn field(key: &str, value: &str) -> String {
+    let mut out = String::new();
+    write_escaped(&mut out, key);
+    out.push_str(": ");
+    out.push_str(value);
     out
 }
 

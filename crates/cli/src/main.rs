@@ -7,7 +7,6 @@
 //! dcfb analyze  --workload "Media Streaming" [options]
 //! dcfb profile  --workload "OLTP (DB A)" --method Shotgun --out prof [options]
 //! dcfb sweep-btb --workload "OLTP (DB A)" [options]
-//! dcfb bench-sweep [--out BENCH_sweep.json]
 //! dcfb record   --workload "Web (Zeus)" --out trace.dcfbt [options]
 //! dcfb import   --trace champsim.bin --out trace.dcfbt [--lenient]
 //! dcfb replay   --trace trace.dcfbt --method Shotgun [--lenient] [options]
@@ -52,7 +51,6 @@ fn main() {
         "analyze" => commands::analyze(&cli),
         "profile" => commands::profile(&cli),
         "sweep-btb" => commands::sweep_btb(&cli),
-        "bench-sweep" => commands::bench_sweep(&cli),
         "record" => commands::record(&cli),
         "import" => commands::import(&cli),
         "replay" => commands::replay(&cli),

@@ -1,7 +1,7 @@
 //! End-to-end contract for `dcfb fuzz`: the quick campaign passes and
 //! prints the deterministic summary, stdout is bit-identical at any
-//! `--jobs`, state files resume, and a zero budget is a typed config
-//! error (exit 3), not a usage error.
+//! `--jobs`, state files resume, and a zero budget or a damaged state
+//! file is a typed config error (exit 3), not a usage error or a crash.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -92,6 +92,19 @@ fn state_file_resumes_and_corpus_out_writes() {
 
     let _ = std::fs::remove_file(&state);
     let _ = std::fs::remove_file(&corpus);
+}
+
+#[test]
+fn deeply_nested_state_file_is_a_typed_config_error() {
+    let state = tmp("deep.json");
+    std::fs::write(&state, format!("{{\"schema\": {}", "[".repeat(200_000))).unwrap();
+    let out = dcfb(&["fuzz", "--quick", "--state", state.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&state);
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error:"), "{stderr}");
+    assert!(stderr.contains("malformed checkpoint JSON"), "{stderr}");
 }
 
 #[test]

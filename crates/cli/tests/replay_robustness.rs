@@ -132,11 +132,17 @@ fn usage_and_bad_input_exit_codes() {
     // Unknown command / option → usage error (2).
     assert_one_line_error(&dcfb(&["frobnicate"]), 2);
     assert_one_line_error(&dcfb(&["run", "--bogus"]), 2);
-    // The removed job server and sharded execution are rejected, not
-    // silently ignored.
-    let out = dcfb(&["serve"]);
-    assert_one_line_error(&out, 2);
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command \"serve\""));
+    // The removed job server, perf harness and sharded execution are
+    // rejected, not silently ignored.
+    for removed in ["serve", "bench-sweep"] {
+        let out = dcfb(&[removed]);
+        assert_one_line_error(&out, 2);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command {removed:?}")),
+            "{stderr}"
+        );
+    }
     let out = dcfb(&["run", "--workload", WORKLOAD, "--shards", "2"]);
     assert_one_line_error(&out, 2);
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option \"--shards\""));

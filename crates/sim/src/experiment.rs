@@ -139,27 +139,6 @@ pub fn run_resolved_profiled(
     Ok((report, telemetry))
 }
 
-/// Runs a method *and* the baseline on a resolved source (same seed)
-/// and pairs the results — the registry counterpart of
-/// [`run_workload`].
-///
-/// # Errors
-///
-/// Returns [`DcfbError::Config`] if `cfg` fails validation.
-pub fn run_resolved_workload(
-    resolved: &ResolvedWorkload,
-    cfg: SimConfig,
-    trace_seed: u64,
-) -> Result<ExperimentResult, DcfbError> {
-    let mut base_cfg = SimConfig::baseline();
-    base_cfg.warmup_instrs = cfg.warmup_instrs;
-    base_cfg.measure_instrs = cfg.measure_instrs;
-    base_cfg.isa = cfg.isa;
-    let baseline = run_resolved(resolved, base_cfg, trace_seed)?;
-    let report = run_resolved(resolved, cfg, trace_seed)?;
-    Ok(ExperimentResult { report, baseline })
-}
-
 /// Runs a method *and* the baseline on `workload` (same seed) and pairs
 /// the results.
 pub fn run_workload(workload: &Workload, cfg: SimConfig, trace_seed: u64) -> ExperimentResult {

@@ -68,7 +68,7 @@ pub mod metrics;
 pub use config::{PrefetcherKind, SimConfig};
 pub use experiment::{
     geomean, run_config, run_config_profiled, run_multi_seed, run_resolved, run_resolved_profiled,
-    run_resolved_workload, run_workload, ExperimentResult, Measurement,
+    run_workload, ExperimentResult, Measurement,
 };
 pub use machine::{RunControl, Simulator};
 pub use metrics::{SimReport, StallKind};

@@ -162,7 +162,7 @@ impl MetricsDoc {
     /// A descriptive message on malformed JSON, a missing field, or a
     /// schema identifier this version does not understand.
     pub fn from_json(text: &str) -> Result<MetricsDoc, String> {
-        let v = JsonValue::parse(text)?;
+        let v = JsonValue::parse(text).map_err(|e| e.to_string())?;
         let schema = req_str(&v, "schema")?;
         if schema != METRICS_SCHEMA {
             return Err(format!(

@@ -1,7 +1,11 @@
-//! A small recursive JSON value model and parser.
+//! The workspace's one JSON codec: a small recursive value model, its
+//! parser and the string escaper.
 //!
-//! The workspace is dependency-free by design (no serde); this module
-//! gives the telemetry layer lossless round-trips for its documents.
+//! The workspace is dependency-free by design (no serde). The telemetry
+//! documents, the batch checkpoint and fuzz state files
+//! (`dcfb_bench::checkpoint`) and the CLI's `--json` output all read and
+//! write JSON through this module.
+//!
 //! Integers are kept exact: a number without fraction or exponent
 //! parses as `UInt`/`Int` (full 64-bit range), everything else as
 //! `Float`.
@@ -33,16 +37,13 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// A human-readable message with a byte offset on malformed
+    /// The first syntax problem, with its byte offset, on malformed
     /// input.
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
+    pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let b = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
+        let v = parse_value(b, &mut pos, 0)?;
+        expect_end(b, &mut pos)?;
         Ok(v)
     }
 
@@ -117,27 +118,96 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects the parser accepts. Deeper
+/// input is an error rather than a stack overflow: checkpoint and fuzz
+/// state files come from outside the program.
+const MAX_DEPTH: usize = 128;
+
+/// A parse failure: what was wrong and the byte offset it was found at.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset into the input.
+    pub at: usize,
+    /// What was wrong, without the offset (e.g. `unterminated string`).
+    pub what: String,
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} at byte {}", self.what, self.at)
+    }
+}
+
+fn err(at: usize, what: impl Into<String>) -> JsonError {
+    JsonError {
+        at,
+        what: what.into(),
+    }
+}
+
+/// Parses `text` as one JSON object and hands each complete top-level
+/// `(key, value)` pair to `visit` as soon as the value is parsed, before
+/// the separator after it is examined. On an error `visit` has therefore
+/// seen exactly the pairs before the damage, which lets a reader salvage
+/// a truncated file. `visit` may reject a pair with a message; the error
+/// then points at the value's first byte.
+///
+/// # Errors
+///
+/// The first syntax problem, a rejection from `visit`, or trailing data.
+pub fn parse_object_entries<F>(text: &str, mut visit: F) -> Result<(), JsonError>
+where
+    F: FnMut(String, JsonValue) -> Result<(), String>,
+{
+    let b = text.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(b, &mut pos);
+    parse_members(b, &mut pos, 1, &mut visit)?;
+    expect_end(b, &mut pos)
+}
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
     if *pos < b.len() && b[*pos] == c {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
+        Err(err(*pos, format!("expected {:?}", c as char)))
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn expect_end(b: &[u8], pos: &mut usize) -> Result<(), JsonError> {
+    skip_ws(b, pos);
+    if *pos == b.len() {
+        Ok(())
+    } else {
+        Err(err(*pos, "trailing data"))
+    }
+}
+
+/// Parses the value at `pos`, which sits inside `depth` open arrays
+/// and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        None => Err(err(*pos, "unexpected end of input")),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
+        Some(b'{') => {
+            let mut fields = Vec::new();
+            parse_members(b, pos, depth + 1, &mut |k, v| {
+                fields.push((k, v));
+                Ok(())
+            })?;
+            Ok(JsonValue::Obj(fields))
+        }
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
@@ -146,43 +216,49 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
+fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
     if b[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(v)
     } else {
-        Err(format!("bad literal at byte {}", *pos))
+        Err(err(*pos, "bad literal"))
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// The one object loop: `{`, `"key": value` pairs separated by commas,
+/// `}`. Each pair goes to `visit` before the separator after it is read.
+fn parse_members<F>(b: &[u8], pos: &mut usize, depth: usize, visit: &mut F) -> Result<(), JsonError>
+where
+    F: FnMut(String, JsonValue) -> Result<(), String>,
+{
     expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(JsonValue::Obj(fields));
+        return Ok(());
     }
     loop {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
-        fields.push((key, value));
+        skip_ws(b, pos);
+        let at = *pos;
+        let value = parse_value(b, pos, depth)?;
+        visit(key, value).map_err(|what| err(at, what))?;
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(JsonValue::Obj(fields));
+                return Ok(());
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+            _ => return Err(err(*pos, "expected ',' or '}'")),
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -191,7 +267,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -199,44 +275,49 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 *pos += 1;
                 return Ok(JsonValue::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+            _ => return Err(err(*pos, "expected ',' or ']'")),
         }
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     expect(b, pos, b'"')?;
     let mut s = String::new();
     loop {
         match b.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
+            None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(s);
             }
             Some(b'\\') => {
                 *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
+                let Some(&e) = b.get(*pos) else {
+                    return Err(err(*pos, "unterminated escape"));
+                };
                 *pos += 1;
+                match e {
+                    b'"' => s.push('"'),
+                    b'\\' => s.push('\\'),
+                    b'/' => s.push('/'),
+                    b'n' => s.push('\n'),
+                    b'r' => s.push('\r'),
+                    b't' => s.push('\t'),
+                    b'b' => s.push('\u{8}'),
+                    b'f' => s.push('\u{c}'),
+                    b'u' => {
+                        let code = b
+                            .get(*pos..*pos + 4)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .ok_or_else(|| err(*pos, "bad \\u escape"))?;
+                        *pos += 4;
+                        let c =
+                            char::from_u32(code).ok_or_else(|| err(*pos, "bad \\u code point"))?;
+                        s.push(c);
+                    }
+                    _ => return Err(err(*pos, "unknown escape")),
+                }
             }
             Some(_) => {
                 // Consume one UTF-8 scalar (input is a &str, so
@@ -254,7 +335,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -270,9 +351,9 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             _ => break,
         }
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
+    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| err(start, "bad number"))?;
     if text.is_empty() || text == "-" {
-        return Err(format!("bad number at byte {start}"));
+        return Err(err(start, "bad number"));
     }
     if !is_float {
         if let Some(stripped) = text.strip_prefix('-') {
@@ -285,7 +366,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
     text.parse::<f64>()
         .map(JsonValue::Float)
-        .map_err(|_| format!("bad number {text:?} at byte {start}"))
+        .map_err(|_| err(start, format!("bad number {text:?}")))
 }
 
 #[cfg(test)]
@@ -339,6 +420,47 @@ mod tests {
     fn unicode_passes_through() {
         let v = JsonValue::parse(r#""héllo é""#).unwrap();
         assert_eq!(v.as_str(), Some("héllo é"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let e = JsonValue::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert_eq!(e.what, format!("nesting deeper than {MAX_DEPTH} levels"));
+        assert!(JsonValue::parse(&"{\"k\": ".repeat(200_000)).is_err());
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&deepest).is_ok());
+    }
+
+    #[test]
+    fn object_entries_reach_the_caller_before_the_damage() {
+        let mut seen = Vec::new();
+        let e = parse_object_entries(r#"{"a": 1, "b": [true], "c": "torn"#, |k, v| {
+            seen.push((k, v));
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(e.to_string(), "unterminated string at byte 32");
+        assert_eq!(
+            seen,
+            vec![
+                ("a".to_owned(), JsonValue::UInt(1)),
+                ("b".to_owned(), JsonValue::Arr(vec![JsonValue::Bool(true)])),
+            ]
+        );
+        // A rejected pair is reported at the value's first byte.
+        let e = parse_object_entries("{\"k\":   7}", |_, _| Err("no".to_owned())).unwrap_err();
+        assert_eq!((e.at, e.what.as_str()), (8, "no"));
+        let ok = |_: String, _: JsonValue| Ok(());
+        assert_eq!(
+            parse_object_entries(" [1]", ok).unwrap_err().to_string(),
+            "expected '{' at byte 1"
+        );
+        assert_eq!(
+            parse_object_entries("{} x", ok).unwrap_err().to_string(),
+            "trailing data at byte 3"
+        );
+        assert!(parse_object_entries(" { } ", ok).is_ok());
     }
 
     #[test]
