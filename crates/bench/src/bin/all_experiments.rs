@@ -3,14 +3,14 @@
 //!
 //! Scale knobs: DCFB_WARMUP, DCFB_MEASURE, DCFB_WORKLOADS, DCFB_JOBS
 //! (worker threads per figure sweep; the output is byte-identical for
-//! every job count — results are merged in workload order and failure
-//! records are sorted before printing).
+//! every job count — results are merged in workload order).
 //!
 //! Robustness knobs:
 //!
-//! * Each figure runs under `catch_unwind`: a panicking figure is
-//!   recorded in the failure summary at the end of the document instead
-//!   of killing the batch.
+//! * Each figure runs under `catch_unwind`, the batch's one
+//!   crash-isolation boundary: a panicking figure (any of its runs
+//!   panicking included) is recorded in the failure summary at the end
+//!   of the document instead of killing the batch.
 //! * Completed figures are checkpointed to a JSON file
 //!   (`DCFB_CHECKPOINT`, default `target/all_experiments.checkpoint.json`)
 //!   after each one finishes. `DCFB_RESUME=1` reloads the file and
@@ -104,22 +104,6 @@ fn main() {
                     t0.elapsed().as_secs_f32()
                 );
                 failures.push((id.to_owned(), msg));
-            }
-        }
-        // Individual (workload, method) runs that died inside a figure
-        // (but were salvaged by the run-level isolation) count too.
-        // Under parallel sweeps the registry fills in completion order,
-        // so sort to keep the failure summary deterministic.
-        let mut run_failures = dcfb_bench::runs::take_failures();
-        run_failures.sort_by(|a, b| {
-            (a.workload.as_str(), a.method.as_str()).cmp(&(b.workload.as_str(), b.method.as_str()))
-        });
-        for rec in run_failures {
-            if let dcfb_bench::runs::RunOutcome::Failed(e) = &rec.outcome {
-                failures.push((
-                    format!("{id}: {} on {}", rec.method, rec.workload),
-                    e.to_string(),
-                ));
             }
         }
     }

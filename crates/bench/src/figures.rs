@@ -8,7 +8,7 @@
 
 use crate::runs::{
     baseline, image_for, measure_instrs, method_config, run, run_all, run_all_with_baseline,
-    run_method_all, scaled, workloads, TRACE_SEED,
+    scaled, workloads, TRACE_SEED,
 };
 use crate::sweep::parallel_map;
 use crate::table::Table;
@@ -27,7 +27,7 @@ pub fn fig01_footprint_miss() -> Table {
         "Footprint miss ratio in Shotgun's U-BTB",
         &["Workload", "Footprint miss ratio"],
     );
-    for (w, rep, _) in run_method_all("Shotgun") {
+    for (w, rep) in run_all(&method_config("Shotgun")) {
         // The Shotgun runner always attaches its stats; render a
         // placeholder rather than aborting the sweep if it ever stops.
         let cell = match rep.shotgun {
@@ -48,7 +48,7 @@ pub fn tab1_empty_ftq() -> Table {
         "Empty-FTQ stall cycles in Shotgun",
         &["Workload", "Fraction of cycles"],
     );
-    for (w, rep, _) in run_method_all("Shotgun") {
+    for (w, rep) in run_all(&method_config("Shotgun")) {
         t.row(vec![
             w.name.to_owned(),
             Table::pct(rep.empty_ftq_fraction()),
@@ -82,7 +82,7 @@ pub fn fig03_nl_coverage() -> Table {
     );
     let mut sum = 0.0;
     let mut n = 0.0f64;
-    for (w, rep, base) in run_method_all("NL") {
+    for (w, rep, base) in run_all_with_baseline(&method_config("NL")) {
         let base_rate = base.seq_misses as f64 / base.instrs.max(1) as f64;
         let own_rate = rep.seq_misses as f64 / rep.instrs.max(1) as f64;
         let coverage = if base_rate > 0.0 {
@@ -361,7 +361,7 @@ pub fn fig14_lookups() -> Table {
     for method in ["N4L", "SN4L+Dis+BTB", "Shotgun", "Confluence"] {
         let mut sum = 0.0;
         let mut n = 0.0;
-        for (_, rep, base) in run_method_all(method) {
+        for (_, rep, base) in run_all_with_baseline(&method_config(method)) {
             sum += rep.lookups_over(&base);
             n += 1.0;
         }

@@ -1,12 +1,11 @@
 //! Shared run helpers: scaled configurations, image caching, and
 //! baseline caching, so regenerating all experiments stays fast.
 
-use dcfb_errors::{panic_message, DcfbError};
-use dcfb_sim::{SimConfig, SimReport, Simulator};
+use dcfb_errors::DcfbError;
+use dcfb_sim::{SimConfig, SimReport};
 use dcfb_trace::IsaMode;
-use dcfb_workloads::{all_workloads, ProgramImage, ResolvedWorkload, SourceSpec, Walker, Workload};
+use dcfb_workloads::{all_workloads, ProgramImage, ResolvedWorkload, SourceSpec, Workload};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The trace seed used by every experiment (determinism).
@@ -175,11 +174,18 @@ pub fn resolved_for(name: &str, isa: IsaMode) -> Result<ResolvedWorkload, DcfbEr
 }
 
 /// Runs `cfg` on `workload` (cached image, fixed trace seed).
+///
+/// # Panics
+///
+/// Panics if `cfg` fails validation (e.g. a zero `DCFB_WARMUP`); the
+/// figure-level `catch_unwind` in `all_experiments` reports it.
 pub fn run(workload: &Workload, cfg: SimConfig) -> SimReport {
-    let image = image_for(workload, cfg.isa);
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = Walker::new(image, TRACE_SEED);
-    sim.run(&mut walker)
+    let source = ResolvedWorkload::from_image(image_for(workload, cfg.isa));
+    match dcfb_sim::run(&source, cfg, TRACE_SEED, None) {
+        Ok(run) => run.report,
+        #[allow(clippy::panic)]
+        Err(e) => panic!("{e}"),
+    }
 }
 
 fn baseline_cache() -> &'static KeyedOnce<String, SimReport> {
@@ -198,194 +204,10 @@ pub fn baseline(workload: &Workload) -> SimReport {
         .clone()
 }
 
-/// How one crash-isolated run ended.
-#[derive(Clone, Debug)]
-pub enum RunOutcome {
-    /// The simulation completed and produced a report.
-    Ok(SimReport),
-    /// The run failed (panicked twice, or the config was rejected).
-    Failed(DcfbError),
-}
-
-impl RunOutcome {
-    /// The report, if the run succeeded.
-    pub fn report(&self) -> Option<&SimReport> {
-        match self {
-            RunOutcome::Ok(r) => Some(r),
-            RunOutcome::Failed(_) => None,
-        }
-    }
-}
-
-/// One crash-isolated (workload, method) run and how it went.
-#[derive(Clone, Debug)]
-pub struct RunRecord {
-    /// Workload name.
-    pub workload: String,
-    /// Method name.
-    pub method: String,
-    /// What happened.
-    pub outcome: RunOutcome,
-    /// Whether the run only succeeded on the reduced-scale retry.
-    pub retried: bool,
-}
-
-fn failure_registry() -> &'static Mutex<Vec<RunRecord>> {
-    static REG: OnceLock<Mutex<Vec<RunRecord>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Drains every failure recorded by [`run_isolated`] in this process.
-pub fn take_failures() -> Vec<RunRecord> {
-    match failure_registry().lock() {
-        Ok(mut reg) => std::mem::take(&mut *reg),
-        Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-    }
-}
-
-fn record_failure(rec: RunRecord) {
-    match failure_registry().lock() {
-        Ok(mut reg) => reg.push(rec),
-        Err(poisoned) => poisoned.into_inner().push(rec),
-    }
-}
-
-fn catch_run<F>(runner: &F, workload: &Workload, cfg: SimConfig) -> Result<SimReport, String>
-where
-    F: Fn(&Workload, SimConfig) -> SimReport,
-{
-    catch_unwind(AssertUnwindSafe(|| runner(workload, cfg)))
-        .map_err(|payload| panic_message(payload.as_ref()))
-}
-
-/// Runs `method` on `workload` with crash isolation: a panicking
-/// simulation is caught, retried once at reduced scale (¼ warmup and
-/// measure), and — if it dies again — recorded as
-/// [`RunOutcome::Failed`] in the process-wide failure registry instead
-/// of taking the batch down.
-pub fn run_isolated(workload: &Workload, method: &str) -> RunRecord {
-    run_isolated_with(workload, method, |w, cfg| run(w, cfg))
-}
-
-/// [`run_isolated`] with an injectable runner, so tests can exercise
-/// the catch/retry/record machinery with deterministic failures.
-fn run_isolated_with<F>(workload: &Workload, method: &str, runner: F) -> RunRecord
-where
-    F: Fn(&Workload, SimConfig) -> SimReport,
-{
-    let cfg = match try_method_config(method) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            let rec = RunRecord {
-                workload: workload.name.to_owned(),
-                method: method.to_owned(),
-                outcome: RunOutcome::Failed(e),
-                retried: false,
-            };
-            record_failure(rec.clone());
-            return rec;
-        }
-    };
-    match catch_run(&runner, workload, cfg.clone()) {
-        Ok(report) => RunRecord {
-            workload: workload.name.to_owned(),
-            method: method.to_owned(),
-            outcome: RunOutcome::Ok(report),
-            retried: false,
-        },
-        Err(first_msg) => {
-            // Retry once at reduced scale: a panic from a scale-induced
-            // resource blowup may pass in a smaller window.
-            let mut retry_cfg = cfg;
-            retry_cfg.warmup_instrs = (retry_cfg.warmup_instrs / 4).max(1);
-            retry_cfg.measure_instrs = (retry_cfg.measure_instrs / 4).max(1);
-            eprintln!(
-                "warning: run {method} on {} panicked ({first_msg}); retrying at reduced scale",
-                workload.name
-            );
-            match catch_run(&runner, workload, retry_cfg) {
-                Ok(report) => RunRecord {
-                    workload: workload.name.to_owned(),
-                    method: method.to_owned(),
-                    outcome: RunOutcome::Ok(report),
-                    retried: true,
-                },
-                Err(second_msg) => {
-                    let rec = RunRecord {
-                        workload: workload.name.to_owned(),
-                        method: method.to_owned(),
-                        outcome: RunOutcome::Failed(DcfbError::Run {
-                            workload: workload.name.to_owned(),
-                            method: method.to_owned(),
-                            message: format!(
-                                "panicked at full scale ({first_msg}) and at reduced scale ({second_msg})"
-                            ),
-                        }),
-                        retried: true,
-                    };
-                    record_failure(rec.clone());
-                    rec
-                }
-            }
-        }
-    }
-}
-
-/// Runs a named method on every workload, yielding
-/// `(workload, report, baseline)` triples.
-///
-/// Each run is crash-isolated via [`run_isolated`]: a run that fails
-/// (even after its reduced-scale retry) is dropped from the result and
-/// recorded in the failure registry ([`take_failures`]), so one broken
-/// (workload, method) pair cannot take down a whole figure sweep.
-pub fn run_method_all(method: &str) -> Vec<(Workload, SimReport, SimReport)> {
-    crate::sweep::parallel_map(workloads(), |w| run_with_baseline(w, method))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// One `(workload, method)` job — the unit of work the parallel
-/// executor schedules for [`run_method_all`].
-fn run_with_baseline(w: &Workload, method: &str) -> Option<(Workload, SimReport, SimReport)> {
-    // The baseline is crash-isolated too: a dead baseline drops
-    // this workload from the sweep, not the whole batch.
-    let wb = w.clone();
-    let base = match catch_unwind(AssertUnwindSafe(move || baseline(&wb))) {
-        Ok(base) => base,
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            record_failure(RunRecord {
-                workload: w.name.to_owned(),
-                method: "Baseline".to_owned(),
-                outcome: RunOutcome::Failed(DcfbError::Run {
-                    workload: w.name.to_owned(),
-                    method: "Baseline".to_owned(),
-                    message: msg.clone(),
-                }),
-                retried: false,
-            });
-            eprintln!(
-                "warning: dropping workload {}: baseline panicked ({msg})",
-                w.name
-            );
-            return None;
-        }
-    };
-    let rec = run_isolated(w, method);
-    match rec.outcome {
-        RunOutcome::Ok(rep) => Some((w.clone(), rep, base)),
-        RunOutcome::Failed(ref e) => {
-            eprintln!("warning: dropping {method} on {}: {e}", w.name);
-            None
-        }
-    }
-}
-
 /// Runs `cfg` on every workload through the parallel executor, in
-/// workload order. No per-run crash isolation: a panicking run
-/// propagates out of the worker pool to the figure-level `catch_unwind`
-/// in `all_experiments`, exactly like the old sequential loop.
+/// workload order. A panicking run propagates out of the worker pool
+/// to the figure-level `catch_unwind` in `all_experiments`, the one
+/// crash-isolation boundary of a batch.
 pub fn run_all(cfg: &SimConfig) -> Vec<(Workload, SimReport)> {
     crate::sweep::parallel_map(workloads(), |w| (w.clone(), run(w, cfg.clone())))
 }
@@ -471,70 +293,6 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         assert!(try_method_config("Baseline").is_ok());
-    }
-
-    /// Serializes the tests touching the process-wide failure registry.
-    fn registry_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = lock_cache(LOCK.get_or_init(|| Mutex::new(())));
-        let _ = take_failures(); // start from a clean registry
-        guard
-    }
-
-    #[test]
-    fn run_isolated_records_unknown_method_failure() {
-        let _guard = registry_lock();
-        let w = workloads()[0].clone();
-        let rec = run_isolated(&w, "NoSuchMethod");
-        assert!(matches!(
-            rec.outcome,
-            RunOutcome::Failed(DcfbError::UnknownMethod { .. })
-        ));
-        let failures = take_failures();
-        assert!(failures
-            .iter()
-            .any(|f| f.method == "NoSuchMethod" && f.workload == w.name));
-    }
-
-    #[test]
-    fn run_isolated_retries_at_reduced_scale() {
-        let _guard = registry_lock();
-        let w = workloads()[0].clone();
-        let full_measure = measure_instrs();
-        // Panics at full scale, succeeds once the retry shrinks the
-        // window — mimicking a scale-induced resource blowup.
-        let rec = run_isolated_with(&w, "Baseline", |_, cfg| {
-            assert!(cfg.measure_instrs >= 1);
-            if cfg.measure_instrs >= full_measure {
-                panic!("injected fault: too big");
-            }
-            SimReport::default()
-        });
-        assert!(rec.retried);
-        assert!(matches!(rec.outcome, RunOutcome::Ok(_)));
-        assert!(
-            take_failures().is_empty(),
-            "a recovered run is not a failure"
-        );
-    }
-
-    #[test]
-    fn run_isolated_survives_double_panic() {
-        let _guard = registry_lock();
-        let w = workloads()[0].clone();
-        let rec = run_isolated_with(&w, "Baseline", |_, _| -> SimReport {
-            panic!("injected fault: always")
-        });
-        assert!(rec.retried);
-        match &rec.outcome {
-            RunOutcome::Failed(DcfbError::Run { message, .. }) => {
-                assert!(message.contains("injected fault"), "{message}");
-                assert!(message.contains("reduced scale"), "{message}");
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-        let failures = take_failures();
-        assert!(failures.iter().any(|f| f.method == "Baseline" && f.retried));
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   attempt never takes down the sweep: the job retries or
 //!   quarantines, and the report enumerates every submitted job exactly
 //!   once (`completed + retried + quarantined == submitted`).
-//! * **Fault-free parity.** The default runner replicates
-//!   [`crate::runs::run`] exactly (cached image, fixed trace seed), and
+//! * **Fault-free parity.** The default runner calls `dcfb_sim::run`
+//!   exactly as [`crate::runs::run`] does (cached image, fixed trace
+//!   seed), passing the attempt's control, and
 //!   attaching a default [`RunControl`] changes nothing about a run, so
 //!   a fault-free supervised sweep is byte-identical to the unsupervised
 //!   one.
@@ -31,7 +32,7 @@
 use crate::runs::{self, TRACE_SEED};
 use crate::sweep::parallel_map_jobs;
 use dcfb_errors::{panic_message, DcfbError};
-use dcfb_sim::{RunControl, SimReport, Simulator};
+use dcfb_sim::{RunControl, SimReport};
 use dcfb_telemetry::{CounterSet, Ctr};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -408,23 +409,15 @@ impl Supervisor {
         self.run_with(jobs, |env, attempt| {
             let cfg = runs::try_method_config(&env.method)?;
             let resolved = runs::resolved_for(&env.workload, cfg.isa)?;
-            let mut sim = Simulator::try_with_code(
-                cfg,
-                resolved.code(),
-                resolved.start_pc(),
-                resolved.name().to_owned(),
-            )?;
-            sim.attach_control(attempt.control.clone());
-            let mut stream = resolved.stream(TRACE_SEED);
-            let report = sim.run(&mut stream);
-            if sim.interrupted() {
+            let run = dcfb_sim::run(&resolved, cfg, TRACE_SEED, Some(attempt.control.clone()))?;
+            if run.interrupted {
                 return Err(DcfbError::Timeout {
                     workload: env.workload.clone(),
                     method: env.method.clone(),
                     deadline: self.effective_deadline(env).describe(),
                 });
             }
-            Ok(report)
+            Ok(run.report)
         })
     }
 

@@ -9,10 +9,11 @@ use crate::json::JsonObject;
 use dcfb_cache::CacheConfig;
 use dcfb_errors::DcfbError;
 use dcfb_frontend::ShotgunBtbConfig;
-use dcfb_sim::Simulator;
-use dcfb_sim::{analysis, run_resolved, PrefetcherKind, SimConfig, SimReport};
-use dcfb_trace::{CodeMemory, InstrStream, IsaMode, ReadMode, RecordedCode, VecTrace};
-use dcfb_workloads::{all_workloads, Walker, MIX_SYNTAX, TRACE_SYNTAX};
+use dcfb_sim::{analysis, PrefetcherKind, SimConfig, SimReport};
+use dcfb_trace::{InstrStream, IsaMode, ReadMode};
+use dcfb_workloads::{
+    all_workloads, load_trace, ResolvedWorkload, Walker, MIX_SYNTAX, TRACE_SYNTAX,
+};
 use std::sync::Arc;
 
 fn config_for(cli: &Cli, method: &str) -> Result<SimConfig, DcfbError> {
@@ -31,6 +32,11 @@ fn config_for(cli: &Cli, method: &str) -> Result<SimConfig, DcfbError> {
     }
     cfg.validate()?;
     Ok(cfg)
+}
+
+/// One unsupervised run of `cfg` on `source` at the CLI's trace seed.
+fn simulate(source: &ResolvedWorkload, cfg: SimConfig, cli: &Cli) -> Result<SimReport, DcfbError> {
+    Ok(dcfb_sim::run(source, cfg, cli.seed, None)?.report)
 }
 
 /// `dcfb list`
@@ -60,8 +66,8 @@ pub fn run(cli: &Cli) -> Result<(), DcfbError> {
     let cfg = config_for(cli, &cli.method)?;
     let base_cfg = config_for(cli, "Baseline")?;
     let resolved = spec.resolve(cfg.isa)?;
-    let base = run_resolved(&resolved, base_cfg, cli.seed)?;
-    let r = run_resolved(&resolved, cfg, cli.seed)?;
+    let base = simulate(&resolved, base_cfg, cli)?;
+    let r = simulate(&resolved, cfg, cli)?;
     if cli.json {
         println!("{}", report_json(&r, Some(&base)).render());
         return Ok(());
@@ -73,7 +79,7 @@ pub fn run(cli: &Cli) -> Result<(), DcfbError> {
 /// `dcfb compare`
 pub fn compare(cli: &Cli) -> Result<(), DcfbError> {
     let resolved = cli.require_source()?.resolve(cli.isa)?;
-    let base = run_resolved(&resolved, config_for(cli, "Baseline")?, cli.seed)?;
+    let base = simulate(&resolved, config_for(cli, "Baseline")?, cli)?;
     println!(
         "workload: {} | baseline IPC {:.3}\n",
         resolved.name(),
@@ -84,7 +90,7 @@ pub fn compare(cli: &Cli) -> Result<(), DcfbError> {
         "method", "IPC", "speedup", "coverage", "FSCR", "lookups"
     );
     for m in &cli.methods {
-        let r = run_resolved(&resolved, config_for(cli, m)?, cli.seed)?;
+        let r = simulate(&resolved, config_for(cli, m)?, cli)?;
         println!(
             "{:14} {:7.3} {:7.2}x {:8.1}% {:8.1}% {:8.2}x",
             m,
@@ -148,9 +154,14 @@ pub fn analyze(cli: &Cli) -> Result<(), DcfbError> {
 /// ways: a versioned-schema JSON metrics document, a CSV time series,
 /// and Chrome trace-event JSON (load in `chrome://tracing` / Perfetto).
 pub fn profile(cli: &Cli) -> Result<(), DcfbError> {
-    let cfg = config_for(cli, &cli.method)?;
+    let mut cfg = config_for(cli, &cli.method)?;
+    cfg.telemetry = true;
     let resolved = cli.require_source()?.resolve(cfg.isa)?;
-    let (r, telem) = dcfb_sim::run_resolved_profiled(&resolved, cfg, cli.seed)?;
+    let run = dcfb_sim::run(&resolved, cfg, cli.seed, None)?;
+    let (r, telem) = match run.telemetry {
+        Some(telem) => (run.report, telem),
+        None => return Err(DcfbError::Config("telemetry was not recorded".into())),
+    };
     telem
         .doc
         .validate()
@@ -208,10 +219,10 @@ pub fn sweep_btb(cli: &Cli) -> Result<(), DcfbError> {
     for scale in [1.0f64, 0.5, 0.25, 0.125] {
         let mut ours = config_for(cli, "SN4L+Dis+BTB")?;
         ours.btb.entries = ((ours.btb.entries as f64 * scale) as usize).max(64) / 4 * 4;
-        let ours_rep = run_resolved(&resolved, ours, cli.seed)?;
+        let ours_rep = simulate(&resolved, ours, cli)?;
         let mut shot = config_for(cli, "Shotgun")?;
         shot.prefetcher = PrefetcherKind::Shotgun(ShotgunBtbConfig::scaled(scale));
-        let shot_rep = run_resolved(&resolved, shot, cli.seed)?;
+        let shot_rep = simulate(&resolved, shot, cli)?;
         println!(
             "{:>10} {:>14.3} {:>10.3} {:>12.2}x {:>15.1}%",
             format!("{scale:.3}x"),
@@ -391,53 +402,26 @@ pub fn replay(cli: &Cli) -> Result<(), DcfbError> {
     let Some(path) = &cli.trace else {
         return Err(DcfbError::Usage("--trace is required for replay".into()));
     };
-    let data = std::fs::read(path).map_err(|e| DcfbError::io(path, &e))?;
     let mode = if cli.lenient {
         ReadMode::Lenient
     } else {
         ReadMode::Strict
     };
-    // Sniff the format by magic.
-    let trace: VecTrace = if data.starts_with(dcfb_trace::file::MAGIC)
-        || data.starts_with(dcfb_trace::file::MAGIC_V2)
-    {
-        let (trace, report) = dcfb_trace::read_binary_checked(data.as_slice(), mode)?;
-        if let Some(reason) = &report.salvage {
+    let (source, read) = load_trace(path, mode, path.as_str())?;
+    if let Some(read) = &read {
+        if let Some(reason) = &read.salvage {
             eprintln!(
                 "warning: {path}: trace damaged ({reason}); salvaged {} of {} records",
-                report.records,
-                report
-                    .declared_records
+                read.records,
+                read.declared_records
                     .map_or_else(|| "unknown".to_owned(), |n| n.to_string()),
             );
         }
-        trace
-    } else {
-        dcfb_trace::read_text(data.as_slice())?
-    };
-    if trace.is_empty() {
-        return Err(DcfbError::Config(format!(
-            "{path}: trace holds no records; nothing to replay"
-        )));
     }
-    let start_pc = trace.instrs()[0].pc;
-    let code: Arc<dyn CodeMemory + Send + Sync> =
-        Arc::new(RecordedCode::from_trace(trace.instrs()));
-    let label = path.clone();
-    let total = trace.len() as u64;
-    let warmup = cli.warmup.min(total / 2);
-    let measure = (total - warmup).min(cli.measure);
-
-    let run_one = |method: &str| -> Result<SimReport, DcfbError> {
-        let mut cfg = config_for(cli, method)?;
-        cfg.warmup_instrs = warmup.max(1);
-        cfg.measure_instrs = measure.max(1);
-        let mut sim = Simulator::try_with_code(cfg, Arc::clone(&code), start_pc, label.clone())?;
-        let mut replayer = trace.replay();
-        Ok(sim.run(&mut replayer))
-    };
-    let base = run_one("Baseline")?;
-    let r = run_one(&cli.method)?;
+    let total = source.trace_len().unwrap_or_default();
+    let (warmup, measure) = source.window(cli.warmup, cli.measure);
+    let base = simulate(&source, config_for(cli, "Baseline")?, cli)?;
+    let r = simulate(&source, config_for(cli, &cli.method)?, cli)?;
     if cli.json {
         // Reuse the same JSON shape as `run`.
         println!("{}", report_json(&r, Some(&base)).render());

@@ -113,6 +113,40 @@ fn corrupt_trace_exits_3_strict_and_salvages_lenient() {
 }
 
 #[test]
+fn short_trace_source_runs_the_replay_window() {
+    use dcfb_telemetry::json::JsonValue;
+    // 5 000 records is shorter than the default 500 000-instruction
+    // warmup: every finite-trace consumer warms up on half the trace
+    // and measures the rest, exactly as `replay` does.
+    let dir = temp_dir("short");
+    let trace = dir.join("short.dcfbt");
+    assert_eq!(record(&trace, "5000").status.code(), Some(0));
+    let path = trace.to_str().unwrap();
+    // Every field but `workload` (`trace:PATH` vs `PATH`).
+    let fields = |out: Output| -> Vec<(String, JsonValue)> {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let JsonValue::Obj(fields) = JsonValue::parse(stdout.trim()).unwrap() else {
+            panic!("not a JSON object: {stdout}");
+        };
+        fields
+            .into_iter()
+            .filter(|(k, _)| k != "workload")
+            .collect()
+    };
+    let spec = format!("trace:{path}");
+    let run = fields(dcfb(&["run", "--workload", &spec, "--json"]));
+    let replayed = fields(dcfb(&["replay", "--trace", path, "--json"]));
+    assert!(
+        run.contains(&("instructions".to_owned(), JsonValue::UInt(2_500))),
+        "{run:?}"
+    );
+    assert_eq!(run, replayed);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn truncated_trace_exits_3() {
     let dir = temp_dir("trunc");
     let trace = dir.join("clean.dcfbt");

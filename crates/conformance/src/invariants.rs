@@ -24,8 +24,8 @@ use crate::ops::EngineOp;
 use crate::reference::RefProactive;
 use dcfb_prefetch::context::MockContext;
 use dcfb_prefetch::{SeqTable, Sn4l};
-use dcfb_sim::{run_config, run_config_profiled, SimConfig};
-use dcfb_workloads::workload;
+use dcfb_sim::SimConfig;
+use dcfb_workloads::{workload, ResolvedWorkload};
 
 /// The workload the simulation-level invariants run on.
 const INVARIANT_WORKLOAD: &str = "Web (Apache)";
@@ -42,6 +42,14 @@ fn invariant_config(method: &str) -> Result<SimConfig, String> {
     cfg.warmup_instrs = INVARIANT_WARMUP;
     cfg.measure_instrs = INVARIANT_MEASURE;
     Ok(cfg)
+}
+
+/// Runs `cfg` on the invariant workload with the given trace seed.
+fn invariant_run(cfg: SimConfig, seed: u64) -> Result<dcfb_sim::Run, String> {
+    let w = workload(INVARIANT_WORKLOAD)
+        .ok_or_else(|| format!("workload {INVARIANT_WORKLOAD:?} missing from catalog"))?;
+    let source = ResolvedWorkload::from_image(w.image(cfg.isa));
+    dcfb_sim::run(&source, cfg, seed, None).map_err(|e| e.to_string())
 }
 
 /// SN4L gating: drive the production SN4L over a fuzzed op stream and
@@ -191,13 +199,14 @@ pub fn check_chain_depth(seed: u64, n_ops: usize) -> Result<String, String> {
 /// [`dcfb_telemetry::MetricsDoc::validate`] failure, or a run that
 /// issued no prefetches at all (vacuous).
 pub fn check_timeliness_sums(seed: u64) -> Result<String, String> {
-    let w = workload(INVARIANT_WORKLOAD)
-        .ok_or_else(|| format!("workload {INVARIANT_WORKLOAD:?} missing from catalog"))?;
     let mut rows = 0usize;
     let mut issued_total = 0u64;
     for method in ["SN4L+Dis+BTB", "SN4L", "Dis"] {
-        let cfg = invariant_config(method)?;
-        let (_report, telemetry) = run_config_profiled(&w, cfg, seed);
+        let mut cfg = invariant_config(method)?;
+        cfg.telemetry = true;
+        let telemetry = invariant_run(cfg, seed)?
+            .telemetry
+            .ok_or_else(|| format!("{method}: no telemetry recorded"))?;
         telemetry
             .doc
             .validate()
@@ -242,11 +251,9 @@ pub fn check_replay_deterministic(seed: u64, n_ops: usize) -> Result<String, Str
     }
 
     // Full-simulation replay.
-    let w = workload(INVARIANT_WORKLOAD)
-        .ok_or_else(|| format!("workload {INVARIANT_WORKLOAD:?} missing from catalog"))?;
     let cfg = invariant_config("SN4L+Dis+BTB")?;
-    let a = run_config(&w, cfg.clone(), seed);
-    let b = run_config(&w, cfg, seed);
+    let a = invariant_run(cfg.clone(), seed)?.report;
+    let b = invariant_run(cfg, seed)?.report;
     if a.digest() != b.digest() {
         return Err(format!(
             "simulation replay of seed {seed} diverged on {INVARIANT_WORKLOAD:?}"

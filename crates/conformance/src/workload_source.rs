@@ -21,7 +21,7 @@
 //! `DCFB_BLESS=1 cargo test -p dcfb-conformance golden`.
 
 use crate::golden;
-use dcfb_sim::run_resolved;
+use dcfb_sim::SimConfig;
 use dcfb_trace::IsaMode;
 use dcfb_workloads::{ResolvedWorkload, SourceSpec};
 
@@ -38,14 +38,21 @@ pub const TENANT_MIX_METHOD: &str = "SN4L+Dis+BTB";
 /// of the check.
 pub const MIX_WORKERS: usize = 4;
 
+/// Runs `cfg` on `source` at the golden fixture's trace seed and
+/// returns the report digest.
+fn digest(source: &ResolvedWorkload, cfg: SimConfig) -> Result<String, String> {
+    dcfb_sim::run(source, cfg, golden::FIXTURE_TRACE_SEED, None)
+        .map(|run| run.report.digest())
+        .map_err(|e| e.to_string())
+}
+
 /// Runs the pinned tenant-mix spec sequentially and returns the report
 /// digest. `bless` uses this to recapture the `# tenant-mix` golden.
 pub fn tenant_mix_digest() -> Result<String, String> {
     let spec = SourceSpec::parse(TENANT_MIX_SPEC).map_err(|e| e.to_string())?;
     let mix = spec.resolve(IsaMode::Fixed4).map_err(|e| e.to_string())?;
     let cfg = golden::fixture_config(TENANT_MIX_METHOD)?;
-    let report = run_resolved(&mix, cfg, golden::FIXTURE_TRACE_SEED).map_err(|e| e.to_string())?;
-    Ok(report.digest())
+    digest(&mix, cfg)
 }
 
 /// The `invariant/workload-source` check: synthetic digests via the
@@ -59,9 +66,7 @@ pub fn check_workload_source() -> Result<String, String> {
     let mut mismatched = Vec::new();
     for (method, want) in &goldens {
         let cfg = golden::fixture_config(method)?;
-        let report =
-            run_resolved(&resolved, cfg, golden::FIXTURE_TRACE_SEED).map_err(|e| e.to_string())?;
-        if report.digest() != *want {
+        if digest(&resolved, cfg)? != *want {
             mismatched.push(*method);
         }
     }
@@ -78,25 +83,17 @@ pub fn check_workload_source() -> Result<String, String> {
     let spec = SourceSpec::parse(TENANT_MIX_SPEC).map_err(|e| e.to_string())?;
     let mix = spec.resolve(IsaMode::Fixed4).map_err(|e| e.to_string())?;
     let cfg = golden::fixture_config(TENANT_MIX_METHOD)?;
-    let seq =
-        run_resolved(&mix, cfg.clone(), golden::FIXTURE_TRACE_SEED).map_err(|e| e.to_string())?;
+    let seq = digest(&mix, cfg.clone())?;
     let want = golden::tenant_mix_golden()?;
-    if seq.digest() != want {
+    if seq != want {
         return Err(format!(
             "tenant-mix digest drifted from the blessed golden (re-bless with DCFB_BLESS=1 \
-             if the change is intentional): got {}",
-            seq.digest()
+             if the change is intentional): got {seq}"
         ));
     }
     let concurrent: Vec<Result<String, String>> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..MIX_WORKERS)
-            .map(|_| {
-                s.spawn(|| {
-                    run_resolved(&mix, cfg.clone(), golden::FIXTURE_TRACE_SEED)
-                        .map(|r| r.digest())
-                        .map_err(|e| e.to_string())
-                })
-            })
+            .map(|_| s.spawn(|| digest(&mix, cfg.clone())))
             .collect();
         workers
             .into_iter()
@@ -106,8 +103,8 @@ pub fn check_workload_source() -> Result<String, String> {
             })
             .collect()
     });
-    for digest in concurrent {
-        if digest? != want {
+    for got in concurrent {
+        if got? != want {
             return Err(
                 "tenant-mix digest varies when runs share the resolved mix concurrently \
                  (the interleaver must be schedule-independent)"

@@ -26,17 +26,18 @@
 //! `dcfb-prefetch` method registry.
 //!
 //! [`analysis`] hosts the timing-free trace analyses behind Figs. 2 and
-//! 6–9; [`experiment`] packages warmup + measurement + baselines for
-//! the figure/table binaries in `dcfb-bench`.
+//! 6–9; [`run`] is the one way to run a configuration on a resolved
+//! workload source (warmup + measurement, optional telemetry and
+//! supervision), shared by the CLI and the `dcfb-bench` harness.
 
 //! # Examples
 //!
-//! Run the paper's prefetcher against the baseline on a small custom
-//! workload:
+//! Run the paper's prefetcher and the baseline on a small custom
+//! workload and compare them:
 //!
 //! ```
-//! use dcfb_sim::{run_workload, SimConfig};
-//! use dcfb_workloads::{Workload, WorkloadParams};
+//! use dcfb_sim::{run, SimConfig};
+//! use dcfb_workloads::{ResolvedWorkload, Workload, WorkloadParams};
 //!
 //! let workload = Workload {
 //!     name: "demo",
@@ -51,9 +52,14 @@
 //! let mut cfg = SimConfig::for_method("SN4L+Dis+BTB").unwrap();
 //! cfg.warmup_instrs = 10_000;
 //! cfg.measure_instrs = 20_000;
-//! let result = run_workload(&workload, cfg, 42);
-//! assert_eq!(result.report.instrs, 20_000);
-//! assert!(result.speedup() > 0.5);
+//! let mut base_cfg = SimConfig::baseline();
+//! base_cfg.warmup_instrs = cfg.warmup_instrs;
+//! base_cfg.measure_instrs = cfg.measure_instrs;
+//! let source = ResolvedWorkload::from_image(workload.image(cfg.isa));
+//! let base = run(&source, base_cfg, 42, None).unwrap().report;
+//! let report = run(&source, cfg, 42, None).unwrap().report;
+//! assert_eq!(report.instrs, 20_000);
+//! assert!(report.speedup_over(&base) > 0.5);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,9 +72,6 @@ pub mod machine;
 pub mod metrics;
 
 pub use config::{PrefetcherKind, SimConfig};
-pub use experiment::{
-    geomean, run_config, run_config_profiled, run_multi_seed, run_resolved, run_resolved_profiled,
-    run_workload, ExperimentResult, Measurement,
-};
+pub use experiment::{geomean, run, Run};
 pub use machine::{RunControl, Simulator};
 pub use metrics::{SimReport, StallKind};

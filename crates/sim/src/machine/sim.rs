@@ -112,12 +112,21 @@ impl Simulator {
     /// configuration (the CLI, sweep scripts); it reports a bad config
     /// as [`DcfbError::Config`] instead of panicking mid-run.
     pub fn try_new(cfg: SimConfig, image: Arc<ProgramImage>) -> Result<Self, DcfbError> {
-        cfg.validate()?;
-        Ok(Simulator::new(cfg, image))
+        let start_pc = image.functions()[0].entry;
+        let name = image.params().name.clone();
+        Simulator::try_with_code(cfg, image, start_pc, name)
     }
 
-    /// Fallible variant of [`Simulator::with_code`]: validates `cfg`
-    /// first.
+    /// Creates a simulator over any [`CodeMemory`] — e.g. a
+    /// [`dcfb_trace::RecordedCode`] reconstructed from an external
+    /// trace — after validating `cfg`. `start_pc` seeds the
+    /// BTB-directed discovery engines; `workload_name` labels the
+    /// report.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DcfbError::Config`] if `cfg` fails
+    /// [`SimConfig::validate`].
     pub fn try_with_code(
         cfg: SimConfig,
         code: Arc<dyn CodeMemory + Send + Sync>,
@@ -125,7 +134,8 @@ impl Simulator {
         workload_name: String,
     ) -> Result<Self, DcfbError> {
         cfg.validate()?;
-        Ok(Simulator::with_code(cfg, code, start_pc, workload_name))
+        let driver = Driver::build(&cfg, start_pc);
+        Ok(Simulator::assemble(cfg, code, workload_name, driver))
     }
 
     /// Creates a simulator over a synthetic program `image`.
@@ -134,32 +144,12 @@ impl Simulator {
     ///
     /// Panics if `cfg` fails [`SimConfig::validate`]. Use
     /// [`Simulator::try_new`] when the configuration is untrusted.
+    #[allow(clippy::panic)] // documented contract; try_new is the checked path
     pub fn new(cfg: SimConfig, image: Arc<ProgramImage>) -> Self {
-        let start_pc = image.functions()[0].entry;
-        let name = image.params().name.clone();
-        Simulator::with_code(cfg, image, start_pc, name)
-    }
-
-    /// Creates a simulator over any [`CodeMemory`] — e.g. a
-    /// [`dcfb_trace::RecordedCode`] reconstructed from an external
-    /// trace. `start_pc` seeds the BTB-directed discovery engines;
-    /// `workload_name` labels the report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`SimConfig::validate`].
-    #[allow(clippy::panic)] // documented contract; try_with_code is the checked path
-    pub fn with_code(
-        cfg: SimConfig,
-        code: Arc<dyn CodeMemory + Send + Sync>,
-        start_pc: Addr,
-        workload_name: String,
-    ) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("{e}");
+        match Simulator::try_new(cfg, image) {
+            Ok(sim) => sim,
+            Err(e) => panic!("{e}"),
         }
-        let driver = Driver::build(&cfg, start_pc);
-        Simulator::assemble(cfg, code, workload_name, driver)
     }
 
     /// Creates a simulator with an explicit [`FrontendDriver`],

@@ -57,7 +57,7 @@ pub use image::{ProgramImage, Terminator};
 pub use mix::{MixCode, MixStream, DEFAULT_QUANTUM, TENANT_STRIDE};
 pub use params::WorkloadParams;
 pub use source::{
-    resolve_workload, source_names, ArcReplay, ResolvedWorkload, SourceSpec, SourceStream,
-    MIX_PREFIX, MIX_SYNTAX, TRACE_PREFIX, TRACE_SYNTAX,
+    load_trace, resolve_workload, source_names, ArcReplay, ResolvedWorkload, SourceSpec,
+    SourceStream, MIX_PREFIX, MIX_SYNTAX, TRACE_PREFIX, TRACE_SYNTAX,
 };
 pub use synth::Walker;

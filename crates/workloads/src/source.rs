@@ -15,7 +15,10 @@
 //!   simulator instance (see [`crate::mix`]).
 //! * **trace** — `trace:PATH`: an on-disk trace (v1/v2 binary or text,
 //!   including `dcfb import` output), replayed over a [`RecordedCode`]
-//!   reconstruction.
+//!   reconstruction. [`load_trace`] is the one trace loader (`dcfb
+//!   replay` calls it directly to salvage with `--lenient`), and
+//!   [`ResolvedWorkload::window`] is the one rule fitting a run's
+//!   window to a finite trace.
 //!
 //! Every consumer (CLI run/compare/profile/record, the bench sweep and
 //! supervised batches) funnels through [`SourceSpec::parse`] +
@@ -29,7 +32,7 @@ use crate::synth::Walker;
 use dcfb_errors::DcfbError;
 use dcfb_trace::{
     read_binary_checked, read_text, Addr, CodeMemory, Instr, InstrStream, IsaMode, ReadMode,
-    RecordedCode, VecTrace,
+    ReadReport, RecordedCode, VecTrace,
 };
 use std::sync::Arc;
 
@@ -166,8 +169,9 @@ impl SourceSpec {
     }
 
     /// Resolves the spec into code memory + stream factory. `trace:`
-    /// specs read the file here (strict mode — damaged traces are
-    /// rejected; use `dcfb replay --lenient` to salvage interactively).
+    /// specs read the file here through [`load_trace`] (strict mode —
+    /// damaged traces are rejected; use `dcfb replay --lenient` to
+    /// salvage interactively).
     pub fn resolve(&self, isa: IsaMode) -> Result<ResolvedWorkload, DcfbError> {
         match self {
             SourceSpec::Synthetic(name) => {
@@ -212,32 +216,56 @@ impl SourceSpec {
                 })
             }
             SourceSpec::Trace { path } => {
-                let data = std::fs::read(path).map_err(|e| DcfbError::io(path.clone(), &e))?;
-                let trace: VecTrace = if data.starts_with(dcfb_trace::file::MAGIC)
-                    || data.starts_with(dcfb_trace::file::MAGIC_V2)
-                {
-                    let (trace, _report) = read_binary_checked(data.as_slice(), ReadMode::Strict)?;
-                    trace
-                } else {
-                    read_text(data.as_slice())?
-                };
-                if trace.is_empty() {
-                    return Err(DcfbError::Config(format!(
-                        "{path}: trace holds no records; nothing to run"
-                    )));
-                }
-                let start_pc = trace.instrs()[0].pc;
-                let trace = Arc::new(trace);
-                Ok(ResolvedWorkload {
-                    name: self.canonical_name(),
-                    kind: "trace",
-                    code: Arc::new(RecordedCode::from_trace(trace.instrs())),
-                    start_pc,
-                    factory: StreamFactory::Replay(trace),
-                })
+                load_trace(path, ReadMode::Strict, self.canonical_name()).map(|(w, _)| w)
             }
         }
     }
+}
+
+/// Loads an on-disk trace (binary v1/v2 or text, sniffed by magic) as
+/// a workload labelled `name`: the trace is replayed verbatim over a
+/// [`RecordedCode`] reconstruction. Binary reads also return their
+/// [`ReadReport`]; under [`ReadMode::Lenient`] its `salvage` says why
+/// only a prefix was kept.
+///
+/// # Errors
+///
+/// [`DcfbError::Io`] if the file cannot be read, [`DcfbError::Trace`]
+/// for damage `mode` does not salvage, and [`DcfbError::Config`] for a
+/// trace with no records.
+pub fn load_trace(
+    path: &str,
+    mode: ReadMode,
+    name: impl Into<String>,
+) -> Result<(ResolvedWorkload, Option<ReadReport>), DcfbError> {
+    let data = std::fs::read(path).map_err(|e| DcfbError::io(path, &e))?;
+    let (trace, report) = if data.starts_with(dcfb_trace::file::MAGIC)
+        || data.starts_with(dcfb_trace::file::MAGIC_V2)
+    {
+        let (trace, report) = read_binary_checked(data.as_slice(), mode)?;
+        (trace, Some(report))
+    } else {
+        (read_text(data.as_slice())?, None)
+    };
+    let Some(first) = trace.instrs().first() else {
+        let damage = report
+            .as_ref()
+            .and_then(|r| r.salvage.as_ref())
+            .map_or_else(String::new, |reason| format!(" (damaged: {reason})"));
+        return Err(DcfbError::Config(format!(
+            "{path}: trace holds no records{damage}; nothing to run"
+        )));
+    };
+    let start_pc = first.pc;
+    let trace = Arc::new(trace);
+    let workload = ResolvedWorkload {
+        name: name.into(),
+        kind: "trace",
+        code: Arc::new(RecordedCode::from_trace(trace.instrs())),
+        start_pc,
+        factory: StreamFactory::Replay(trace),
+    };
+    Ok((workload, report))
 }
 
 /// Parses and resolves in one step — the common consumer entry point.
@@ -330,6 +358,22 @@ impl ResolvedWorkload {
         match &self.factory {
             StreamFactory::Replay(trace) => Some(trace.instrs().len() as u64),
             _ => None,
+        }
+    }
+
+    /// Fits a requested `(warmup, measure)` window to the source.
+    /// Synthetic and mix streams never end, so the request stands. A
+    /// finite trace warms up on at most half its records and measures
+    /// at most the rest; each part stays at least 1, so a valid request
+    /// stays valid.
+    pub fn window(&self, warmup: u64, measure: u64) -> (u64, u64) {
+        match self.trace_len() {
+            None => (warmup, measure),
+            Some(total) => {
+                let warmup = warmup.min(total / 2);
+                let measure = (total - warmup).min(measure);
+                (warmup.max(1), measure.max(1))
+            }
         }
     }
 
@@ -487,6 +531,52 @@ mod tests {
         for _ in 0..2_000 {
             assert_eq!(via.next_instr(), direct.next_instr());
         }
+    }
+
+    #[test]
+    fn window_fits_finite_traces_and_leaves_endless_sources_alone() {
+        let dir = std::env::temp_dir().join(format!("dcfb-window-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let image = workload("Web Search").unwrap().image(IsaMode::Fixed4);
+        let load = |total: u64| {
+            let path = dir.join(format!("t{total}.txt"));
+            let mut walker = Walker::new(Arc::clone(&image), 3);
+            let file = std::fs::File::create(&path).unwrap();
+            dcfb_trace::write_text(&mut walker, file, total).unwrap();
+            let (w, report) =
+                load_trace(path.to_str().unwrap(), ReadMode::Strict, "trace").unwrap();
+            assert!(report.is_none(), "text traces carry no read report");
+            assert_eq!(w.trace_len(), Some(total));
+            w
+        };
+        // (total, requested warmup, requested measure, expected window)
+        let cases: &[(u64, u64, u64, (u64, u64))] = &[
+            (1, 1, 1, (1, 1)),
+            (1, 500, 1_000, (1, 1)),
+            (2, 1, 1, (1, 1)),
+            (2, 2, 2, (1, 1)),
+            (2, 9, 9, (1, 1)),
+            (5_000, 1_000, 2_000, (1_000, 2_000)),
+            (5_000, 2_500, 2_500, (2_500, 2_500)),
+            (5_000, 2_000, 5_000, (2_000, 3_000)),
+            (5_000, 4_999, 1, (2_500, 1)),
+            (5_000, 5_000, 5_000, (2_500, 2_500)),
+            (5_000, 500_000, 1_000_000, (2_500, 2_500)),
+        ];
+        for &total in &[1, 2, 5_000] {
+            let w = load(total);
+            for &(_, warmup, measure, want) in cases.iter().filter(|c| c.0 == total) {
+                assert_eq!(w.window(warmup, measure), want, "total {total}");
+            }
+        }
+        for spec in ["Web Search", "mix:Web (Apache)+Web Search"] {
+            let w = resolve_workload(spec, IsaMode::Fixed4).unwrap();
+            assert_eq!(w.trace_len(), None);
+            for (warmup, measure) in [(1, 1), (2_500, 2_500), (500_000, 1_000_000)] {
+                assert_eq!(w.window(warmup, measure), (warmup, measure), "{spec}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

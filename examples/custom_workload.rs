@@ -7,9 +7,9 @@
 
 use dcfb_cache::CacheConfig;
 use dcfb_sim::analysis;
-use dcfb_sim::{run_workload, SimConfig};
+use dcfb_sim::{run, SimConfig};
 use dcfb_trace::{IsaMode, StreamStats};
-use dcfb_workloads::{Walker, Workload, WorkloadParams};
+use dcfb_workloads::{ResolvedWorkload, Walker, Workload, WorkloadParams};
 use std::sync::Arc;
 
 fn main() {
@@ -78,9 +78,19 @@ fn main() {
     let mut cfg = SimConfig::for_method("SN4L+Dis+BTB").expect("method");
     cfg.warmup_instrs = 400_000;
     cfg.measure_instrs = 800_000;
-    let result = run_workload(&w, cfg, 7);
+    let mut base_cfg = SimConfig::baseline();
+    base_cfg.warmup_instrs = cfg.warmup_instrs;
+    base_cfg.measure_instrs = cfg.measure_instrs;
+    let source = ResolvedWorkload::from_image(image);
+    let base = run(&source, base_cfg, 7, None)
+        .expect("valid config")
+        .report;
+    let r = run(&source, cfg, 7, None).expect("valid config").report;
     println!("\nSN4L+Dis+BTB on this workload:");
-    println!("  speedup       : {:.2}x", result.speedup());
-    println!("  miss coverage : {:.1}%", result.coverage() * 100.0);
-    println!("  FSCR          : {:.1}%", result.fscr() * 100.0);
+    println!("  speedup       : {:.2}x", r.speedup_over(&base));
+    println!(
+        "  miss coverage : {:.1}%",
+        r.miss_coverage_over(&base) * 100.0
+    );
+    println!("  FSCR          : {:.1}%", r.fscr_over(&base) * 100.0);
 }

@@ -7,8 +7,8 @@
 //! The optional argument is a Table IV workload name
 //! (default: "OLTP (DB B)").
 
-use dcfb_sim::{run_config, SimConfig};
-use dcfb_workloads::{workload, workload_names};
+use dcfb_sim::{run, SimConfig};
+use dcfb_workloads::{workload, workload_names, ResolvedWorkload};
 
 fn main() {
     let name = std::env::args()
@@ -44,13 +44,14 @@ fn main() {
         "method", "IPC", "MPKI", "speedup", "CMAL", "ext BW", "storage"
     );
 
+    let source = ResolvedWorkload::from_image(w.image(SimConfig::default().isa));
     let mut baseline_ipc = 0.0;
     let mut baseline_bw = 0.0;
     for m in methods {
         let mut cfg = SimConfig::for_method(m).expect("known method");
         cfg.warmup_instrs = 500_000;
         cfg.measure_instrs = 1_000_000;
-        let r = run_config(&w, cfg, 42);
+        let r = run(&source, cfg, 42, None).expect("valid config").report;
         let bw_rate = r.external_requests as f64 / r.instrs.max(1) as f64;
         if m == "Baseline" {
             baseline_ipc = r.ipc();

@@ -5,8 +5,8 @@
 //! cargo run --release -p dcfb-examples --example quickstart
 //! ```
 
-use dcfb_sim::{run_workload, SimConfig};
-use dcfb_workloads::workload;
+use dcfb_sim::{run, SimConfig};
+use dcfb_workloads::{workload, ResolvedWorkload};
 
 fn main() {
     // 1. Pick a calibrated synthetic server workload (Table IV).
@@ -23,11 +23,15 @@ fn main() {
     cfg.warmup_instrs = 500_000;
     cfg.measure_instrs = 1_000_000;
 
-    // 3. Run it paired with the baseline (same image, same trace seed).
-    let result = run_workload(&w, cfg, /* trace seed */ 42);
-
-    let r = &result.report;
-    let b = &result.baseline;
+    // 3. Run it and the baseline on the same image and trace seed.
+    let mut base_cfg = SimConfig::baseline();
+    base_cfg.warmup_instrs = cfg.warmup_instrs;
+    base_cfg.measure_instrs = cfg.measure_instrs;
+    let source = ResolvedWorkload::from_image(w.image(cfg.isa));
+    let b = &run(&source, base_cfg, /* trace seed */ 42, None)
+        .expect("valid config")
+        .report;
+    let r = &run(&source, cfg, 42, None).expect("valid config").report;
     println!("\n                      baseline    SN4L+Dis+BTB");
     println!("IPC                   {:8.3}    {:8.3}", b.ipc(), r.ipc());
     println!(
@@ -40,9 +44,9 @@ fn main() {
         b.frontend_stalls() as f64 / b.cycles as f64,
         r.frontend_stalls() as f64 / r.cycles as f64,
     );
-    println!("\nspeedup         : {:.2}x", result.speedup());
-    println!("miss coverage   : {:.1}%", result.coverage() * 100.0);
-    println!("FSCR            : {:.1}%", result.fscr() * 100.0);
+    println!("\nspeedup         : {:.2}x", r.speedup_over(b));
+    println!("miss coverage   : {:.1}%", r.miss_coverage_over(b) * 100.0);
+    println!("FSCR            : {:.1}%", r.fscr_over(b) * 100.0);
     println!("CMAL            : {:.1}%", r.cmal() * 100.0);
     println!(
         "metadata budget : {:.1} KB (paper: 7.6 KB)",

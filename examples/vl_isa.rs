@@ -7,9 +7,9 @@
 //! ```
 
 use dcfb_cache::BranchFootprint;
-use dcfb_sim::{run_config, SimConfig};
+use dcfb_sim::{run, SimConfig};
 use dcfb_trace::{CodeMemory, IsaMode};
-use dcfb_workloads::workload;
+use dcfb_workloads::{workload, ResolvedWorkload};
 
 fn main() {
     let w = workload("Web (Zeus)").expect("catalog workload");
@@ -43,13 +43,14 @@ fn main() {
 
     // --- DV-LLC on vs. off under the full prefetcher. ---
     println!("\nSN4L+Dis+BTB with branch footprints virtualized in the DV-LLC:");
+    let source = ResolvedWorkload::from_image(image);
     for (label, dvllc) in [("DV-LLC on", true), ("DV-LLC off (no BF source)", false)] {
         let mut cfg = SimConfig::for_method("SN4L+Dis+BTB").expect("method");
         cfg.isa = IsaMode::Variable;
         cfg.uncore.dvllc = dvllc;
         cfg.warmup_instrs = 400_000;
         cfg.measure_instrs = 800_000;
-        let r = run_config(&w, cfg, 42);
+        let r = run(&source, cfg, 42, None).expect("valid config").report;
         let llc_hit = r.uncore.llc_hits as f64 / r.uncore.requests.max(1) as f64;
         println!(
             "  {label:28}: IPC {:.3}, BTB-miss stalls {:>7}, LLC hit {:.1}%",

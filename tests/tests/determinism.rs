@@ -1,9 +1,9 @@
 //! Reproducibility: every layer of the stack is a pure function of
 //! (parameters, seed).
 
-use dcfb_sim::{run_config, SimConfig};
+use dcfb_sim::{SimConfig, SimReport};
 use dcfb_trace::{InstrStream, IsaMode};
-use dcfb_workloads::{all_workloads, Walker, Workload, WorkloadParams};
+use dcfb_workloads::{all_workloads, ResolvedWorkload, Walker, Workload, WorkloadParams};
 
 fn small_workload(seed: u64) -> Workload {
     Workload {
@@ -16,6 +16,13 @@ fn small_workload(seed: u64) -> Workload {
         },
         image_seed: seed,
     }
+}
+
+fn simulate(w: &Workload, cfg: SimConfig, trace_seed: u64) -> SimReport {
+    let source = ResolvedWorkload::from_image(w.image(cfg.isa));
+    dcfb_sim::run(&source, cfg, trace_seed, None)
+        .unwrap()
+        .report
 }
 
 #[test]
@@ -47,8 +54,8 @@ fn full_simulations_are_deterministic() {
         let mut cfg = SimConfig::for_method(method).unwrap();
         cfg.warmup_instrs = 100_000;
         cfg.measure_instrs = 200_000;
-        let a = run_config(&w, cfg.clone(), 3);
-        let b = run_config(&w, cfg, 3);
+        let a = simulate(&w, cfg.clone(), 3);
+        let b = simulate(&w, cfg, 3);
         assert_eq!(a.cycles, b.cycles, "{method} cycles");
         assert_eq!(a.instrs, b.instrs, "{method} instrs");
         assert_eq!(a.l1i.demand_misses, b.l1i.demand_misses, "{method} misses");
@@ -63,8 +70,8 @@ fn different_trace_seeds_differ_but_stay_in_family() {
     let mut cfg = SimConfig::for_method("Baseline").unwrap();
     cfg.warmup_instrs = 100_000;
     cfg.measure_instrs = 200_000;
-    let a = run_config(&w, cfg.clone(), 1);
-    let b = run_config(&w, cfg, 2);
+    let a = simulate(&w, cfg.clone(), 1);
+    let b = simulate(&w, cfg, 2);
     assert_ne!(a.cycles, b.cycles, "seeds should change the trace");
     // Same workload: characteristics must be in the same family.
     let (ma, mb) = (a.l1i_mpki(), b.l1i_mpki());

@@ -2,8 +2,8 @@
 //! headline *shapes* at a reduced (CI-friendly) scale: who wins, in
 //! which order, and where the pathologies appear.
 
-use dcfb_sim::{run_config, SimConfig, SimReport};
-use dcfb_workloads::{workload, Workload, WorkloadParams};
+use dcfb_sim::{SimConfig, SimReport};
+use dcfb_workloads::{workload, ResolvedWorkload, Workload, WorkloadParams};
 
 const WARMUP: u64 = 300_000;
 const MEASURE: u64 = 600_000;
@@ -37,7 +37,10 @@ fn run(w: &Workload, method: &str) -> SimReport {
     let mut cfg = SimConfig::for_method(method).expect("method");
     cfg.warmup_instrs = WARMUP;
     cfg.measure_instrs = MEASURE;
-    run_config(w, cfg, 42)
+    let source = ResolvedWorkload::from_image(w.image(cfg.isa));
+    dcfb_sim::run(&source, cfg, 42, None)
+        .expect("valid config")
+        .report
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! configuration must produce structurally sound images, traces, and
 //! simulation reports.
 
-use dcfb_sim::{run_config, SimConfig};
+use dcfb_sim::SimConfig;
 use dcfb_trace::{block_of, InstrStream, IsaMode};
-use dcfb_workloads::{Terminator, Walker, Workload, WorkloadParams};
+use dcfb_workloads::{ResolvedWorkload, Terminator, Walker, Workload, WorkloadParams};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = WorkloadParams> {
@@ -84,7 +84,8 @@ proptest! {
         let mut cfg = SimConfig::for_method("SN4L+Dis+BTB").unwrap();
         cfg.warmup_instrs = 20_000;
         cfg.measure_instrs = 50_000;
-        let r = run_config(&workload, cfg, seed);
+        let source = ResolvedWorkload::from_image(workload.image(cfg.isa));
+        let r = dcfb_sim::run(&source, cfg, seed, None).unwrap().report;
         prop_assert_eq!(r.instrs, 50_000);
         prop_assert!(r.cycles > 0);
         // Hits + misses = accesses.

@@ -58,7 +58,7 @@ fn replayed_trace_simulates_like_the_image_backed_run() {
     let code: Arc<dyn CodeMemory + Send + Sync> =
         Arc::new(RecordedCode::from_trace(trace.instrs()));
     let start = trace.instrs()[0].pc;
-    let mut sim_trc = Simulator::with_code(cfg, code, start, "trace".into());
+    let mut sim_trc = Simulator::try_with_code(cfg, code, start, "trace".into()).unwrap();
     let mut replay2 = trace.replay();
     let trc_rep = sim_trc.run(&mut replay2);
 

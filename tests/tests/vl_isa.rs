@@ -3,9 +3,9 @@
 //! (and Dis target extraction) possible when instruction boundaries are
 //! not self-describing.
 
-use dcfb_sim::{run_config, SimConfig};
+use dcfb_sim::SimConfig;
 use dcfb_trace::IsaMode;
-use dcfb_workloads::{Workload, WorkloadParams};
+use dcfb_workloads::{ResolvedWorkload, Workload, WorkloadParams};
 
 fn vl_workload() -> Workload {
     Workload {
@@ -27,7 +27,8 @@ fn run(dvllc: bool) -> dcfb_sim::SimReport {
     cfg.uncore.dvllc = dvllc;
     cfg.warmup_instrs = 200_000;
     cfg.measure_instrs = 400_000;
-    run_config(&vl_workload(), cfg, 9)
+    let source = ResolvedWorkload::from_image(vl_workload().image(cfg.isa));
+    dcfb_sim::run(&source, cfg, 9, None).unwrap().report
 }
 
 #[test]
@@ -52,7 +53,8 @@ fn vl_isa_prefetching_still_covers_misses() {
     base_cfg.isa = IsaMode::Variable;
     base_cfg.warmup_instrs = 200_000;
     base_cfg.measure_instrs = 400_000;
-    let base = run_config(&vl_workload(), base_cfg, 9);
+    let source = ResolvedWorkload::from_image(vl_workload().image(base_cfg.isa));
+    let base = dcfb_sim::run(&source, base_cfg, 9, None).unwrap().report;
     let with = run(true);
     assert!(
         with.miss_coverage_over(&base) > 0.4,
