@@ -4,8 +4,8 @@
 //! paper, shared by the `fig*`/`tab*` binaries and by
 //! `all_experiments`, which regenerates everything and emits
 //! `EXPERIMENTS.md`-ready markdown. Around it: the worker pool
-//! ([`sweep`]), the batch checkpoint ([`checkpoint`]), the job
-//! supervisor, the pooled fuzz driver and the chaos campaign.
+//! ([`sweep`]), the batch checkpoint ([`checkpoint`]), the pooled fuzz
+//! driver ([`fuzz`]) and the chaos campaign ([`chaos`]).
 //! Simulator throughput is measured by the repository benchmark
 //! (`perfbench/`), not here.
 //!
@@ -25,14 +25,9 @@ pub mod checkpoint;
 pub mod figures;
 pub mod fuzz;
 pub mod runs;
-pub mod supervisor;
 pub mod sweep;
 pub mod table;
 
 pub use fuzz::{run_fuzz_campaign, FuzzOptions, FuzzReport};
 pub use runs::{measure_instrs, warmup_instrs, workloads};
-pub use supervisor::{
-    BackoffPolicy, Deadline, JobEnvelope, JobOutcome, JobRecord, JobStatus, SupervisionReport,
-    Supervisor, SupervisorOptions,
-};
 pub use table::Table;

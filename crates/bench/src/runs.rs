@@ -4,7 +4,7 @@
 use dcfb_errors::DcfbError;
 use dcfb_sim::{SimConfig, SimReport};
 use dcfb_trace::IsaMode;
-use dcfb_workloads::{all_workloads, ProgramImage, ResolvedWorkload, SourceSpec, Workload};
+use dcfb_workloads::{all_workloads, ProgramImage, ResolvedWorkload, Workload};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -154,25 +154,6 @@ pub fn image_for(workload: &Workload, isa: IsaMode) -> Arc<ProgramImage> {
     Arc::clone(cell.get_or_init(|| workload.image(isa)))
 }
 
-/// Resolves a workload-source spec through the registry, routing
-/// synthetic names through the process-wide image cache (so supervised
-/// batches share one image per workload, exactly as
-/// [`run`] does). `mix:` and `trace:` specs resolve fresh each call.
-///
-/// # Errors
-///
-/// Everything [`SourceSpec::parse`] and [`SourceSpec::resolve`] report:
-/// unknown names, malformed mix options, unreadable or damaged traces.
-pub fn resolved_for(name: &str, isa: IsaMode) -> Result<ResolvedWorkload, DcfbError> {
-    let spec = SourceSpec::parse(name)?;
-    if let SourceSpec::Synthetic(n) = &spec {
-        if let Some(w) = dcfb_workloads::workload(n) {
-            return Ok(ResolvedWorkload::from_image(image_for(&w, isa)));
-        }
-    }
-    spec.resolve(isa)
-}
-
 /// Runs `cfg` on `workload` (cached image, fixed trace seed).
 ///
 /// # Panics
@@ -181,7 +162,7 @@ pub fn resolved_for(name: &str, isa: IsaMode) -> Result<ResolvedWorkload, DcfbEr
 /// figure-level `catch_unwind` in `all_experiments` reports it.
 pub fn run(workload: &Workload, cfg: SimConfig) -> SimReport {
     let source = ResolvedWorkload::from_image(image_for(workload, cfg.isa));
-    match dcfb_sim::run(&source, cfg, TRACE_SEED, None) {
+    match dcfb_sim::run(&source, cfg, TRACE_SEED) {
         Ok(run) => run.report,
         #[allow(clippy::panic)]
         Err(e) => panic!("{e}"),

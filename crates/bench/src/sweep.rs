@@ -1,5 +1,5 @@
 //! The worker pool every parallel consumer shares: the figure sweep,
-//! the job supervisor, the fuzz campaign and the repository benchmark.
+//! the fuzz campaign and the repository benchmark.
 //!
 //! Every `(workload, method)` simulation in this reproduction is an
 //! independent deterministic computation (fixed [`crate::runs::TRACE_SEED`],
@@ -49,8 +49,8 @@ where
     parallel_map_jobs(items, jobs(), f)
 }
 
-/// [`parallel_map`] with an explicit worker count (the supervisor, the
-/// fuzz campaign and the repository benchmark choose their own).
+/// [`parallel_map`] with an explicit worker count (the fuzz campaign
+/// and the repository benchmark choose their own).
 pub fn parallel_map_jobs<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send + Sync,

@@ -35,11 +35,11 @@ COMMANDS:
                          exits 4 with a shrunk counterexample on the
                          first divergence
     chaos                Run the seeded fault campaign through the real
-                         stack (supervised retries, deadlines,
-                         quarantine, trace corruption, checkpoint
-                         salvage) and check its invariants; exits 4 on
-                         any violation. --seed reproduces a campaign,
-                         --quick runs the tier-1 smoke subset
+                         stack (trace truncation under the strict and
+                         lenient loaders, checkpoint salvage) and check
+                         its invariants; exits 4 on any violation.
+                         --seed reproduces a campaign, --quick runs the
+                         tier-1 smoke subset
     fuzz                 Coverage-guided conformance fuzzing: mutate op
                          sequences on the worker pool, keep only
                          coverage-increasing inputs (ddmin-minimized),

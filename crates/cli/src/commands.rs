@@ -34,9 +34,9 @@ fn config_for(cli: &Cli, method: &str) -> Result<SimConfig, DcfbError> {
     Ok(cfg)
 }
 
-/// One unsupervised run of `cfg` on `source` at the CLI's trace seed.
+/// One run of `cfg` on `source` at the CLI's trace seed.
 fn simulate(source: &ResolvedWorkload, cfg: SimConfig, cli: &Cli) -> Result<SimReport, DcfbError> {
-    Ok(dcfb_sim::run(source, cfg, cli.seed, None)?.report)
+    Ok(dcfb_sim::run(source, cfg, cli.seed)?.report)
 }
 
 /// `dcfb list`
@@ -157,7 +157,7 @@ pub fn profile(cli: &Cli) -> Result<(), DcfbError> {
     let mut cfg = config_for(cli, &cli.method)?;
     cfg.telemetry = true;
     let resolved = cli.require_source()?.resolve(cfg.isa)?;
-    let run = dcfb_sim::run(&resolved, cfg, cli.seed, None)?;
+    let run = dcfb_sim::run(&resolved, cfg, cli.seed)?;
     let (r, telem) = match run.telemetry {
         Some(telem) => (run.report, telem),
         None => return Err(DcfbError::Config("telemetry was not recorded".into())),
@@ -527,27 +527,14 @@ pub fn fuzz(cli: &Cli) -> Result<(), DcfbError> {
     Ok(())
 }
 
-/// `chaos`: the seeded fault campaign — supervised retries, deadlines,
-/// quarantine, trace corruption, and checkpoint salvage, all through
-/// the real stack, with every invariant checked.
+/// `chaos`: the seeded fault campaign — trace truncation under the
+/// strict and lenient loaders and checkpoint salvage, all through the
+/// real stack, with every invariant checked.
 pub fn chaos(cli: &Cli) -> Result<(), DcfbError> {
-    let opts = dcfb_bench::chaos::ChaosOptions {
+    let report = dcfb_bench::chaos::run_chaos(&dcfb_bench::chaos::ChaosOptions {
         seed: cli.seed,
         quick: cli.quick,
-        ..dcfb_bench::chaos::ChaosOptions::default()
-    };
-    // The campaign injects worker panics on purpose; keep the default
-    // hook's noise (message + optional backtrace) out of stderr for
-    // those while leaving genuine panics visible. `take_hook` afterwards
-    // restores the default hook.
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if !dcfb_errors::panic_message(info.payload()).contains("injected fault") {
-            prev(info);
-        }
-    }));
-    let report = dcfb_bench::chaos::run_chaos(&opts);
-    let _ = std::panic::take_hook();
+    });
     print!("{}", report.render());
     if report.passed() {
         Ok(())

@@ -22,8 +22,7 @@
 //! Every failure prints a one-line `error:` diagnostic — never a
 //! backtrace — and exits with a code describing what went wrong:
 //! 2 usage, 3 bad input (corrupt trace, unknown workload/method, bad
-//! config), 4 run failure, 5 host I/O, 6 supervised job timeout,
-//! 7 job quarantined.
+//! config), 4 run failure, 5 host I/O. Codes 6, 7 and 8 are retired.
 
 mod args;
 mod commands;

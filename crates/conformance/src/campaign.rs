@@ -26,7 +26,6 @@ use crate::lockstep::{Counterexample, Harness};
 use crate::mutate::Mutator;
 use crate::ops::{CodeLayout, EngineOp};
 use crate::reference::{RefDisEngine, RefProactive, RefSn4l};
-use dcfb_telemetry::{CounterSet, Ctr};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -175,7 +174,6 @@ pub struct Campaign {
     candidates: u64,
     admitted: u64,
     counterexample: Option<Box<Counterexample>>,
-    counters: CounterSet,
 }
 
 impl Campaign {
@@ -199,7 +197,6 @@ impl Campaign {
             candidates: 0,
             admitted: 0,
             counterexample: None,
-            counters: CounterSet::new(),
         })
     }
 
@@ -301,16 +298,13 @@ impl Campaign {
         for outcome in outcomes {
             self.candidates += 1;
             self.ops_executed += outcome.ops.len() as u64;
-            self.counters.add(Ctr::FuzzCandidates, 1);
             if self
                 .corpus
                 .consider(&self.layout, &mut self.coverage, &outcome.ops, &outcome.map)
             {
                 self.admitted += 1;
-                self.counters.add(Ctr::FuzzCorpusAdmissions, 1);
             }
             if let Some(ce) = outcome.counterexample {
-                self.counters.add(Ctr::FuzzDivergences, 1);
                 if self.counterexample.is_none() {
                     self.counterexample = Some(ce);
                 }
@@ -351,12 +345,6 @@ impl Campaign {
     /// Corpus admissions so far.
     pub fn admitted(&self) -> u64 {
         self.admitted
-    }
-
-    /// The campaign's telemetry counters (candidates, admissions,
-    /// divergences).
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
     }
 }
 

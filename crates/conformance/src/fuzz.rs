@@ -26,7 +26,7 @@
 use crate::ops::{BtbBufOp, CodeLayout, DisTableOp, EngineOp, PfBufOp, RecentBranch, RluOp, SeqOp};
 use dcfb_frontend::{BranchClass, BtbEntry};
 use dcfb_telemetry::PfSource;
-use dcfb_trace::Block;
+use dcfb_trace::{splitmix64, Block};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,15 +55,6 @@ pub fn fuzz_proactive_config() -> dcfb_prefetch::Sn4lDisConfig {
         queue_capacity: FUZZ_QUEUE_CAPACITY,
         ..dcfb_prefetch::Sn4lDisConfig::default()
     }
-}
-
-/// One splitmix64 step (the standard finalizer; public domain
-/// constants), used to derive independent sub-seeds.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Derives an independent sub-seed from `(base, a, b)` — the campaign

@@ -49,7 +49,7 @@ fn invariant_run(cfg: SimConfig, seed: u64) -> Result<dcfb_sim::Run, String> {
     let w = workload(INVARIANT_WORKLOAD)
         .ok_or_else(|| format!("workload {INVARIANT_WORKLOAD:?} missing from catalog"))?;
     let source = ResolvedWorkload::from_image(w.image(cfg.isa));
-    dcfb_sim::run(&source, cfg, seed, None).map_err(|e| e.to_string())
+    dcfb_sim::run(&source, cfg, seed).map_err(|e| e.to_string())
 }
 
 /// SN4L gating: drive the production SN4L over a fuzzed op stream and

@@ -6,8 +6,7 @@
 //!
 //! 1. **Synthetic parity.** Every method in the prefetch registry runs
 //!    the golden fixture through [`ResolvedWorkload::from_image`] (the
-//!    path `dcfb run` and the supervisor both take)
-//!    and each `SimReport::digest()` must be byte-identical to the
+//!    path `dcfb run` and the bench sweep both take) and each `SimReport::digest()` must be byte-identical to the
 //!    checked-in goldens captured via `Simulator::try_new` — same
 //!    fixture, different plumbing, zero drift.
 //! 2. **Tenant-mix golden.** A fixed two-tenant `mix:` spec runs once
@@ -41,7 +40,7 @@ pub const MIX_WORKERS: usize = 4;
 /// Runs `cfg` on `source` at the golden fixture's trace seed and
 /// returns the report digest.
 fn digest(source: &ResolvedWorkload, cfg: SimConfig) -> Result<String, String> {
-    dcfb_sim::run(source, cfg, golden::FIXTURE_TRACE_SEED, None)
+    dcfb_sim::run(source, cfg, golden::FIXTURE_TRACE_SEED)
         .map(|run| run.report.digest())
         .map_err(|e| e.to_string())
 }

@@ -14,9 +14,8 @@
 //! * Exit codes: `2` usage errors, `3` bad input (malformed trace,
 //!   unknown workload/method, invalid configuration), `4` run failures
 //!   (a simulation panicked or produced an unusable result), `5` I/O
-//!   on the host filesystem, `6` a supervised job overran its deadline
-//!   and was cancelled, `7` a job was quarantined after exhausting its
-//!   retry budget. Code `8` is retired and must not be reused.
+//!   on the host filesystem. Codes `6`, `7` and `8` are retired and
+//!   must not be reused.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,10 +31,6 @@ pub const EXIT_BAD_INPUT: i32 = 3;
 pub const EXIT_RUN_FAILURE: i32 = 4;
 /// Exit code for host I/O failures (cannot read/write files).
 pub const EXIT_IO: i32 = 5;
-/// Exit code for a supervised job cancelled at its deadline.
-pub const EXIT_TIMEOUT: i32 = 6;
-/// Exit code for a job quarantined after exhausting its retry budget.
-pub const EXIT_QUARANTINED: i32 = 7;
 
 /// Where in a trace byte stream a problem was found.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -216,30 +211,6 @@ pub enum DcfbError {
         /// OS-level failure description.
         message: String,
     },
-    /// A supervised job overran its deadline and was cooperatively
-    /// cancelled mid-simulation (exit 6).
-    Timeout {
-        /// Workload the job was on.
-        workload: String,
-        /// Method the job was testing.
-        method: String,
-        /// The deadline that fired (e.g. `"instruction budget 5000"`
-        /// or `"wall clock 30s"`).
-        deadline: String,
-    },
-    /// A job failed every attempt its retry budget allowed and was
-    /// quarantined — recorded by config digest and skipped on
-    /// resubmission instead of re-crashing the pool (exit 7).
-    Quarantined {
-        /// Job id (`method/workload`).
-        job: String,
-        /// Digest of the job's resolved configuration.
-        config_digest: String,
-        /// How many attempts failed before quarantine.
-        failures: u32,
-        /// The last attempt's one-line failure description.
-        last_error: String,
-    },
 }
 
 impl DcfbError {
@@ -274,8 +245,6 @@ impl DcfbError {
             | DcfbError::UnknownMethod { .. } => EXIT_BAD_INPUT,
             DcfbError::Run { .. } => EXIT_RUN_FAILURE,
             DcfbError::Io { .. } => EXIT_IO,
-            DcfbError::Timeout { .. } => EXIT_TIMEOUT,
-            DcfbError::Quarantined { .. } => EXIT_QUARANTINED,
         }
     }
 }
@@ -298,23 +267,6 @@ impl fmt::Display for DcfbError {
                 message,
             } => write!(f, "run failed ({method} on {workload}): {message}"),
             DcfbError::Io { path, message } => write!(f, "{path}: {message}"),
-            DcfbError::Timeout {
-                workload,
-                method,
-                deadline,
-            } => write!(
-                f,
-                "job timed out ({method} on {workload}): cancelled at {deadline}"
-            ),
-            DcfbError::Quarantined {
-                job,
-                config_digest,
-                failures,
-                last_error,
-            } => write!(
-                f,
-                "job quarantined ({job}, config {config_digest}) after {failures} failed attempt(s): {last_error}"
-            ),
         }
     }
 }
@@ -367,25 +319,6 @@ mod tests {
             .exit_code(),
             5
         );
-        assert_eq!(
-            DcfbError::Timeout {
-                workload: "w".into(),
-                method: "m".into(),
-                deadline: "instruction budget 5000".into()
-            }
-            .exit_code(),
-            6
-        );
-        assert_eq!(
-            DcfbError::Quarantined {
-                job: "m/w".into(),
-                config_digest: "deadbeef".into(),
-                failures: 3,
-                last_error: "boom".into()
-            }
-            .exit_code(),
-            7
-        );
     }
 
     #[test]
@@ -403,17 +336,6 @@ mod tests {
                 actual: 7,
             }),
             DcfbError::Config("ftq_entries must be nonzero".into()),
-            DcfbError::Timeout {
-                workload: "OLTP (DB A)".into(),
-                method: "Shotgun".into(),
-                deadline: "wall clock 30s".into(),
-            },
-            DcfbError::Quarantined {
-                job: "Shotgun/OLTP (DB A)".into(),
-                config_digest: "0123456789abcdef".into(),
-                failures: 3,
-                last_error: "panicked at full scale".into(),
-            },
         ];
         for e in errors {
             let s = e.to_string();

@@ -1,8 +1,8 @@
 //! The one run path: a configuration on a resolved workload source,
-//! warmup then measurement, with telemetry and supervision as options.
+//! warmup then measurement, with telemetry as an option.
 
 use crate::config::SimConfig;
-use crate::machine::{RunControl, Simulator};
+use crate::machine::Simulator;
 use crate::metrics::SimReport;
 use dcfb_errors::DcfbError;
 use dcfb_telemetry::TelemetryReport;
@@ -16,9 +16,6 @@ pub struct Run {
     /// The finalized telemetry export; `Some` exactly when
     /// [`SimConfig::telemetry`] was set.
     pub telemetry: Option<TelemetryReport>,
-    /// Whether the attached [`RunControl`] stopped the run early (its
-    /// report then covers only what ran).
-    pub interrupted: bool,
 }
 
 /// Runs `cfg` on `source` with the given trace seed.
@@ -28,8 +25,7 @@ pub struct Run {
 /// half its records. A synthetic source runs exactly as
 /// `Simulator::new` over its image with a seeded `Walker` would; the
 /// `invariant/workload-source` conformance check pins that equivalence
-/// for every registry method. `control`, when given, is attached to
-/// the simulator (supervised deadlines and cancellation).
+/// for every registry method.
 ///
 /// # Errors
 ///
@@ -38,7 +34,6 @@ pub fn run(
     source: &ResolvedWorkload,
     mut cfg: SimConfig,
     trace_seed: u64,
-    control: Option<RunControl>,
 ) -> Result<Run, DcfbError> {
     // Validate the request as given: the fitted window is never 0, so
     // checking only after fitting would accept a zero warmup/measure.
@@ -51,14 +46,10 @@ pub fn run(
         source.start_pc(),
         source.name().to_owned(),
     )?;
-    if let Some(control) = control {
-        sim.attach_control(control);
-    }
     let report = sim.run(&mut source.stream(trace_seed));
     Ok(Run {
         report,
         telemetry: if profiled { sim.take_telemetry() } else { None },
-        interrupted: sim.interrupted(),
     })
 }
 

@@ -27,8 +27,8 @@
 //!
 //! [`analysis`] hosts the timing-free trace analyses behind Figs. 2 and
 //! 6–9; [`run`] is the one way to run a configuration on a resolved
-//! workload source (warmup + measurement, optional telemetry and
-//! supervision), shared by the CLI and the `dcfb-bench` harness.
+//! workload source (warmup + measurement, optional telemetry), shared
+//! by the CLI and the `dcfb-bench` harness.
 
 //! # Examples
 //!
@@ -56,8 +56,8 @@
 //! base_cfg.warmup_instrs = cfg.warmup_instrs;
 //! base_cfg.measure_instrs = cfg.measure_instrs;
 //! let source = ResolvedWorkload::from_image(workload.image(cfg.isa));
-//! let base = run(&source, base_cfg, 42, None).unwrap().report;
-//! let report = run(&source, cfg, 42, None).unwrap().report;
+//! let base = run(&source, base_cfg, 42).unwrap().report;
+//! let report = run(&source, cfg, 42).unwrap().report;
 //! assert_eq!(report.instrs, 20_000);
 //! assert!(report.speedup_over(&base) > 0.5);
 //! ```
@@ -73,5 +73,5 @@ pub mod metrics;
 
 pub use config::{PrefetcherKind, SimConfig};
 pub use experiment::{geomean, run, Run};
-pub use machine::{RunControl, Simulator};
+pub use machine::Simulator;
 pub use metrics::{SimReport, StallKind};

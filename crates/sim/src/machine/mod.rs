@@ -52,7 +52,7 @@ mod tests;
 
 pub use driver::{build_driver, Consumed, FrontendDriver, Gate, StallCause};
 pub use memory::DemandOutcome;
-pub use sim::{RunControl, Simulator};
+pub use sim::Simulator;
 
 use crate::config::SimConfig;
 use dcfb_cache::{Completion, MshrFile, PrefetchBuffer, SetAssocCache};

@@ -13,63 +13,7 @@ use dcfb_telemetry::{
 };
 use dcfb_trace::{Addr, CodeMemory, Instr, InstrStream};
 use dcfb_workloads::ProgramImage;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Cooperative run control for supervised execution: a cancel token
-/// any thread may arm (a wall-clock watchdog, a shutdown signal) plus
-/// an optional instruction budget, both checked once per simulated
-/// cycle by [`Simulator::run_instrs`]. A simulator with no control
-/// attached behaves bit-for-bit as before — the golden digests pin
-/// this.
-///
-/// Cloning shares the cancel token, so the supervisor keeps one handle
-/// while the worker runs with the other.
-#[derive(Clone, Debug, Default)]
-pub struct RunControl {
-    cancel: Arc<AtomicBool>,
-    budget_instrs: Option<u64>,
-}
-
-impl RunControl {
-    /// A control with no budget; only [`RunControl::cancel`] can stop
-    /// the run.
-    pub fn new() -> Self {
-        RunControl::default()
-    }
-
-    /// A control that stops the run once `n` instructions have retired
-    /// across the whole run (warmup + measurement). This is the
-    /// deterministic deadline: the same budget interrupts the same run
-    /// at the same instruction on every host.
-    pub fn with_budget(n: u64) -> Self {
-        RunControl {
-            cancel: Arc::new(AtomicBool::new(false)),
-            budget_instrs: Some(n),
-        }
-    }
-
-    /// Arms the cancel token. Safe from any thread; the simulator
-    /// observes it at its next per-cycle check.
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the cancel token has been armed.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
-
-    /// The instruction budget, if one was set.
-    pub fn budget_instrs(&self) -> Option<u64> {
-        self.budget_instrs
-    }
-
-    /// Whether a run that has retired `instrs` instructions must stop.
-    pub fn should_stop(&self, instrs: u64) -> bool {
-        self.budget_instrs.is_some_and(|b| instrs >= b) || self.is_cancelled()
-    }
-}
 
 /// The trace-driven frontend simulator.
 pub struct Simulator {
@@ -87,13 +31,8 @@ pub struct Simulator {
     retire_mark: f64,
     /// Instructions retired before the current measurement window
     /// (`stats.instrs` resets at the warmup/measure boundary; the
-    /// lifetime count `instrs_base + stats.instrs` is what instruction
-    /// budgets are charged against).
+    /// lifetime count is `instrs_base + stats.instrs`).
     instrs_base: u64,
-    /// Cooperative cancellation, when a supervisor attached one.
-    control: Option<RunControl>,
-    /// Whether a [`RunControl`] stopped a `run_instrs` loop early.
-    interrupted: bool,
     /// Telemetry sampling stride: the per-cycle sampler runs once
     /// every this many cycles (1 when telemetry is off or unsampled).
     telem_stride: u64,
@@ -195,30 +134,13 @@ impl Simulator {
             retire_clock: 0.0,
             retire_mark: 0.0,
             instrs_base: 0,
-            control: None,
-            interrupted: false,
             telem_stride,
             telem_phase: telem_stride.saturating_sub(1),
         }
     }
 
-    /// Attaches cooperative run control: the per-cycle loop checks
-    /// `control` between cycles and stops (setting
-    /// [`Simulator::interrupted`]) once its budget is exhausted or its
-    /// cancel token armed. Attaching a fresh default control changes
-    /// nothing about the run.
-    pub fn attach_control(&mut self, control: RunControl) {
-        self.control = Some(control);
-    }
-
-    /// Whether an attached [`RunControl`] stopped a run early.
-    pub fn interrupted(&self) -> bool {
-        self.interrupted
-    }
-
     /// Instructions retired over the simulator's lifetime (warmup +
-    /// measurement) — the count instruction budgets are charged
-    /// against.
+    /// measurement).
     pub fn instrs_retired(&self) -> u64 {
         self.instrs_base + self.machine.stats.instrs
     }
@@ -334,19 +256,10 @@ impl Simulator {
     }
 
     /// Runs until `limit` further instructions retire (or the stream
-    /// ends, or an attached [`RunControl`] stops the run).
+    /// ends).
     pub fn run_instrs<S: InstrStream>(&mut self, stream: &mut S, limit: u64) {
         let target = self.machine.stats.instrs + limit;
         while self.machine.stats.instrs < target {
-            // Cooperative cancellation: one per-cycle check against the
-            // instruction budget / cancel token. With no control
-            // attached this is a single never-taken branch.
-            if let Some(ctl) = &self.control {
-                if ctl.should_stop(self.instrs_base + self.machine.stats.instrs) {
-                    self.interrupted = true;
-                    break;
-                }
-            }
             if self.pending.is_none() {
                 self.pending = stream.next_instr();
                 if self.pending.is_none() {

@@ -45,25 +45,11 @@ pub enum Ctr {
     StallEmptyFtqCycles,
     /// Trace events discarded after the event buffer filled.
     TraceEventsDropped,
-    /// Supervised job attempts that failed and were retried.
-    JobRetries,
-    /// Supervised job attempts cancelled at their deadline.
-    JobTimeouts,
-    /// Supervised jobs quarantined after exhausting their retry budget
-    /// (including resubmissions skipped because their config digest was
-    /// already quarantined).
-    JobQuarantines,
-    /// Fuzz campaign candidates evaluated.
-    FuzzCandidates,
-    /// Fuzz inputs admitted to the corpus (coverage-increasing).
-    FuzzCorpusAdmissions,
-    /// Lockstep divergences found by fuzz campaigns.
-    FuzzDivergences,
 }
 
 impl Ctr {
     /// Number of counters.
-    pub const COUNT: usize = 24;
+    pub const COUNT: usize = 18;
 
     /// All counters, in index order.
     pub const ALL: [Ctr; Ctr::COUNT] = [
@@ -85,12 +71,6 @@ impl Ctr {
         Ctr::StallRedirectCycles,
         Ctr::StallEmptyFtqCycles,
         Ctr::TraceEventsDropped,
-        Ctr::JobRetries,
-        Ctr::JobTimeouts,
-        Ctr::JobQuarantines,
-        Ctr::FuzzCandidates,
-        Ctr::FuzzCorpusAdmissions,
-        Ctr::FuzzDivergences,
     ];
 
     /// Stable machine-readable name (used in the metrics schema).
@@ -114,12 +94,6 @@ impl Ctr {
             Ctr::StallRedirectCycles => "stall_redirect_cycles",
             Ctr::StallEmptyFtqCycles => "stall_empty_ftq_cycles",
             Ctr::TraceEventsDropped => "trace_events_dropped",
-            Ctr::JobRetries => "job_retries",
-            Ctr::JobTimeouts => "job_timeouts",
-            Ctr::JobQuarantines => "job_quarantines",
-            Ctr::FuzzCandidates => "fuzz_candidates",
-            Ctr::FuzzCorpusAdmissions => "fuzz_corpus_admissions",
-            Ctr::FuzzDivergences => "fuzz_divergences",
         }
     }
 }

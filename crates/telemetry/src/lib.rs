@@ -24,10 +24,6 @@
 //!    ([`MetricsDoc::to_csv`]), and Chrome trace-event JSON
 //!    ([`chrome_trace_json`]) loadable in `chrome://tracing` or
 //!    Perfetto.
-//!
-//! The [`Sink`] trait is the extension contract: all default methods
-//! are empty, so the no-op [`NullSink`] compiles to nothing; custom
-//! sinks (test capture, live streaming) override what they need.
 
 pub mod counters;
 pub mod doc;
@@ -47,7 +43,7 @@ pub use hist::{Hist, HistSet, Log2Histogram};
 pub use json::JsonValue;
 pub use recorder::{CycleSample, RunMeta, RunTelemetry, TelemetryConfig, TelemetryReport};
 pub use series::{WindowSample, WindowSeries};
-pub use sink::{NullSink, Sink, StallKind};
+pub use sink::StallKind;
 pub use source::PfSource;
 pub use timeliness::{TimelinessCounts, TimelinessTracker};
 pub use trace_event::{chrome_trace_json, TraceEvent};

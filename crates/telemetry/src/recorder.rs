@@ -10,7 +10,7 @@ use crate::counters::{CounterSet, Ctr};
 use crate::doc::{HistDump, MetricsDoc, TimelinessRow, METRICS_SCHEMA, SERIES_COLUMNS};
 use crate::hist::{Hist, HistSet};
 use crate::series::{WindowSample, WindowSeries};
-use crate::sink::{Sink, StallKind};
+use crate::sink::StallKind;
 use crate::source::PfSource;
 use crate::timeliness::{TimelinessCounts, TimelinessTracker};
 use crate::trace_event::{chrome_trace_json, TraceEvent};
@@ -441,21 +441,6 @@ impl RunTelemetry {
             doc,
             events: self.events,
         }
-    }
-}
-
-impl Sink for RunTelemetry {
-    fn add(&mut self, ctr: Ctr, delta: u64) {
-        RunTelemetry::add(self, ctr, delta);
-    }
-    fn observe(&mut self, h: Hist, value: u64) {
-        RunTelemetry::observe(self, h, value);
-    }
-    fn stall(&mut self, kind: StallKind, from: u64, to: u64) {
-        RunTelemetry::stall(self, kind, from, to);
-    }
-    fn prefetch_issued(&mut self, block: u64, source: PfSource) {
-        self.pf_issued(block, source);
     }
 }
 

@@ -1,20 +1,5 @@
-//! The `Sink` trait: the recording contract instrumentation sites
-//! talk to, with a no-op implementation that compiles to nothing.
-//!
-//! Contract:
-//! - Every method has an empty default body, so an implementor pays
-//!   only for the events it cares about and [`NullSink`] — a
-//!   zero-sized type overriding nothing — is guaranteed to optimize
-//!   out entirely (each call inlines to an empty body with no
-//!   captured state).
-//! - Methods must be O(1) amortized and must not panic: sinks run on
-//!   the simulator hot path.
-//! - Cycle arguments are simulated cycles, monotonically
-//!   non-decreasing per sink within a run.
-
-use crate::counters::Ctr;
-use crate::hist::Hist;
-use crate::source::PfSource;
+//! [`StallKind`]: the fetch-stall causes the recorder tracks and
+//! names in trace events.
 
 /// Why the fetch engine stalled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,76 +23,10 @@ impl StallKind {
     }
 }
 
-/// Event vocabulary emitted by instrumented components.
-pub trait Sink {
-    /// Adds `delta` to counter `ctr`.
-    fn add(&mut self, ctr: Ctr, delta: u64) {
-        let _ = (ctr, delta);
-    }
-
-    /// Records `value` into histogram `h`.
-    fn observe(&mut self, h: Hist, value: u64) {
-        let _ = (h, value);
-    }
-
-    /// Records a fetch stall of `kind` spanning `[from, to)` cycles.
-    fn stall(&mut self, kind: StallKind, from: u64, to: u64) {
-        let _ = (kind, from, to);
-    }
-
-    /// Records that `source` issued a prefetch for `block`.
-    fn prefetch_issued(&mut self, block: u64, source: PfSource) {
-        let _ = (block, source);
-    }
-}
-
-/// The no-op sink: zero-sized, overrides nothing, compiles to
-/// nothing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl Sink for NullSink {}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_is_zero_sized_and_inert() {
-        assert_eq!(std::mem::size_of::<NullSink>(), 0);
-        let mut s = NullSink;
-        // All defaulted methods are no-ops; nothing to observe, but
-        // they must be callable without side effects or panics.
-        s.add(Ctr::PfIssued, 1);
-        s.observe(Hist::MissLatency, 42);
-        s.stall(StallKind::L1i, 0, 10);
-        s.prefetch_issued(7, PfSource::Sn4l);
-        assert_eq!(s, NullSink);
-    }
-
-    #[test]
-    fn custom_sink_sees_events() {
-        #[derive(Default)]
-        struct Capture {
-            adds: u64,
-            stalls: Vec<(StallKind, u64, u64)>,
-        }
-        impl Sink for Capture {
-            fn add(&mut self, _ctr: Ctr, delta: u64) {
-                self.adds += delta;
-            }
-            fn stall(&mut self, kind: StallKind, from: u64, to: u64) {
-                self.stalls.push((kind, from, to));
-            }
-        }
-        let mut c = Capture::default();
-        c.add(Ctr::DemandMisses, 2);
-        c.stall(StallKind::Btb, 5, 9);
-        c.observe(Hist::MissLatency, 1); // defaulted: ignored
-        assert_eq!(c.adds, 2);
-        assert_eq!(c.stalls, vec![(StallKind::Btb, 5, 9)]);
-    }
 
     #[test]
     fn stall_kind_names_are_distinct() {

@@ -3,17 +3,13 @@
 //! [`FaultyReader`] wraps any [`Read`] and injects byte-level damage —
 //! deterministic bit-flips, truncation, short reads, or I/O errors —
 //! so tests can prove the trace readers *detect* damage rather than
-//! silently replaying a different instruction stream. [`FaultyStream`]
-//! wraps any [`InstrStream`] and injects stream-level faults
-//! (early termination, a panic mid-stream) so batch-run crash
-//! isolation can be exercised without hand-writing a broken workload.
+//! silently replaying a different instruction stream.
 //!
-//! All faults are positioned explicitly or derived from a seed via the
-//! same splitmix64 mix used elsewhere in the workspace, so every
-//! injected failure is reproducible from the test's constants.
+//! All faults are positioned explicitly or derived from a seed via
+//! [`splitmix64`], so every injected failure is reproducible from the
+//! test's constants.
 
-use crate::stream::InstrStream;
-use crate::Instr;
+use crate::splitmix64;
 use std::io::{self, Read};
 
 /// One injected byte-stream fault.
@@ -112,13 +108,6 @@ fn seeded_flip(len: usize, seed: u64) -> (u64, u32) {
     (offset, bit)
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl<R: Read> Read for FaultyReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         // Faults that gate how far this call may deliver.
@@ -160,68 +149,10 @@ impl<R: Read> Read for FaultyReader<R> {
     }
 }
 
-/// Stream-level faults for [`FaultyStream`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamFault {
-    /// End the stream (as if the trace were shorter) after `n`
-    /// instructions.
-    TruncateAfter(u64),
-    /// Panic once `n` instructions have been produced — used to
-    /// exercise `catch_unwind` crash isolation in batch runs.
-    PanicAfter(u64),
-}
-
-/// An [`InstrStream`] adapter that injects a stream-level fault.
-#[derive(Clone, Debug)]
-pub struct FaultyStream<S> {
-    inner: S,
-    fault: StreamFault,
-    produced: u64,
-}
-
-impl<S: InstrStream> FaultyStream<S> {
-    /// Wraps `inner`, injecting `fault`.
-    pub fn new(inner: S, fault: StreamFault) -> Self {
-        FaultyStream {
-            inner,
-            fault,
-            produced: 0,
-        }
-    }
-
-    /// Instructions produced so far.
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-}
-
-impl<S: InstrStream> InstrStream for FaultyStream<S> {
-    // Deliberately panics: this adapter exists to *inject* the panic
-    // that crash-isolation tests must survive.
-    #[allow(clippy::panic)]
-    fn next_instr(&mut self) -> Option<Instr> {
-        match self.fault {
-            StreamFault::TruncateAfter(n) if self.produced >= n => None,
-            StreamFault::PanicAfter(n) if self.produced >= n => {
-                panic!("injected fault: stream panicked after {n} instructions")
-            }
-            _ => {
-                let i = self.inner.next_instr();
-                if i.is_some() {
-                    self.produced += 1;
-                }
-                i
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::stream::VecTrace;
-    use crate::InstrKind;
 
     fn bytes(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 7 + 3) as u8).collect()
@@ -299,34 +230,5 @@ mod tests {
         let offsets: std::collections::HashSet<u64> =
             (0..64).map(|s| seeded_flip(100, s).0).collect();
         assert!(offsets.len() > 16);
-    }
-
-    fn mini() -> VecTrace {
-        VecTrace::new(vec![
-            Instr::other(0x1000, 4),
-            Instr::other(0x1004, 4),
-            Instr::branch(0x1008, 4, InstrKind::Jump, 0x2000),
-            Instr::other(0x2000, 4),
-        ])
-    }
-
-    #[test]
-    fn stream_truncation_ends_early() {
-        let mut s = FaultyStream::new(mini(), StreamFault::TruncateAfter(2));
-        assert!(s.next_instr().is_some());
-        assert!(s.next_instr().is_some());
-        assert!(s.next_instr().is_none());
-        assert_eq!(s.produced(), 2);
-    }
-
-    #[test]
-    fn stream_panic_fires_after_n() {
-        let caught = std::panic::catch_unwind(|| {
-            let mut s = FaultyStream::new(mini(), StreamFault::PanicAfter(1));
-            let _ = s.next_instr();
-            let _ = s.next_instr(); // must panic here
-        });
-        let msg = dcfb_errors::panic_message(caught.unwrap_err().as_ref());
-        assert!(msg.contains("injected fault"), "{msg}");
     }
 }

@@ -33,7 +33,7 @@ pub mod isa;
 pub mod memory;
 pub mod stream;
 
-pub use fault::{FaultyReader, FaultyStream, StreamFault};
+pub use fault::FaultyReader;
 pub use file::{
     read_binary, read_binary_checked, read_text, write_binary, write_binary_v1, write_binary_v2,
     write_text, ReadMode, ReadReport,
@@ -69,6 +69,25 @@ pub const BLOCK_BYTES: u64 = 1 << BLOCK_BITS;
 #[inline]
 pub fn block_of(addr: Addr) -> Block {
     addr >> BLOCK_BITS
+}
+
+/// One splitmix64 step (the standard 64-bit finalizer, public-domain
+/// constants): the seed mixer behind every seeded choice in the
+/// workspace's fuzz and fault-injection tooling.
+///
+/// # Examples
+///
+/// ```
+/// use dcfb_trace::splitmix64;
+/// assert_eq!(splitmix64(7), splitmix64(7));
+/// assert_ne!(splitmix64(7), splitmix64(8));
+/// ```
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Returns the first byte address of block `block`.

@@ -16,12 +16,12 @@
 //! * **trace** — `trace:PATH`: an on-disk trace (v1/v2 binary or text,
 //!   including `dcfb import` output), replayed over a [`RecordedCode`]
 //!   reconstruction. [`load_trace`] is the one trace loader (`dcfb
-//!   replay` calls it directly to salvage with `--lenient`), and
+//!   replay` and the chaos campaign call it directly to salvage), and
 //!   [`ResolvedWorkload::window`] is the one rule fitting a run's
 //!   window to a finite trace.
 //!
-//! Every consumer (CLI run/compare/profile/record, the bench sweep and
-//! supervised batches) funnels through [`SourceSpec::parse`] +
+//! Every consumer (CLI run/compare/profile/record and the bench sweep)
+//! funnels through [`SourceSpec::parse`] +
 //! [`SourceSpec::resolve`], so mixes and imported traces are first-class
 //! everywhere a workload name is accepted.
 

@@ -26,14 +26,14 @@ fn main() {
         ours.warmup_instrs = 400_000;
         ours.measure_instrs = 800_000;
         ours.btb.entries = ((ours.btb.entries as f64 * scale) as usize).max(64) / 4 * 4;
-        let ours_rep = run(&source, ours, 42, None).expect("valid config").report;
+        let ours_rep = run(&source, ours, 42).expect("valid config").report;
 
         // Shotgun with all three split-BTB components scaled.
         let mut shot = SimConfig::for_method("Shotgun").expect("method");
         shot.warmup_instrs = 400_000;
         shot.measure_instrs = 800_000;
         shot.prefetcher = PrefetcherKind::Shotgun(ShotgunBtbConfig::scaled(scale));
-        let shot_rep = run(&source, shot, 42, None).expect("valid config").report;
+        let shot_rep = run(&source, shot, 42).expect("valid config").report;
 
         println!(
             "{:>10} {:>13.3} {:>10.3} {:>11.2}x {:>15.1}%",

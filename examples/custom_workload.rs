@@ -82,10 +82,8 @@ fn main() {
     base_cfg.warmup_instrs = cfg.warmup_instrs;
     base_cfg.measure_instrs = cfg.measure_instrs;
     let source = ResolvedWorkload::from_image(image);
-    let base = run(&source, base_cfg, 7, None)
-        .expect("valid config")
-        .report;
-    let r = run(&source, cfg, 7, None).expect("valid config").report;
+    let base = run(&source, base_cfg, 7).expect("valid config").report;
+    let r = run(&source, cfg, 7).expect("valid config").report;
     println!("\nSN4L+Dis+BTB on this workload:");
     println!("  speedup       : {:.2}x", r.speedup_over(&base));
     println!(

@@ -51,7 +51,7 @@ fn main() {
         let mut cfg = SimConfig::for_method(m).expect("known method");
         cfg.warmup_instrs = 500_000;
         cfg.measure_instrs = 1_000_000;
-        let r = run(&source, cfg, 42, None).expect("valid config").report;
+        let r = run(&source, cfg, 42).expect("valid config").report;
         let bw_rate = r.external_requests as f64 / r.instrs.max(1) as f64;
         if m == "Baseline" {
             baseline_ipc = r.ipc();

@@ -28,10 +28,10 @@ fn main() {
     base_cfg.warmup_instrs = cfg.warmup_instrs;
     base_cfg.measure_instrs = cfg.measure_instrs;
     let source = ResolvedWorkload::from_image(w.image(cfg.isa));
-    let b = &run(&source, base_cfg, /* trace seed */ 42, None)
+    let b = &run(&source, base_cfg, /* trace seed */ 42)
         .expect("valid config")
         .report;
-    let r = &run(&source, cfg, 42, None).expect("valid config").report;
+    let r = &run(&source, cfg, 42).expect("valid config").report;
     println!("\n                      baseline    SN4L+Dis+BTB");
     println!("IPC                   {:8.3}    {:8.3}", b.ipc(), r.ipc());
     println!(

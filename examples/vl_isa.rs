@@ -50,7 +50,7 @@ fn main() {
         cfg.uncore.dvllc = dvllc;
         cfg.warmup_instrs = 400_000;
         cfg.measure_instrs = 800_000;
-        let r = run(&source, cfg, 42, None).expect("valid config").report;
+        let r = run(&source, cfg, 42).expect("valid config").report;
         let llc_hit = r.uncore.llc_hits as f64 / r.uncore.requests.max(1) as f64;
         println!(
             "  {label:28}: IPC {:.3}, BTB-miss stalls {:>7}, LLC hit {:.1}%",

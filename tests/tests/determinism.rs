@@ -20,9 +20,7 @@ fn small_workload(seed: u64) -> Workload {
 
 fn simulate(w: &Workload, cfg: SimConfig, trace_seed: u64) -> SimReport {
     let source = ResolvedWorkload::from_image(w.image(cfg.isa));
-    dcfb_sim::run(&source, cfg, trace_seed, None)
-        .unwrap()
-        .report
+    dcfb_sim::run(&source, cfg, trace_seed).unwrap().report
 }
 
 #[test]

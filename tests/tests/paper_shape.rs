@@ -38,7 +38,7 @@ fn run(w: &Workload, method: &str) -> SimReport {
     cfg.warmup_instrs = WARMUP;
     cfg.measure_instrs = MEASURE;
     let source = ResolvedWorkload::from_image(w.image(cfg.isa));
-    dcfb_sim::run(&source, cfg, 42, None)
+    dcfb_sim::run(&source, cfg, 42)
         .expect("valid config")
         .report
 }

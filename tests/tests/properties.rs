@@ -85,7 +85,7 @@ proptest! {
         cfg.warmup_instrs = 20_000;
         cfg.measure_instrs = 50_000;
         let source = ResolvedWorkload::from_image(workload.image(cfg.isa));
-        let r = dcfb_sim::run(&source, cfg, seed, None).unwrap().report;
+        let r = dcfb_sim::run(&source, cfg, seed).unwrap().report;
         prop_assert_eq!(r.instrs, 50_000);
         prop_assert!(r.cycles > 0);
         // Hits + misses = accesses.

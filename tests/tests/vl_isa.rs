@@ -28,7 +28,7 @@ fn run(dvllc: bool) -> dcfb_sim::SimReport {
     cfg.warmup_instrs = 200_000;
     cfg.measure_instrs = 400_000;
     let source = ResolvedWorkload::from_image(vl_workload().image(cfg.isa));
-    dcfb_sim::run(&source, cfg, 9, None).unwrap().report
+    dcfb_sim::run(&source, cfg, 9).unwrap().report
 }
 
 #[test]
@@ -54,7 +54,7 @@ fn vl_isa_prefetching_still_covers_misses() {
     base_cfg.warmup_instrs = 200_000;
     base_cfg.measure_instrs = 400_000;
     let source = ResolvedWorkload::from_image(vl_workload().image(base_cfg.isa));
-    let base = dcfb_sim::run(&source, base_cfg, 9, None).unwrap().report;
+    let base = dcfb_sim::run(&source, base_cfg, 9).unwrap().report;
     let with = run(true);
     assert!(
         with.miss_coverage_over(&base) > 0.4,
