@@ -10,7 +10,10 @@
 //! * Each figure runs under `catch_unwind`, the batch's one
 //!   crash-isolation boundary: a panicking figure (any of its runs
 //!   panicking included) is recorded in the failure summary at the end
-//!   of the document instead of killing the batch.
+//!   of the document instead of killing the batch. The default panic
+//!   hook is silenced while figures run, so a failure prints its
+//!   one-line `[figNN] FAILED` status and no hook message or
+//!   backtrace.
 //! * Completed figures are checkpointed to a JSON file
 //!   (`DCFB_CHECKPOINT`, default `target/all_experiments.checkpoint.json`)
 //!   after each one finishes. `DCFB_RESUME=1` reloads the file and
@@ -76,6 +79,10 @@ fn main() {
         }
         let t0 = Instant::now();
         let inject = fail_figure.as_deref() == Some(id);
+        // The failure summary carries the panic message; the default
+        // hook's report (and backtrace) would only repeat it.
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
         let result = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 // Deliberate: this is the fault-injection knob the
@@ -87,6 +94,7 @@ fn main() {
             }
             gen()
         }));
+        std::panic::set_hook(default_hook);
         match result {
             Ok(table) => {
                 let md = table.to_string();

@@ -42,8 +42,10 @@ fn injected_figure_panic_is_summarized_and_resumable() {
     assert!(stdout.contains("## Failure summary"), "{stdout}");
     assert!(stdout.contains("fig13"), "{stdout}");
     assert!(stdout.contains("injected fault"), "{stdout}");
-    // The batch kept going past the failure.
+    // The batch kept going past the failure, and reported it in one
+    // line rather than through the default panic hook.
     assert!(stderr.contains("[fig13] FAILED"), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
     assert!(stderr.contains("[fig16] regenerated"), "{stderr}");
     // Completed figures were checkpointed; the failed one was not.
     let ckpt = std::fs::read_to_string(&checkpoint).unwrap();

@@ -335,7 +335,7 @@ mod tests {
                 declared: 100,
                 actual: 7,
             }),
-            DcfbError::Config("ftq_entries must be nonzero".into()),
+            DcfbError::Config("measure_instrs must be nonzero".into()),
         ];
         for e in errors {
             let s = e.to_string();

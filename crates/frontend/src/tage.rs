@@ -153,6 +153,12 @@ impl Tage {
         (self.predictions, self.correct)
     }
 
+    /// Resets the accuracy counters, keeping the tables and history.
+    pub fn reset_stats(&mut self) {
+        self.predictions = 0;
+        self.correct = 0;
+    }
+
     /// Prediction accuracy so far, in `[0, 1]`.
     pub fn accuracy(&self) -> f64 {
         if self.predictions == 0 {
@@ -507,6 +513,10 @@ mod tests {
         assert_eq!(fused.accuracy_counters(), (preds, correct));
         assert_eq!(fused.accuracy_counters(), split.accuracy_counters());
         assert!(correct > preds / 2 && correct < preds);
+        // A stats reset zeroes the counters but keeps what was learned.
+        fused.reset_stats();
+        assert_eq!(fused.accuracy_counters(), (0, 0));
+        assert_eq!(fused.predict(0x4000), split.predict(0x4000));
     }
 
     #[test]

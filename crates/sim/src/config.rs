@@ -15,33 +15,37 @@ use dcfb_uncore::UncoreConfig;
 
 pub use dcfb_prefetch::PrefetcherKind;
 
-/// Full machine + experiment configuration.
+/// Frontend width (3-wide dispatch, Table III).
+pub const FETCH_WIDTH: u32 = 3;
+/// MSHR entries (32, Table III).
+pub const MSHRS: usize = 32;
+/// Frontend bubble on a BTB miss for a taken branch (≥ 6 cycles,
+/// §VI-A).
+pub const BTB_MISS_PENALTY: u64 = 9;
+/// Redirect penalty on a direction/target misprediction.
+pub const MISPREDICT_PENALTY: u64 = 9;
+/// Wrong-path blocks fetched past a misprediction (bandwidth
+/// pollution).
+pub const WRONG_PATH_BLOCKS: u64 = 2;
+/// FTQ capacity for the BTB-directed driver (32).
+pub const FTQ_ENTRIES: usize = 32;
+/// Prefetch-buffer capacity when [`SimConfig::use_prefetch_buffer`] is
+/// set.
+pub const PREFETCH_BUFFER_ENTRIES: usize = 64;
+
+/// Full machine + experiment configuration. The fixed Table III
+/// parameters that no experiment varies are the constants above.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Frontend width (3-wide dispatch, Table III).
-    pub fetch_width: u32,
     /// L1i geometry (32 KB, 8-way).
     pub l1i: CacheConfig,
-    /// MSHR entries (32).
-    pub mshrs: usize,
     /// Conventional BTB (2 K entries baseline; 16 K for Confluence;
     /// swept in Fig. 18).
     pub btb: BtbConfig,
-    /// Frontend bubble on a BTB miss for a taken branch (≥ 6 cycles,
-    /// §VI-A).
-    pub btb_miss_penalty: u64,
-    /// Redirect penalty on a direction/target misprediction.
-    pub mispredict_penalty: u64,
-    /// Wrong-path blocks fetched past a misprediction (bandwidth
-    /// pollution).
-    pub wrong_path_blocks: u32,
-    /// FTQ capacity for the BTB-directed driver (32).
-    pub ftq_entries: usize,
-    /// Hold prefetches in a 64-entry buffer next to the L1i instead of
-    /// filling the cache directly (the Fig. 5 NXL methodology).
+    /// Hold prefetches in a [`PREFETCH_BUFFER_ENTRIES`]-entry buffer
+    /// next to the L1i instead of filling the cache directly (the
+    /// Fig. 5 NXL methodology).
     pub use_prefetch_buffer: bool,
-    /// Prefetch-buffer capacity when enabled.
-    pub prefetch_buffer_entries: usize,
     /// All demand accesses hit in the L1i (Fig. 17 "Perfect L1i").
     pub perfect_l1i: bool,
     /// No BTB-miss penalties (Fig. 17 "+ BTB∞").
@@ -67,16 +71,9 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            fetch_width: 3,
             l1i: CacheConfig::l1i(),
-            mshrs: 32,
             btb: BtbConfig::baseline_2k(),
-            btb_miss_penalty: 9,
-            mispredict_penalty: 9,
-            wrong_path_blocks: 2,
-            ftq_entries: 32,
             use_prefetch_buffer: false,
-            prefetch_buffer_entries: 64,
             perfect_l1i: false,
             perfect_btb: false,
             uncore: UncoreConfig::default(),
@@ -229,19 +226,9 @@ impl SimConfig {
             }
         }
 
-        nonzero("fetch_width", u64::from(self.fetch_width))?;
         pow2("l1i sets", self.l1i.sets)?;
         nonzero("l1i ways", self.l1i.ways as u64)?;
-        nonzero("mshrs", self.mshrs as u64)?;
         set_assoc("btb", self.btb.entries, self.btb.ways)?;
-        nonzero("btb_miss_penalty", self.btb_miss_penalty)?;
-        nonzero("ftq_entries", self.ftq_entries as u64)?;
-        if self.use_prefetch_buffer {
-            nonzero(
-                "prefetch_buffer_entries",
-                self.prefetch_buffer_entries as u64,
-            )?;
-        }
         nonzero("warmup_instrs", self.warmup_instrs)?;
         nonzero("measure_instrs", self.measure_instrs)?;
         check_prefetcher(&self.prefetcher)
@@ -260,12 +247,13 @@ mod tests {
     #[test]
     fn default_matches_table_iii() {
         let c = SimConfig::default();
-        assert_eq!(c.fetch_width, 3);
+        assert_eq!(FETCH_WIDTH, 3);
         assert_eq!(c.l1i.size_kib(), 32);
-        assert_eq!(c.mshrs, 32);
+        assert_eq!(MSHRS, 32);
         assert_eq!(c.btb.entries, 2048);
-        assert!(c.btb_miss_penalty >= 6);
-        assert_eq!(c.mispredict_penalty, 9);
+        assert_eq!(FTQ_ENTRIES, 32);
+        const { assert!(BTB_MISS_PENALTY >= 6) };
+        assert_eq!(MISPREDICT_PENALTY, 9);
     }
 
     #[test]
@@ -340,14 +328,6 @@ mod tests {
 
         let mut cfg = SimConfig::default();
         cfg.measure_instrs = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SimConfig::default();
-        cfg.ftq_entries = 0;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SimConfig::default();
-        cfg.mshrs = 0;
         assert!(cfg.validate().is_err());
     }
 

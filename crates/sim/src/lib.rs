@@ -74,4 +74,4 @@ pub mod metrics;
 pub use config::{PrefetcherKind, SimConfig};
 pub use experiment::{geomean, run, Run};
 pub use machine::Simulator;
-pub use metrics::{SimReport, StallKind};
+pub use metrics::SimReport;

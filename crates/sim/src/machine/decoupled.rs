@@ -2,14 +2,15 @@
 //! trace, taken branches need a BTB hit to avoid a decode-detect
 //! bubble, and an optional [`InstrPrefetcher`] observes L1i events.
 
-use super::driver::{Consumed, FrontendDriver, Gate, StallCause};
+use super::driver::{Consumed, FrontendDriver, Gate};
 use super::fetch::class_of;
 use super::memory::DemandOutcome;
 use super::Machine;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, BTB_MISS_PENALTY, MISPREDICT_PENALTY};
 use crate::metrics::SimReport;
 use dcfb_frontend::BtbEntry;
 use dcfb_prefetch::InstrPrefetcher;
+use dcfb_telemetry::StallKind;
 use dcfb_trace::{block_of, Block, Instr, InstrKind};
 
 /// The conventional decoupled frontend (baseline, NL/NXL, SN4L, Dis,
@@ -32,9 +33,7 @@ impl DecoupledDriver {
         // Direction prediction for conditionals.
         let mut mispredicted = false;
         if let InstrKind::CondBranch { taken: actual } = i.kind {
-            let pred = m.tage.update(i.pc, actual);
-            m.note_tage(pred == actual);
-            if pred != actual {
+            if m.tage.update(i.pc, actual) != actual {
                 mispredicted = true;
             }
         }
@@ -103,16 +102,16 @@ impl DecoupledDriver {
             m.ras.push(i.fallthrough());
         }
         if mispredicted {
-            m.wrong_path_traffic(i, cfg.wrong_path_blocks);
+            m.wrong_path_traffic(i);
             return Consumed::Stall {
-                until: m.cycle + cfg.mispredict_penalty,
-                cause: StallCause::Redirect,
+                until: m.cycle + MISPREDICT_PENALTY,
+                cause: StallKind::Redirect,
             };
         }
         if btb_bubble {
             return Consumed::Stall {
-                until: m.cycle + cfg.btb_miss_penalty,
-                cause: StallCause::Btb,
+                until: m.cycle + BTB_MISS_PENALTY,
+                cause: StallKind::Btb,
             };
         }
         if taken {

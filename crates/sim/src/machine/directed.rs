@@ -5,14 +5,14 @@
 //! falls back to fetching directly, one block at a time, until the
 //! blocking branch resolves.
 
-use super::driver::{Consumed, FrontendDriver, Gate, StallCause};
+use super::driver::{Consumed, FrontendDriver, Gate};
 use super::memory::DemandOutcome;
 use super::Machine;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, BTB_MISS_PENALTY, MISPREDICT_PENALTY};
 use crate::metrics::SimReport;
 use dcfb_frontend::{Ftq, FtqEntry};
 use dcfb_prefetch::DiscoveryEngine;
-use dcfb_telemetry::Ctr;
+use dcfb_telemetry::StallKind;
 use dcfb_trace::{Addr, Block, Instr, InstrKind};
 
 /// The BTB-directed frontend (Boomerang, Shotgun).
@@ -80,7 +80,7 @@ impl FrontendDriver for DirectedDriver {
         self.engine.advance(m, &mut self.ftq);
     }
 
-    fn gate(&mut self, m: &mut Machine, cfg: &SimConfig, instr: &Instr, dispatched: u32) -> Gate {
+    fn gate(&mut self, m: &mut Machine, _cfg: &SimConfig, instr: &Instr, dispatched: u32) -> Gate {
         if self.fallback || self.region.is_some() {
             return Gate::Proceed;
         }
@@ -92,8 +92,8 @@ impl FrontendDriver for DirectedDriver {
                     // redirect it to reality.
                     self.redirect(m, instr.pc);
                     return Gate::Stall {
-                        until: m.cycle + cfg.mispredict_penalty,
-                        cause: StallCause::Redirect,
+                        until: m.cycle + MISPREDICT_PENALTY,
+                        cause: StallKind::Redirect,
                     };
                 }
                 self.region = Some(r);
@@ -120,9 +120,6 @@ impl FrontendDriver for DirectedDriver {
                 } else {
                     if dispatched == 0 {
                         m.stats.stall_empty_ftq += 1;
-                        if let Some(t) = m.telem.as_deref_mut() {
-                            t.add(Ctr::StallEmptyFtqCycles, 1);
-                        }
                     }
                     Gate::EndCycle
                 }
@@ -132,14 +129,13 @@ impl FrontendDriver for DirectedDriver {
 
     fn after_demand(&mut self, _m: &mut Machine, _block: Block, _outcome: &DemandOutcome) {}
 
-    fn consume(&mut self, m: &mut Machine, cfg: &SimConfig, instr: &Instr) -> Consumed {
+    fn consume(&mut self, m: &mut Machine, _cfg: &SimConfig, instr: &Instr) -> Consumed {
         if self.fallback {
             // Direct-fetch fallback: train predictors and retire-side
             // learning, then restart discovery at the first resolved
             // control transfer.
             if let InstrKind::CondBranch { taken } = instr.kind {
-                let pred = m.tage.update(instr.pc, taken);
-                m.note_tage(pred == taken);
+                m.tage.update(instr.pc, taken);
             }
             let _ = self.arch_ras_note(instr);
             self.engine.on_retire(instr);
@@ -149,8 +145,8 @@ impl FrontendDriver for DirectedDriver {
                 // resolution bubble.
                 self.redirect(m, instr.next_pc());
                 return Consumed::Stall {
-                    until: m.cycle + cfg.btb_miss_penalty,
-                    cause: StallCause::Btb,
+                    until: m.cycle + BTB_MISS_PENALTY,
+                    cause: StallKind::Btb,
                 };
             }
             return Consumed::Continue;
@@ -161,9 +157,7 @@ impl FrontendDriver for DirectedDriver {
         // achieves, which our history-stale discovery pass cannot.
         let mut would_predict_correctly = false;
         if let InstrKind::CondBranch { taken } = instr.kind {
-            let pred = m.tage.update(instr.pc, taken);
-            m.note_tage(pred == taken);
-            would_predict_correctly = pred == taken;
+            would_predict_correctly = m.tage.update(instr.pc, taken) == taken;
         }
         // Architectural RAS (for speculative-RAS repair on squash).
         if matches!(instr.kind, InstrKind::Return) {
@@ -190,12 +184,12 @@ impl FrontendDriver for DirectedDriver {
                     let penalty = if would_predict_correctly {
                         2
                     } else {
-                        m.wrong_path_traffic(instr, cfg.wrong_path_blocks);
-                        cfg.mispredict_penalty
+                        m.wrong_path_traffic(instr);
+                        MISPREDICT_PENALTY
                     };
                     return Consumed::Stall {
                         until: m.cycle + penalty,
-                        cause: StallCause::Redirect,
+                        cause: StallKind::Redirect,
                     };
                 }
                 if instr.redirects() {

@@ -23,22 +23,12 @@ use super::decoupled::DecoupledDriver;
 use super::directed::DirectedDriver;
 use super::memory::DemandOutcome;
 use super::Machine;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, FTQ_ENTRIES};
 use crate::metrics::SimReport;
 use dcfb_frontend::Ftq;
 use dcfb_prefetch::DriverPlan;
+use dcfb_telemetry::StallKind;
 use dcfb_trace::{Addr, Block, Instr};
-
-/// Why fetch is stalled (the Table I attribution).
-#[derive(Clone, Copy, Debug)]
-pub enum StallCause {
-    /// Waiting on an instruction block below the L1i.
-    L1i,
-    /// A taken branch missed the BTB: decode-detect bubble.
-    Btb,
-    /// A squash: misprediction or discovery-engine resteer.
-    Redirect,
-}
 
 /// What [`FrontendDriver::gate`] decided about fetching the next
 /// instruction this cycle.
@@ -54,7 +44,7 @@ pub enum Gate {
         /// Cycle the stall ends.
         until: u64,
         /// Attribution of the stalled cycles.
-        cause: StallCause,
+        cause: StallKind,
     },
 }
 
@@ -72,7 +62,7 @@ pub enum Consumed {
         /// Cycle the stall ends.
         until: u64,
         /// Attribution of the stalled cycles.
-        cause: StallCause,
+        cause: StallKind,
     },
 }
 
@@ -165,7 +155,7 @@ impl Driver {
         match cfg.prefetcher.build(cfg.isa, start_pc) {
             DriverPlan::Decoupled(pf) => Driver::Decoupled(DecoupledDriver::new(pf)),
             DriverPlan::Directed(engine) => {
-                Driver::Directed(DirectedDriver::new(engine, Ftq::new(cfg.ftq_entries)))
+                Driver::Directed(DirectedDriver::new(engine, Ftq::new(FTQ_ENTRIES)))
             }
         }
     }

@@ -1,8 +1,9 @@
 //! The fetch core: pre-decode served from the per-run branch store
-//! (with the DV-LLC footprint view for variable-length ISAs), TAGE
-//! accuracy bookkeeping, and the bounded wrong-path traffic model.
+//! (with the DV-LLC footprint view for variable-length ISAs) and the
+//! bounded wrong-path traffic model.
 
 use super::Machine;
+use crate::config::WRONG_PATH_BLOCKS;
 use dcfb_cache::footprint::{BranchFootprint, BF_CAPACITY};
 use dcfb_frontend::{BranchClass, BranchSpan};
 use dcfb_trace::{block_of, block_offset, Block, Instr, InstrKind};
@@ -42,22 +43,17 @@ impl Machine {
         bf
     }
 
-    pub(crate) fn note_tage(&mut self, correct: bool) {
-        self.tage_predictions += 1;
-        self.tage_correct += u64::from(correct);
-    }
-
     /// Bounded wrong-path fetches past a mispredicted branch: they
     /// consume external bandwidth and NoC/LLC capacity but are squashed
     /// before polluting the L1i.
-    pub(crate) fn wrong_path_traffic(&mut self, i: &Instr, wrong_path_blocks: u32) {
+    pub(crate) fn wrong_path_traffic(&mut self, i: &Instr) {
         let wrong_start = if i.redirects() {
             i.fallthrough() // predicted not-taken path
         } else {
             i.target // predicted taken path
         };
         let base = block_of(wrong_start);
-        for k in 0..u64::from(wrong_path_blocks) {
+        for k in 0..WRONG_PATH_BLOCKS {
             let b = base + k;
             if !self.l1i.contains(b) && !self.mshr.contains(b) {
                 let _ = self.uncore.access(self.cycle, b, false, true);

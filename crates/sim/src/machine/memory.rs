@@ -6,7 +6,7 @@ use super::Machine;
 use dcfb_cache::LineFlags;
 use dcfb_cache::MshrOutcome;
 use dcfb_prefetch::InstrPrefetcher;
-use dcfb_telemetry::{Ctr, Hist, PfSource};
+use dcfb_telemetry::{Hist, PfSource};
 use dcfb_trace::Block;
 
 /// Outcome of a demand access against the memory plane.
@@ -40,11 +40,6 @@ impl Machine {
         let is_prefetch = source.is_prefetch();
         if self.mshr.is_full() {
             self.stats.dropped_prefetches += u64::from(is_prefetch);
-            if is_prefetch {
-                if let Some(t) = self.telem.as_deref_mut() {
-                    t.pf_dropped();
-                }
-            }
             return None;
         }
         let res = self.uncore.access(self.cycle, block, is_prefetch, true);
@@ -52,6 +47,7 @@ impl Machine {
         match self.mshr.allocate(block, self.cycle, ready, source) {
             MshrOutcome::Allocated => {
                 if is_prefetch {
+                    self.stats.issued_prefetches += 1;
                     if let Some(t) = self.telem.as_deref_mut() {
                         t.pf_issued(block, source);
                     }
@@ -146,17 +142,13 @@ impl Machine {
                 was_prefetched: false,
             };
         }
-        if let Some(t) = self.telem.as_deref_mut() {
-            t.add(Ctr::DemandAccesses, 1);
-        }
         if self.l1i.demand_access(block) {
             let was_pref = self.prefetch_latency.remove(&block).map(|lat| {
                 self.stats.cmal_covered += lat as f64;
                 self.stats.cmal_total += lat as f64;
             });
-            if let Some(t) = self.telem.as_deref_mut() {
-                t.add(Ctr::DemandHits, 1);
-                if was_pref.is_some() {
+            if was_pref.is_some() {
+                if let Some(t) = self.telem.as_deref_mut() {
                     t.pf_hit(block);
                 }
             }
@@ -176,7 +168,6 @@ impl Machine {
                 self.stats.cmal_total += lat;
                 self.stats.buffer_hits += 1;
                 if let Some(t) = self.telem.as_deref_mut() {
-                    t.add(Ctr::BufferHits, 1);
                     t.pf_hit(block);
                 }
                 return DemandOutcome::Hit {
@@ -186,7 +177,6 @@ impl Machine {
         }
         self.classify_miss(block);
         if let Some(t) = self.telem.as_deref_mut() {
-            t.add(Ctr::DemandMisses, 1);
             t.pf_demand_miss(block);
         }
         // In flight already?
@@ -210,9 +200,6 @@ impl Machine {
             };
         }
         self.stats.uncovered_misses += 1;
-        if let Some(t) = self.telem.as_deref_mut() {
-            t.add(Ctr::UncoveredMisses, 1);
-        }
         match self.request_below(block, PfSource::Demand, 0) {
             Some(ready) => {
                 if let Some(t) = self.telem.as_deref_mut() {
@@ -231,19 +218,10 @@ impl Machine {
     }
 
     fn classify_miss(&mut self, block: Block) {
-        let ctr = match self.prev_demand_block {
-            Some(prev) if block == prev + 1 => {
-                self.stats.seq_misses += 1;
-                Ctr::SeqMisses
-            }
-            Some(prev) if block == prev => return,
-            _ => {
-                self.stats.disc_misses += 1;
-                Ctr::DiscMisses
-            }
-        };
-        if let Some(t) = self.telem.as_deref_mut() {
-            t.add(ctr, 1);
+        match self.prev_demand_block {
+            Some(prev) if block == prev + 1 => self.stats.seq_misses += 1,
+            Some(prev) if block == prev => {}
+            _ => self.stats.disc_misses += 1,
         }
     }
 

@@ -50,24 +50,26 @@ pub mod sim;
 #[cfg(test)]
 mod tests;
 
-pub use driver::{build_driver, Consumed, FrontendDriver, Gate, StallCause};
+pub use driver::{build_driver, Consumed, FrontendDriver, Gate};
 pub use memory::DemandOutcome;
 pub use sim::Simulator;
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MSHRS, PREFETCH_BUFFER_ENTRIES};
 use dcfb_cache::{Completion, MshrFile, PrefetchBuffer, SetAssocCache};
 use dcfb_frontend::{BranchStore, Btb, ReturnAddressStack, Tage, TageConfig};
 use dcfb_prefetch::{BtbPrefetchBuffer, RecentInstrs};
-use dcfb_telemetry::{RunTelemetry, TelemetryConfig};
+use dcfb_telemetry::{RunTelemetry, StallKind, TelemetryConfig};
 use dcfb_trace::{Block, CodeMemory};
 use dcfb_uncore::Uncore;
 use fxhash::FxHashMap;
 use std::sync::Arc;
 
-/// Counters accumulated while running (reset after warmup).
+/// Counters accumulated while running (reset after warmup). Together
+/// with the L1i, uncore, BTB and TAGE statistics they are the single
+/// record of a run: the report and the telemetry document's counters
+/// are both read from them.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RawStats {
-    pub(crate) cycles: u64,
     pub(crate) instrs: u64,
     pub(crate) seq_misses: u64,
     pub(crate) disc_misses: u64,
@@ -75,11 +77,15 @@ pub(crate) struct RawStats {
     pub(crate) stall_btb: u64,
     pub(crate) stall_redirect: u64,
     pub(crate) stall_empty_ftq: u64,
+    /// Stall events, indexed by [`StallKind`].
+    pub(crate) stall_events: [u64; StallKind::COUNT],
     pub(crate) cmal_covered: f64,
     pub(crate) cmal_total: f64,
     pub(crate) late_prefetches: u64,
     pub(crate) uncovered_misses: u64,
     pub(crate) dropped_prefetches: u64,
+    /// Prefetches that allocated an MSHR.
+    pub(crate) issued_prefetches: u64,
     /// Demand misses absorbed by the prefetch buffer (re-credited as
     /// hits in the report).
     pub(crate) buffer_hits: u64,
@@ -124,8 +130,6 @@ pub struct Machine {
     pub(crate) fill_scratch: Vec<Completion>,
     pub(crate) perfect_l1i: bool,
     pub(crate) stats: RawStats,
-    pub(crate) tage_predictions: u64,
-    pub(crate) tage_correct: u64,
     /// The telemetry recorder, present only when
     /// [`SimConfig::telemetry`] is set. Every instrumentation site
     /// guards on this option, so the off-mode cost is one never-taken
@@ -144,8 +148,8 @@ impl Machine {
             l1i: SetAssocCache::new(cfg.l1i),
             pf_buffer: cfg
                 .use_prefetch_buffer
-                .then(|| PrefetchBuffer::new(cfg.prefetch_buffer_entries)),
-            mshr: MshrFile::new(cfg.mshrs),
+                .then(|| PrefetchBuffer::new(PREFETCH_BUFFER_ENTRIES)),
+            mshr: MshrFile::new(MSHRS),
             uncore: Uncore::new(cfg.uncore.clone()),
             btb: Btb::new(cfg.btb),
             btb_buffer: BtbPrefetchBuffer::paper_sized(),
@@ -161,8 +165,6 @@ impl Machine {
             fill_scratch: Vec::new(),
             perfect_l1i: cfg.perfect_l1i,
             stats: RawStats::default(),
-            tage_predictions: 0,
-            tage_correct: 0,
             telem: cfg
                 .telemetry
                 .then(|| Box::new(RunTelemetry::new(TelemetryConfig::default()))),

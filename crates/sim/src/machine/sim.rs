@@ -2,15 +2,13 @@
 //! every frontend driver, plus warmup/measurement orchestration, the
 //! decoupled-core retire model, stall accounting, and report assembly.
 
-use super::driver::{Consumed, Driver, FrontendDriver, Gate, StallCause};
+use super::driver::{Consumed, Driver, FrontendDriver, Gate};
 use super::memory::DemandOutcome;
 use super::{Machine, RawStats};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, FETCH_WIDTH};
 use crate::metrics::SimReport;
 use dcfb_errors::DcfbError;
-use dcfb_telemetry::{
-    CycleSample, RunMeta, RunTelemetry, StallKind as TelemetryStall, TelemetryReport,
-};
+use dcfb_telemetry::{CycleSample, RunCounts, RunMeta, RunTelemetry, StallKind, TelemetryReport};
 use dcfb_trace::{Addr, CodeMemory, Instr, InstrStream};
 use dcfb_workloads::ProgramImage;
 use std::sync::Arc;
@@ -173,9 +171,7 @@ impl Simulator {
             // `min_fetch.ceil()` without the libm call: `min_fetch` is
             // positive here, so the cast truncates to its floor.
             let floor = min_fetch as u64;
-            let target = floor + u64::from((floor as f64) < min_fetch);
-            self.machine.stats.cycles += target - self.machine.cycle;
-            self.machine.cycle = target;
+            self.machine.cycle = floor + u64::from((floor as f64) < min_fetch);
         }
     }
 
@@ -189,6 +185,7 @@ impl Simulator {
             cycle: m.cycle,
             instrs: m.stats.instrs,
             demand_misses: m.l1i.stats().demand_misses,
+            pf_issued: m.stats.issued_prefetches,
             btb_lookups: btb.lookups,
             btb_hits: btb.hits,
             rlu_lookups: rlu.map_or(0, |(l, _)| l),
@@ -226,11 +223,28 @@ impl Simulator {
         let final_sample = self.cycle_sample();
         let telem = self.machine.telem.take()?;
         let r = self.report();
+        let (s, l1i) = (&self.machine.stats, self.machine.l1i.stats());
+        let counts = RunCounts {
+            demand_accesses: l1i.demand_accesses,
+            demand_hits: l1i.demand_hits,
+            demand_misses: l1i.demand_misses.saturating_sub(s.buffer_hits),
+            buffer_hits: s.buffer_hits,
+            seq_misses: s.seq_misses,
+            disc_misses: s.disc_misses,
+            uncovered_misses: s.uncovered_misses,
+            pf_issued: s.issued_prefetches,
+            pf_dropped: s.dropped_prefetches,
+            pf_late: s.late_prefetches,
+            stall_events: s.stall_events,
+            stall_cycles: [s.stall_l1i, s.stall_btb, s.stall_redirect],
+            stall_empty_ftq_cycles: s.stall_empty_ftq,
+        };
         let meta = RunMeta {
             workload: r.workload,
             method: r.method,
             cycles: r.cycles,
             instrs: r.instrs,
+            counts,
         };
         Some(telem.finalize(&meta, &final_sample))
     }
@@ -250,8 +264,7 @@ impl Simulator {
         self.machine.l1i.reset_stats();
         self.machine.uncore.reset_stats();
         self.machine.btb.reset_stats();
-        self.machine.tage_predictions = 0;
-        self.machine.tage_correct = 0;
+        self.machine.tage.reset_stats();
         self.driver.on_reset();
     }
 
@@ -303,11 +316,7 @@ impl Simulator {
             shotgun_btb: None,
             shotgun: None,
             storage_bits: 0,
-            branch_accuracy: if m.tage_predictions == 0 {
-                0.0
-            } else {
-                m.tage_correct as f64 / m.tage_predictions as f64
-            },
+            branch_accuracy: m.tage.accuracy(),
             dropped_prefetches: m.stats.dropped_prefetches,
             buffer_hits: m.stats.buffer_hits,
         };
@@ -318,16 +327,15 @@ impl Simulator {
     // ---- the shared per-cycle loop ----
 
     /// One simulated cycle: begin-cycle driver work, then fetch up to
-    /// `fetch_width` instructions gated and post-processed by the
+    /// [`FETCH_WIDTH`] instructions gated and post-processed by the
     /// driver, then end-of-cycle driver work (unless a stall ended the
     /// cycle early).
     fn step<S: InstrStream>(&mut self, stream: &mut S, target: u64) {
         self.machine.cycle += 1;
-        self.machine.stats.cycles += 1;
         self.telemetry_tick();
         self.driver.begin_cycle(&mut self.machine);
         let mut dispatched = 0u32;
-        while dispatched < self.cfg.fetch_width && self.machine.stats.instrs < target {
+        while dispatched < FETCH_WIDTH && self.machine.stats.instrs < target {
             if self.pending.is_none() {
                 self.pending = stream.next_instr();
             }
@@ -357,11 +365,11 @@ impl Simulator {
                         if had_prefetch {
                             self.machine.account_late_prefetch(ready_at);
                         }
-                        self.stall(ready_at, StallCause::L1i);
+                        self.stall(ready_at, StallKind::L1i);
                         return;
                     }
                     DemandOutcome::Retry => {
-                        self.stall(self.machine.cycle + 1, StallCause::L1i);
+                        self.stall(self.machine.cycle + 1, StallKind::L1i);
                         return;
                     }
                 }
@@ -387,36 +395,31 @@ impl Simulator {
 
     /// Advances to `until`, attributing stall cycles and pumping the
     /// prefetcher/discovery engines while waiting.
-    fn stall(&mut self, until: u64, cause: StallCause) {
+    fn stall(&mut self, until: u64, cause: StallKind) {
         let from = self.machine.cycle;
         if until <= from {
             return;
         }
         let span = until - from;
         if let Some(t) = self.machine.telem.as_deref_mut() {
-            let kind = match cause {
-                StallCause::L1i => TelemetryStall::L1i,
-                StallCause::Btb => TelemetryStall::Btb,
-                StallCause::Redirect => TelemetryStall::Redirect,
-            };
-            t.stall(kind, from, until);
+            t.stall(cause, from, until);
         }
+        self.machine.stats.stall_events[cause as usize] += 1;
         match cause {
-            StallCause::L1i => self.machine.stats.stall_l1i += span,
+            StallKind::L1i => self.machine.stats.stall_l1i += span,
             // Squashes (undetected taken branches, mispredictions)
             // restart the pipeline: the backend refills for ~penalty
             // cycles and retires nothing, so the cost is visible at the
             // retire clock no matter how much fetch-ahead was buffered.
-            StallCause::Btb => {
+            StallKind::Btb => {
                 self.machine.stats.stall_btb += span;
                 self.retire_clock += span as f64;
             }
-            StallCause::Redirect => {
+            StallKind::Redirect => {
                 self.machine.stats.stall_redirect += span;
                 self.retire_clock += span as f64;
             }
         }
-        self.machine.stats.cycles += span;
         // Pump background engines a bounded number of times during the
         // stall, then jump the clock.
         let resume = self.machine.cycle;

@@ -3,9 +3,10 @@
 //! per-cycle loop in isolation.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use super::{Consumed, DemandOutcome, FrontendDriver, Gate, Machine, Simulator, StallCause};
+use super::{Consumed, DemandOutcome, FrontendDriver, Gate, Machine, Simulator};
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
+use dcfb_telemetry::StallKind;
 use dcfb_trace::{Block, Instr, IsaMode};
 use dcfb_workloads::{ProgramImage, WorkloadParams};
 use std::cell::Cell;
@@ -317,14 +318,41 @@ fn telemetry_classifies_every_issued_prefetch() {
         report.doc.timeliness.iter().any(|t| t.source == "btb_pf"),
         "BTB-prefetch rows missing"
     );
-    // Counters cross-check the simulation report.
-    assert_eq!(report.doc.counter("seq_misses"), Some(r.seq_misses));
-    assert_eq!(report.doc.counter("disc_misses"), Some(r.disc_misses));
+    // Every counter telemetry reports that the simulation report also
+    // carries is the same count (no prefetch buffer here, so the
+    // report's re-credit leaves the L1i demand misses unchanged).
+    assert_eq!(r.buffer_hits, 0);
+    for (name, want) in [
+        ("demand_accesses", r.l1i.demand_accesses),
+        ("demand_hits", r.l1i.demand_hits),
+        ("demand_misses", r.l1i.demand_misses),
+        ("buffer_hits", r.buffer_hits),
+        ("seq_misses", r.seq_misses),
+        ("disc_misses", r.disc_misses),
+        ("uncovered_misses", r.uncovered_misses),
+        ("pf_dropped", r.dropped_prefetches),
+        ("pf_late", r.late_prefetches),
+        ("stall_l1i_cycles", r.stall_l1i),
+        ("stall_btb_cycles", r.stall_btb),
+        ("stall_redirect_cycles", r.stall_redirect),
+        ("stall_empty_ftq_cycles", r.stall_empty_ftq),
+    ] {
+        assert_eq!(report.doc.counter(name), Some(want), "{name}");
+    }
+    assert!(r.late_prefetches > 0 && r.stall_btb > 0 && r.stall_redirect > 0);
+    // Issued prefetches are the sum of the timeliness rows' MSHR
+    // issues (the BTB prefetch buffer's fills are not MSHR issues).
+    let btb_pf_issued: u64 = report
+        .doc
+        .timeliness
+        .iter()
+        .filter(|t| t.source == "btb_pf")
+        .map(|t| t.issued)
+        .sum();
     assert_eq!(
-        report.doc.counter("uncovered_misses"),
-        Some(r.uncovered_misses)
+        report.doc.counter("pf_issued"),
+        Some(issued_total - btb_pf_issued)
     );
-    assert_eq!(report.doc.counter("stall_l1i_cycles"), Some(r.stall_l1i));
     // Time series covers the measured instructions.
     let series_instrs: u64 = report.doc.series.iter().map(|row| row[2]).sum();
     assert_eq!(series_instrs, r.instrs, "windows must partition the run");
@@ -340,9 +368,14 @@ fn telemetry_tracks_directed_frontend_ftq() {
     cfg.telemetry = true;
     let mut sim = Simulator::new(cfg, Arc::clone(&image));
     let mut walker = dcfb_workloads::Walker::new(image, 5);
-    sim.run(&mut walker);
+    let r = sim.run(&mut walker);
     let report = sim.take_telemetry().expect("telemetry enabled");
     report.doc.validate().expect("valid doc");
+    assert!(r.stall_empty_ftq > 0, "Boomerang must starve its FTQ");
+    assert_eq!(
+        report.doc.counter("stall_empty_ftq_cycles"),
+        Some(r.stall_empty_ftq)
+    );
     // FTQ occupancy is only observable on the directed frontend.
     let ftq = report
         .doc
@@ -376,6 +409,20 @@ fn telemetry_buffer_mode_attributes_buffer_hits() {
     let report = sim.take_telemetry().expect("telemetry enabled");
     report.doc.validate().expect("valid doc");
     assert_eq!(report.doc.counter("buffer_hits"), Some(r.buffer_hits));
+    // The report re-credits buffer absorptions as L1i hits; telemetry
+    // reports the raw L1i hits and the misses the buffer left over.
+    assert_eq!(
+        report.doc.counter("demand_hits"),
+        Some(r.l1i.demand_hits - r.buffer_hits)
+    );
+    assert_eq!(
+        report.doc.counter("demand_misses"),
+        Some(r.l1i.demand_misses)
+    );
+    assert_eq!(
+        report.doc.counter("demand_accesses"),
+        Some(r.l1i.demand_accesses)
+    );
     let row = report
         .doc
         .timeliness
@@ -450,7 +497,7 @@ impl FrontendDriver for MockDriver {
         match self.gate_calls {
             MOCK_GATE_STALL_AT => Gate::Stall {
                 until: m.cycle + MOCK_REDIRECT_SPAN,
-                cause: StallCause::Redirect,
+                cause: StallKind::Redirect,
             },
             c if c == MOCK_GATE_STALL_AT + 1 => {
                 assert_eq!(dispatched, 0, "fresh cycle after a Gate stall");
@@ -468,7 +515,7 @@ impl FrontendDriver for MockDriver {
         match self.consume_calls {
             MOCK_CONSUME_STALL_AT => Consumed::Stall {
                 until: m.cycle + MOCK_BTB_SPAN,
-                cause: StallCause::Btb,
+                cause: StallKind::Btb,
             },
             MOCK_END_GROUP_AT => Consumed::EndGroup,
             _ => Consumed::Continue,
@@ -497,12 +544,14 @@ impl FrontendDriver for MockDriver {
     fn finish_report(&self, _r: &mut SimReport) {}
 }
 
-#[test]
-fn mock_driver_exercises_the_shared_loop() {
+/// Runs the mock driver over 100 warmup + 5 000 measured
+/// instructions, with telemetry on or off.
+fn run_mock(telemetry: bool) -> (Simulator, SimReport, Rc<MockLog>) {
     let image = tiny_image();
     let mut cfg = quick_cfg("Baseline");
     cfg.warmup_instrs = 100;
     cfg.measure_instrs = 5_000;
+    cfg.telemetry = telemetry;
     let log = Rc::new(MockLog::default());
     let driver = Box::new(MockDriver {
         log: Rc::clone(&log),
@@ -514,6 +563,12 @@ fn mock_driver_exercises_the_shared_loop() {
     let mut sim = Simulator::try_with_driver(cfg, code, name, driver).expect("valid config");
     let mut walker = dcfb_workloads::Walker::new(image, 5);
     let r = sim.run(&mut walker);
+    (sim, r, log)
+}
+
+#[test]
+fn mock_driver_exercises_the_shared_loop() {
+    let (_, r, log) = run_mock(false);
 
     // The loop ran to the instruction target with no real frontend.
     assert_eq!(r.instrs, 5_000);
@@ -537,6 +592,30 @@ fn mock_driver_exercises_the_shared_loop() {
         log.end_cycles.get() > 0,
         "EndCycle path must complete cycles"
     );
+}
+
+#[test]
+fn telemetry_counts_each_driver_stall_once() {
+    // The mock injects exactly one redirect and one BTB stall in the
+    // measured window: the document's stall counters are the loop's
+    // own statistics, and each stall is one trace span.
+    let (mut sim, r, _) = run_mock(true);
+    let report = sim.take_telemetry().expect("telemetry enabled");
+    let doc = &report.doc;
+    assert_eq!(doc.counter("stall_redirect_events"), Some(1));
+    assert_eq!(
+        doc.counter("stall_redirect_cycles"),
+        Some(MOCK_REDIRECT_SPAN)
+    );
+    assert_eq!(doc.counter("stall_btb_events"), Some(1));
+    assert_eq!(doc.counter("stall_btb_cycles"), Some(MOCK_BTB_SPAN));
+    assert_eq!(doc.counter("stall_l1i_cycles"), Some(r.stall_l1i));
+    let spans = |name: &str| report.events.iter().filter(|e| e.name == name).count() as u64;
+    assert_eq!(spans("redirect_stall"), 1);
+    assert_eq!(spans("btb_stall"), 1);
+    assert_eq!(Some(spans("l1i_stall")), doc.counter("stall_l1i_events"));
+    // The run itself is the telemetry-off run.
+    assert_eq!(r.cycles, run_mock(false).1.cycles);
 }
 
 /// The branch store against the uncached pre-decoder it replaces, for

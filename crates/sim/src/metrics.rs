@@ -5,19 +5,6 @@ use dcfb_frontend::{BtbStats, ShotgunBtbStats};
 use dcfb_prefetch::shotgun::ShotgunStats;
 use dcfb_uncore::UncoreStats;
 
-/// Why the frontend delivered no instructions in a cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum StallKind {
-    /// Waiting for a demanded instruction block (L1i miss).
-    L1iMiss,
-    /// BTB-miss bubble (taken branch undiscovered at fetch).
-    BtbMiss,
-    /// Pipeline redirect after a misprediction.
-    Redirect,
-    /// BTB-directed frontend drained its FTQ (Table I).
-    EmptyFtq,
-}
-
 /// Everything measured during one simulation run.
 #[derive(Clone, Debug, Default)]
 pub struct SimReport {

@@ -1,11 +1,39 @@
-//! Typed counters backed by a fixed array — no hashing, no
-//! allocation, one add is one array write.
+//! The metrics document's scalar counters: [`Ctr`], their ordered name
+//! table, and [`RunCounts`], the machine statistics they are read
+//! from. The recorder keeps no copy of these counts; the simulator
+//! hands them over once, when the run is finalized.
 
-/// Every scalar counter the simulator records.
+/// Why the fetch engine stalled (the Table I attribution).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+pub enum StallKind {
+    /// Waiting on an instruction block below the L1i.
+    L1i = 0,
+    /// A taken branch missed the BTB: decode-detect bubble.
+    Btb,
+    /// A squash: misprediction or discovery-engine resteer.
+    Redirect,
+}
+
+impl StallKind {
+    /// Number of stall kinds.
+    pub const COUNT: usize = 3;
+
+    /// Display name used in trace events.
+    pub fn name(self) -> &'static str {
+        match self {
+            StallKind::L1i => "l1i_stall",
+            StallKind::Btb => "btb_stall",
+            StallKind::Redirect => "redirect_stall",
+        }
+    }
+}
+
+/// Every scalar counter of the metrics document, in schema order.
 ///
-/// Adding a variant requires extending [`Ctr::ALL`] and
-/// [`Ctr::name`]; the metrics schema emits counters by name so old
-/// documents stay parseable when new counters appear.
+/// Adding a variant requires extending [`Ctr::ALL`], [`Ctr::name`] and
+/// [`RunCounts::dump`]; the metrics schema emits counters by name so
+/// old documents stay parseable when new counters appear.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Ctr {
@@ -13,7 +41,7 @@ pub enum Ctr {
     DemandAccesses = 0,
     /// L1i demand hits (including prefetched lines).
     DemandHits,
-    /// L1i demand misses (before prefetch-buffer salvage).
+    /// L1i demand misses (after prefetch-buffer salvage).
     DemandMisses,
     /// Demand misses served from the prefetch buffer.
     BufferHits,
@@ -23,7 +51,7 @@ pub enum Ctr {
     DiscMisses,
     /// Misses with no prefetch in flight at all.
     UncoveredMisses,
-    /// Prefetches that allocated an MSHR (or filled the BTB buffer).
+    /// Prefetches that allocated an MSHR.
     PfIssued,
     /// Prefetches dropped for lack of MSHR capacity.
     PfDropped,
@@ -98,39 +126,73 @@ impl Ctr {
     }
 }
 
-/// A fixed array of all counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CounterSet {
-    values: [u64; Ctr::COUNT],
+/// The measured window's machine statistics behind every counter but
+/// [`Ctr::TraceEventsDropped`] (which the recorder keeps itself).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// L1i demand lookups.
+    pub demand_accesses: u64,
+    /// L1i demand hits, before prefetch-buffer absorptions are
+    /// re-credited as hits.
+    pub demand_hits: u64,
+    /// L1i demand misses the prefetch buffer did not absorb.
+    pub demand_misses: u64,
+    /// Demand misses served from the prefetch buffer.
+    pub buffer_hits: u64,
+    /// Sequential misses.
+    pub seq_misses: u64,
+    /// Discontinuity misses.
+    pub disc_misses: u64,
+    /// Misses with no prefetch in flight.
+    pub uncovered_misses: u64,
+    /// Prefetches that allocated an MSHR.
+    pub pf_issued: u64,
+    /// Prefetches dropped for lack of MSHR capacity.
+    pub pf_dropped: u64,
+    /// Demand misses that merged onto an in-flight prefetch.
+    pub pf_late: u64,
+    /// Stall events, indexed by [`StallKind`].
+    pub stall_events: [u64; StallKind::COUNT],
+    /// Stalled cycles, indexed by [`StallKind`].
+    pub stall_cycles: [u64; StallKind::COUNT],
+    /// Cycles the directed fetcher starved on an empty FTQ.
+    pub stall_empty_ftq_cycles: u64,
 }
 
-impl CounterSet {
-    /// All-zero counters.
-    pub fn new() -> CounterSet {
-        CounterSet::default()
-    }
-
-    /// Adds `delta` to `ctr` (saturating; counters never wrap).
-    pub fn add(&mut self, ctr: Ctr, delta: u64) {
-        let v = &mut self.values[ctr as usize];
-        *v = v.saturating_add(delta);
-    }
-
-    /// Current value of `ctr`.
-    pub fn get(&self, ctr: Ctr) -> u64 {
-        self.values[ctr as usize]
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        self.values = [0; Ctr::COUNT];
-    }
-
-    /// `(name, value)` pairs in index order.
-    pub fn dump(&self) -> Vec<(String, u64)> {
+impl RunCounts {
+    /// `(name, value)` pairs for every [`Ctr`], in index order.
+    pub fn dump(&self, trace_events_dropped: u64) -> Vec<(String, u64)> {
+        let (ev, cy) = (&self.stall_events, &self.stall_cycles);
+        let (l1i, btb, redirect) = (
+            StallKind::L1i as usize,
+            StallKind::Btb as usize,
+            StallKind::Redirect as usize,
+        );
         Ctr::ALL
             .iter()
-            .map(|c| (c.name().to_owned(), self.get(*c)))
+            .map(|&c| {
+                let v = match c {
+                    Ctr::DemandAccesses => self.demand_accesses,
+                    Ctr::DemandHits => self.demand_hits,
+                    Ctr::DemandMisses => self.demand_misses,
+                    Ctr::BufferHits => self.buffer_hits,
+                    Ctr::SeqMisses => self.seq_misses,
+                    Ctr::DiscMisses => self.disc_misses,
+                    Ctr::UncoveredMisses => self.uncovered_misses,
+                    Ctr::PfIssued => self.pf_issued,
+                    Ctr::PfDropped => self.pf_dropped,
+                    Ctr::PfLate => self.pf_late,
+                    Ctr::StallL1iEvents => ev[l1i],
+                    Ctr::StallL1iCycles => cy[l1i],
+                    Ctr::StallBtbEvents => ev[btb],
+                    Ctr::StallBtbCycles => cy[btb],
+                    Ctr::StallRedirectEvents => ev[redirect],
+                    Ctr::StallRedirectCycles => cy[redirect],
+                    Ctr::StallEmptyFtqCycles => self.stall_empty_ftq_cycles,
+                    Ctr::TraceEventsDropped => trace_events_dropped,
+                };
+                (c.name().to_owned(), v)
+            })
             .collect()
     }
 }
@@ -139,20 +201,6 @@ impl CounterSet {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn add_get_reset() {
-        let mut c = CounterSet::new();
-        c.add(Ctr::PfIssued, 3);
-        c.add(Ctr::PfIssued, 2);
-        c.add(Ctr::BufferHits, u64::MAX);
-        c.add(Ctr::BufferHits, 1); // saturates, no wrap
-        assert_eq!(c.get(Ctr::PfIssued), 5);
-        assert_eq!(c.get(Ctr::BufferHits), u64::MAX);
-        assert_eq!(c.get(Ctr::DemandMisses), 0);
-        c.reset();
-        assert_eq!(c.get(Ctr::PfIssued), 0);
-    }
 
     #[test]
     fn names_are_unique_and_dense() {
@@ -168,10 +216,36 @@ mod tests {
 
     #[test]
     fn dump_preserves_order() {
-        let mut c = CounterSet::new();
-        c.add(Ctr::DemandAccesses, 7);
-        let d = c.dump();
+        let counts = RunCounts {
+            demand_accesses: 7,
+            stall_cycles: [1, 2, 3],
+            stall_empty_ftq_cycles: 4,
+            ..RunCounts::default()
+        };
+        let d = counts.dump(5);
         assert_eq!(d.len(), Ctr::COUNT);
         assert_eq!(d[0], ("demand_accesses".to_owned(), 7));
+        assert_eq!(d[Ctr::StallL1iCycles as usize].1, 1);
+        assert_eq!(d[Ctr::StallBtbCycles as usize].1, 2);
+        assert_eq!(d[Ctr::StallRedirectCycles as usize].1, 3);
+        assert_eq!(d[Ctr::StallEmptyFtqCycles as usize].1, 4);
+        assert_eq!(d[Ctr::TraceEventsDropped as usize].1, 5);
+        for (i, (name, _)) in d.iter().enumerate() {
+            assert_eq!(name, Ctr::ALL[i].name());
+        }
+    }
+
+    #[test]
+    fn stall_kind_names_are_distinct() {
+        let names = [
+            StallKind::L1i.name(),
+            StallKind::Btb.name(),
+            StallKind::Redirect.name(),
+        ];
+        let mut dedup = names.to_vec();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), StallKind::COUNT);
+        assert_eq!(StallKind::Redirect as usize, StallKind::COUNT - 1);
     }
 }

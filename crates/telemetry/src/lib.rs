@@ -3,10 +3,12 @@
 //!
 //! The subsystem has four layers:
 //!
-//! 1. **Primitives** — typed [`Ctr`] counters in a fixed array
-//!    ([`CounterSet`]), log2-bucketed fixed-size [`Log2Histogram`]s,
+//! 1. **Primitives** — log2-bucketed fixed-size [`Log2Histogram`]s
 //!    and a bounded flight-recorder [`WindowSeries`] of per-window
-//!    samples. None of them allocate on the hot path.
+//!    samples. Neither allocates on the hot path. The document's
+//!    scalar counters ([`Ctr`]) are not recorded here: they are the
+//!    simulator's own statistics ([`RunCounts`]), read once when the
+//!    run is finalized.
 //! 2. **Classification** — [`TimelinessTracker`] implements the
 //!    FDIP-Revisited prefetch-timeliness taxonomy: every issued
 //!    prefetch ends up in exactly one of *accurate*, *late*,
@@ -30,20 +32,18 @@ pub mod doc;
 pub mod hist;
 pub mod json;
 pub mod series;
-pub mod sink;
 pub mod source;
 pub mod timeliness;
 pub mod trace_event;
 
 mod recorder;
 
-pub use counters::{CounterSet, Ctr};
+pub use counters::{Ctr, RunCounts, StallKind};
 pub use doc::{HistDump, MetricsDoc, TimelinessRow, METRICS_SCHEMA, SERIES_COLUMNS};
 pub use hist::{Hist, HistSet, Log2Histogram};
 pub use json::JsonValue;
 pub use recorder::{CycleSample, RunMeta, RunTelemetry, TelemetryConfig, TelemetryReport};
 pub use series::{WindowSample, WindowSeries};
-pub use sink::StallKind;
 pub use source::PfSource;
 pub use timeliness::{TimelinessCounts, TimelinessTracker};
 pub use trace_event::{chrome_trace_json, TraceEvent};

@@ -3,14 +3,18 @@
 //!
 //! The simulator holds `Option<Box<RunTelemetry>>`; with telemetry
 //! off the option is `None` and every instrumentation site reduces to
-//! one never-taken branch, which is how the subsystem meets its
-//! < 2 % off-mode overhead budget.
+//! one never-taken branch.
+//!
+//! The recorder counts nothing the machine already counts: the
+//! document's scalar counters are the machine's own statistics, handed
+//! over in [`RunMeta::counts`] when the run is finalized. What it adds
+//! is the prefetch-timeliness taxonomy, the histograms, the window
+//! series and the trace events.
 
-use crate::counters::{CounterSet, Ctr};
+use crate::counters::{RunCounts, StallKind};
 use crate::doc::{HistDump, MetricsDoc, TimelinessRow, METRICS_SCHEMA, SERIES_COLUMNS};
 use crate::hist::{Hist, HistSet};
 use crate::series::{WindowSample, WindowSeries};
-use crate::sink::StallKind;
 use crate::source::PfSource;
 use crate::timeliness::{TimelinessCounts, TimelinessTracker};
 use crate::trace_event::{chrome_trace_json, TraceEvent};
@@ -23,7 +27,7 @@ pub struct TelemetryConfig {
     /// Maximum retained windows before pairwise coalescing.
     pub series_capacity: usize,
     /// Maximum retained trace events; overflow increments
-    /// [`Ctr::TraceEventsDropped`].
+    /// [`Ctr::TraceEventsDropped`](crate::Ctr::TraceEventsDropped).
     pub max_trace_events: usize,
     /// Early-evicted FIFO window size (per tracker).
     pub evicted_window: usize,
@@ -33,7 +37,7 @@ pub struct TelemetryConfig {
     /// counts and occupancy sums still estimate per-cycle totals.
     /// Window series stay *exact* regardless (they difference
     /// cumulative counters at window boundaries, which telescope), as
-    /// do lifecycle counters and stall spans, which are recorded
+    /// do timeliness events and stall spans, which are recorded
     /// per-event, not per-cycle. 1 disables sampling.
     pub sample_every: u64,
 }
@@ -61,6 +65,8 @@ pub struct CycleSample {
     pub instrs: u64,
     /// L1i demand misses so far.
     pub demand_misses: u64,
+    /// Prefetches that allocated an MSHR so far.
+    pub pf_issued: u64,
     /// BTB lookups so far.
     pub btb_lookups: u64,
     /// BTB hits so far.
@@ -75,17 +81,6 @@ pub struct CycleSample {
     pub mshr_occupancy: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Cumulative {
-    instrs: u64,
-    demand_misses: u64,
-    pf_issued: u64,
-    btb_lookups: u64,
-    btb_hits: u64,
-    rlu_lookups: u64,
-    rlu_hits: u64,
-}
-
 /// Identity and totals of the finished run, supplied at
 /// [`RunTelemetry::finalize`] time.
 #[derive(Clone, Debug, Default)]
@@ -98,6 +93,9 @@ pub struct RunMeta {
     pub cycles: u64,
     /// Measured instructions.
     pub instrs: u64,
+    /// The measured window's machine statistics, reported as the
+    /// document's counters.
+    pub counts: RunCounts,
 }
 
 /// Everything a finished run exports.
@@ -121,7 +119,6 @@ impl TelemetryReport {
 #[derive(Clone, Debug)]
 pub struct RunTelemetry {
     cfg: TelemetryConfig,
-    counters: CounterSet,
     hists: HistSet,
     /// MSHR-mediated (L1i) prefetches, keyed by cache block.
     timeliness: TimelinessTracker,
@@ -131,7 +128,8 @@ pub struct RunTelemetry {
     series: WindowSeries,
     started: bool,
     window_start: u64,
-    snap: Cumulative,
+    /// The sample that opened the current window.
+    snap: CycleSample,
     ftq_occ_sum: u64,
     ftq_samples: u64,
     events: Vec<TraceEvent>,
@@ -143,30 +141,17 @@ impl RunTelemetry {
     pub fn new(cfg: TelemetryConfig) -> RunTelemetry {
         RunTelemetry {
             cfg,
-            counters: CounterSet::new(),
             hists: HistSet::new(),
             timeliness: TimelinessTracker::new(cfg.evicted_window),
             btbpf: TimelinessTracker::new(cfg.evicted_window),
             series: WindowSeries::new(cfg.window_cycles, cfg.series_capacity),
             started: false,
             window_start: 0,
-            snap: Cumulative::default(),
+            snap: CycleSample::default(),
             ftq_occ_sum: 0,
             ftq_samples: 0,
             events: Vec::new(),
             dropped_events: 0,
-        }
-    }
-
-    fn cumulative(&self, s: &CycleSample) -> Cumulative {
-        Cumulative {
-            instrs: s.instrs,
-            demand_misses: s.demand_misses,
-            pf_issued: self.counters.get(Ctr::PfIssued),
-            btb_lookups: s.btb_lookups,
-            btb_hits: s.btb_hits,
-            rlu_lookups: s.rlu_lookups,
-            rlu_hits: s.rlu_hits,
         }
     }
 
@@ -192,7 +177,7 @@ impl RunTelemetry {
         if !self.started {
             self.started = true;
             self.window_start = s.cycle;
-            self.snap = self.cumulative(s);
+            self.snap = *s;
             return;
         }
         if s.cycle.saturating_sub(self.window_start) >= self.series.window_cycles() {
@@ -201,17 +186,16 @@ impl RunTelemetry {
     }
 
     fn close_window(&mut self, s: &CycleSample) {
-        let cur = self.cumulative(s);
         let w = WindowSample {
             start_cycle: self.window_start,
             cycles: s.cycle - self.window_start,
-            instrs: cur.instrs.saturating_sub(self.snap.instrs),
-            demand_misses: cur.demand_misses.saturating_sub(self.snap.demand_misses),
-            pf_issued: cur.pf_issued.saturating_sub(self.snap.pf_issued),
-            btb_lookups: cur.btb_lookups.saturating_sub(self.snap.btb_lookups),
-            btb_hits: cur.btb_hits.saturating_sub(self.snap.btb_hits),
-            rlu_lookups: cur.rlu_lookups.saturating_sub(self.snap.rlu_lookups),
-            rlu_hits: cur.rlu_hits.saturating_sub(self.snap.rlu_hits),
+            instrs: s.instrs.saturating_sub(self.snap.instrs),
+            demand_misses: s.demand_misses.saturating_sub(self.snap.demand_misses),
+            pf_issued: s.pf_issued.saturating_sub(self.snap.pf_issued),
+            btb_lookups: s.btb_lookups.saturating_sub(self.snap.btb_lookups),
+            btb_hits: s.btb_hits.saturating_sub(self.snap.btb_hits),
+            rlu_lookups: s.rlu_lookups.saturating_sub(self.snap.rlu_lookups),
+            rlu_hits: s.rlu_hits.saturating_sub(self.snap.rlu_hits),
             ftq_occ_sum: self.ftq_occ_sum,
             ftq_samples: self.ftq_samples,
         };
@@ -226,7 +210,7 @@ impl RunTelemetry {
         ));
         self.series.push(w);
         self.window_start = s.cycle;
-        self.snap = cur;
+        self.snap = *s;
         self.ftq_occ_sum = 0;
         self.ftq_samples = 0;
     }
@@ -243,18 +227,11 @@ impl RunTelemetry {
 
     /// A prefetch for `block` allocated an MSHR.
     pub fn pf_issued(&mut self, block: u64, source: PfSource) {
-        self.counters.add(Ctr::PfIssued, 1);
         self.timeliness.issue(block, source);
-    }
-
-    /// A prefetch was dropped (MSHR full).
-    pub fn pf_dropped(&mut self) {
-        self.counters.add(Ctr::PfDropped, 1);
     }
 
     /// A demand request merged onto the in-flight prefetch of `block`.
     pub fn pf_late(&mut self, block: u64) {
-        self.counters.add(Ctr::PfLate, 1);
         self.timeliness.late(block);
     }
 
@@ -304,50 +281,38 @@ impl RunTelemetry {
 
     // --- Generic recording ------------------------------------------
 
-    /// Adds `delta` to counter `ctr`.
-    pub fn add(&mut self, ctr: Ctr, delta: u64) {
-        self.counters.add(ctr, delta);
-    }
-
     /// Records `value` into histogram `h`.
     pub fn observe(&mut self, h: Hist, value: u64) {
         self.hists.record(h, value);
     }
 
-    /// Records a stall of `kind` spanning `[from, to)` cycles.
+    /// Records a stall of `kind` spanning `[from, to)` cycles as a
+    /// trace span, one thread id per kind.
     pub fn stall(&mut self, kind: StallKind, from: u64, to: u64) {
-        let cycles = to.saturating_sub(from);
-        let (ev, cy, tid) = match kind {
-            StallKind::L1i => (Ctr::StallL1iEvents, Ctr::StallL1iCycles, 1),
-            StallKind::Btb => (Ctr::StallBtbEvents, Ctr::StallBtbCycles, 2),
-            StallKind::Redirect => (Ctr::StallRedirectEvents, Ctr::StallRedirectCycles, 3),
-        };
-        self.counters.add(ev, 1);
-        self.counters.add(cy, cycles);
-        self.push_event(TraceEvent::span(kind.name(), from, cycles, tid));
+        let tid = kind as u32 + 1;
+        self.push_event(TraceEvent::span(
+            kind.name(),
+            from,
+            to.saturating_sub(from),
+            tid,
+        ));
     }
 
     /// Discards everything recorded so far (measurement-window
     /// reset). Prefetches in flight across the reset are forgotten,
     /// keeping the timeliness sum invariant intact.
     pub fn reset(&mut self) {
-        self.counters.reset();
         self.hists.reset();
         self.timeliness.reset();
         self.btbpf.reset();
         self.series.reset();
         self.started = false;
         self.window_start = 0;
-        self.snap = Cumulative::default();
+        self.snap = CycleSample::default();
         self.ftq_occ_sum = 0;
         self.ftq_samples = 0;
         self.events.clear();
         self.dropped_events = 0;
-    }
-
-    /// Current value of `ctr` (for tests and summaries).
-    pub fn counter(&self, ctr: Ctr) -> u64 {
-        self.counters.get(ctr)
     }
 
     /// Combined timeliness tallies for `source` (L1i + BTB trackers).
@@ -371,8 +336,6 @@ impl RunTelemetry {
         }
         self.timeliness.finalize();
         self.btbpf.finalize();
-        self.counters
-            .add(Ctr::TraceEventsDropped, self.dropped_events);
 
         let histograms = Hist::ALL
             .iter()
@@ -431,7 +394,7 @@ impl RunTelemetry {
             method: meta.method.clone(),
             cycles: meta.cycles,
             instrs: meta.instrs,
-            counters: self.counters.dump(),
+            counters: meta.counts.dump(self.dropped_events),
             histograms,
             timeliness,
             window_cycles: self.series.window_cycles(),
@@ -458,12 +421,13 @@ mod tests {
         }
     }
 
-    fn finalize(rt: RunTelemetry, cycle: u64, instrs: u64) -> TelemetryReport {
+    fn finalize(rt: RunTelemetry, cycle: u64, instrs: u64, counts: RunCounts) -> TelemetryReport {
         let meta = RunMeta {
             workload: "synthetic".to_owned(),
             method: "SN4L+Dis+BTB".to_owned(),
             cycles: cycle,
             instrs,
+            counts,
         };
         rt.finalize(&meta, &sample(cycle, instrs))
     }
@@ -481,12 +445,24 @@ mod tests {
         rt.pf_fill(5, 20);
         rt.pf_hit(5);
         rt.stall(StallKind::L1i, 50, 80);
-        let report = finalize(rt, 100, 200);
+        let counts = RunCounts {
+            stall_events: [1, 0, 0],
+            stall_cycles: [30, 0, 0],
+            ..RunCounts::default()
+        };
+        let report = finalize(rt, 100, 200, counts);
         report.doc.validate().expect("valid doc");
         assert!(report.doc.series.len() >= 9);
         let total_instrs: u64 = report.doc.series.iter().map(|r| r[2]).sum();
         assert_eq!(total_instrs, 200);
+        // Counters are the machine's statistics, passed through.
         assert_eq!(report.doc.counter("stall_l1i_cycles"), Some(30));
+        assert_eq!(report.doc.counter("stall_l1i_events"), Some(1));
+        // The stall itself is a span on the L1i lane.
+        assert!(report
+            .events
+            .iter()
+            .any(|e| (e.name, e.ph, e.ts, e.dur, e.tid) == ("l1i_stall", 'X', 50, 30, 1)));
         let row = &report.doc.timeliness[0];
         assert_eq!(row.source, "sn4l");
         assert_eq!((row.issued, row.accurate), (1, 1));
@@ -512,7 +488,7 @@ mod tests {
         rt.btbpf_fill(100, None);
         rt.btbpf_hit(100);
         rt.btbpf_fill(101, Some(102));
-        let report = finalize(rt, 10, 10);
+        let report = finalize(rt, 10, 10, RunCounts::default());
         report.doc.validate().expect("sum invariant");
         let issued: u64 = report.doc.timeliness.iter().map(|t| t.issued).sum();
         assert_eq!(issued, 7);
@@ -535,10 +511,9 @@ mod tests {
         rt.pf_issued(1, PfSource::Sn4l);
         rt.stall(StallKind::Btb, 1, 4);
         rt.reset();
-        assert_eq!(rt.counter(Ctr::PfIssued), 0);
-        let report = finalize(rt, 10, 0);
-        assert_eq!(report.doc.counter("stall_btb_events"), Some(0));
+        let report = finalize(rt, 10, 0, RunCounts::default());
         assert!(report.doc.timeliness.is_empty());
+        assert!(report.events.iter().all(|e| e.name != "btb_stall"));
         assert!(report.events.is_empty() || report.events.len() == 1);
     }
 
@@ -551,7 +526,7 @@ mod tests {
         for i in 0..5 {
             rt.stall(StallKind::Redirect, i * 10, i * 10 + 3);
         }
-        let report = finalize(rt, 100, 0);
+        let report = finalize(rt, 100, 0, RunCounts::default());
         assert_eq!(report.events.len(), 2);
         assert_eq!(report.doc.counter("trace_events_dropped"), Some(3));
         // Trace is still valid JSON with sorted timestamps.

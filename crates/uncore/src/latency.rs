@@ -1,33 +1,10 @@
 //! NoC latency and load-dependent contention.
 
-/// Geometry and timing of the on-chip network (Table III: 4×4 2D mesh,
-/// 2-stage router + 1-cycle link = 3 cycles/hop).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NocConfig {
-    /// Average one-way hop count between a tile and the home LLC bank.
-    ///
-    /// For uniformly distributed banks on a 4×4 mesh the mean Manhattan
-    /// distance is ≈ 2.67 hops.
-    pub avg_hops: f64,
-    /// Cycles per hop (router pipeline + link traversal).
-    pub hop_cycles: u64,
-}
-
-impl Default for NocConfig {
-    fn default() -> Self {
-        NocConfig {
-            avg_hops: 2.67,
-            hop_cycles: 3,
-        }
-    }
-}
-
-impl NocConfig {
-    /// Zero-load round-trip NoC cycles (request + response traversal).
-    pub fn round_trip_cycles(&self) -> u64 {
-        (self.avg_hops * self.hop_cycles as f64 * 2.0).round() as u64
-    }
-}
+/// Zero-load round-trip NoC cycles (request + response traversal) on
+/// the Table III network: a 4×4 2D mesh at 3 cycles per hop (2-stage
+/// router + 1-cycle link), with uniformly distributed LLC banks at a
+/// mean Manhattan distance of ≈ 2.67 hops, so 2 × 2.67 × 3 ≈ 16.
+pub const NOC_ROUND_TRIP_CYCLES: u64 = 16;
 
 /// An M/D/1-style queueing model that converts an observed request rate
 /// into extra cycles of queueing delay.
@@ -114,16 +91,10 @@ mod tests {
 
     #[test]
     fn round_trip_default_is_sixteen() {
-        assert_eq!(NocConfig::default().round_trip_cycles(), 16);
-    }
-
-    #[test]
-    fn custom_noc_round_trip() {
-        let noc = NocConfig {
-            avg_hops: 2.0,
-            hop_cycles: 3,
-        };
-        assert_eq!(noc.round_trip_cycles(), 12);
+        let (avg_hops, hop_cycles) = (2.67_f64, 3.0);
+        let round_trip = (2.0 * avg_hops * hop_cycles).round() as u64;
+        assert_eq!(NOC_ROUND_TRIP_CYCLES, round_trip);
+        assert_eq!(NOC_ROUND_TRIP_CYCLES, 16);
     }
 
     #[test]

@@ -23,5 +23,5 @@
 pub mod latency;
 pub mod uncore;
 
-pub use latency::{ContentionModel, NocConfig};
-pub use uncore::{AccessResult, Uncore, UncoreConfig, UncoreStats};
+pub use latency::{ContentionModel, NOC_ROUND_TRIP_CYCLES};
+pub use uncore::{AccessResult, Uncore, UncoreConfig, UncoreStats, LLC_LATENCY, MEMORY_LATENCY};

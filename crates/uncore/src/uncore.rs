@@ -1,18 +1,19 @@
 //! The uncore proper: LLC slice + NoC + memory behind one interface.
 
-use crate::latency::{ContentionModel, NocConfig};
+use crate::latency::{ContentionModel, NOC_ROUND_TRIP_CYCLES};
 use dcfb_cache::{CacheConfig, DvLlc, LineFlags, SetAssocCache};
 use dcfb_trace::Block;
 
-/// Uncore configuration (defaults follow Table III).
+/// LLC bank access latency in cycles (Table III).
+pub const LLC_LATENCY: u64 = 18;
+/// Main-memory access latency in cycles (60 ns at 2 GHz, Table III).
+pub const MEMORY_LATENCY: u64 = 120;
+
+/// Uncore configuration (defaults follow Table III). The fixed
+/// latencies are [`LLC_LATENCY`], [`MEMORY_LATENCY`] and
+/// [`NOC_ROUND_TRIP_CYCLES`].
 #[derive(Clone, Debug)]
 pub struct UncoreConfig {
-    /// LLC bank access latency in cycles.
-    pub llc_latency: u64,
-    /// Main-memory access latency in cycles (60 ns at 2 GHz).
-    pub memory_latency: u64,
-    /// NoC geometry/timing.
-    pub noc: NocConfig,
     /// Geometry of the core-visible LLC slice.
     pub llc_config: CacheConfig,
     /// Use the DV-LLC (BF virtualization) instead of a plain LLC.
@@ -24,9 +25,6 @@ pub struct UncoreConfig {
 impl Default for UncoreConfig {
     fn default() -> Self {
         UncoreConfig {
-            llc_latency: 18,
-            memory_latency: 120,
-            noc: NocConfig::default(),
             llc_config: CacheConfig::llc_slice(),
             dvllc: false,
             bf_per_set: 10,
@@ -89,7 +87,6 @@ enum Llc {
 
 /// The memory system below the private caches.
 pub struct Uncore {
-    cfg: UncoreConfig,
     llc: Llc,
     contention: ContentionModel,
     stats: UncoreStats,
@@ -109,7 +106,6 @@ impl Uncore {
             Llc::Plain(SetAssocCache::new(cfg.llc_config))
         };
         Uncore {
-            cfg,
             llc,
             contention: ContentionModel::calibrated(),
             stats: UncoreStats::default(),
@@ -119,11 +115,6 @@ impl Uncore {
     /// Replaces the contention model (used by calibration tests).
     pub fn set_contention(&mut self, model: ContentionModel) {
         self.contention = model;
-    }
-
-    /// The configuration this uncore was built with.
-    pub fn config(&self) -> &UncoreConfig {
-        &self.cfg
     }
 
     /// Accumulated statistics.
@@ -154,7 +145,6 @@ impl Uncore {
             self.stats.prefetch_requests += 1;
         }
         let queueing = self.contention.observe(now);
-        let noc = self.cfg.noc.round_trip_cycles();
         let hit = match &mut self.llc {
             Llc::Plain(c) => {
                 let hit = c.demand_access(block);
@@ -187,10 +177,10 @@ impl Uncore {
         };
         let latency = if hit {
             self.stats.llc_hits += 1;
-            noc + queueing + self.cfg.llc_latency
+            NOC_ROUND_TRIP_CYCLES + queueing + LLC_LATENCY
         } else {
             self.stats.llc_misses += 1;
-            noc + queueing + self.cfg.llc_latency + self.cfg.memory_latency
+            NOC_ROUND_TRIP_CYCLES + queueing + LLC_LATENCY + MEMORY_LATENCY
         };
         self.stats.total_latency += latency;
         self.stats.total_queueing += queueing;
@@ -318,6 +308,18 @@ mod tests {
     }
 
     #[test]
+    fn zero_load_latencies_are_the_table_iii_constants() {
+        let mut u = small_uncore();
+        // A service rate no traffic can approach: no queueing.
+        u.set_contention(ContentionModel::new(1e9, 1, 0.0));
+        let miss = u.access(0, 7, false, true);
+        let hit = u.access(miss.ready_at, 7, false, true);
+        assert_eq!(hit.latency, NOC_ROUND_TRIP_CYCLES + LLC_LATENCY);
+        assert_eq!(miss.latency, hit.latency + MEMORY_LATENCY);
+        assert_eq!(u.stats().total_queueing, 0);
+    }
+
+    #[test]
     fn stats_averages() {
         let mut u = small_uncore();
         assert_eq!(u.stats().avg_latency(), 0.0);
@@ -334,6 +336,6 @@ mod tests {
         let mut u = small_uncore();
         let miss = u.access(0, 9, false, false);
         let hit = u.access(miss.ready_at, 9, false, false);
-        assert!(miss.latency >= hit.latency + u.config().memory_latency);
+        assert!(miss.latency >= hit.latency + MEMORY_LATENCY);
     }
 }
