@@ -37,6 +37,7 @@ pub mod mutate;
 pub mod ops;
 pub mod reference;
 pub mod shrink;
+pub mod telemetry_golden;
 pub mod workload_source;
 
 pub use campaign::{Campaign, CampaignConfig};
