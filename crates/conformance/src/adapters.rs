@@ -13,8 +13,8 @@ use dcfb_cache::PrefetchBuffer;
 use dcfb_frontend::{BranchSpan, BtbEntry};
 use dcfb_prefetch::context::MockContext;
 use dcfb_prefetch::{
-    BtbPrefetchBuffer, Dis, DisTable, InstrPrefetcher, RecentInstrs, Rlu, SeqTable, Sn4l,
-    Sn4lDisBtb, Sn4lDisConfig, TagPolicy,
+    BtbPrefetchBuffer, Dis, DisTable, InstrPrefetcher, PrefetchContext, RecentInstrs, Rlu,
+    SeqTable, Sn4l, Sn4lDisBtb, Sn4lDisConfig, TagPolicy,
 };
 use dcfb_trace::{Block, Instr, InstrKind};
 
@@ -207,11 +207,62 @@ impl Drive {
     }
 }
 
-/// Applies `op` to a production `InstrPrefetcher` through `ctx`: first
+/// The [`InstrPrefetcher`] hooks behind a trait object, with the
+/// context as `&mut dyn PrefetchContext`.
+///
+/// `InstrPrefetcher`'s hooks are generic over the context, so the
+/// trait itself is not object-safe; this thin adapter — implemented for
+/// every prefetcher — is what lets the lockstep harness drive any of
+/// them as `&mut dyn DynPrefetcher` without touching the reference
+/// models.
+pub trait DynPrefetcher {
+    /// [`InstrPrefetcher::on_demand`].
+    fn on_demand(
+        &mut self,
+        ctx: &mut dyn PrefetchContext,
+        block: Block,
+        hit: bool,
+        hit_was_prefetched: bool,
+        recent: &RecentInstrs,
+    );
+    /// [`InstrPrefetcher::on_fill`].
+    fn on_fill(&mut self, ctx: &mut dyn PrefetchContext, block: Block, was_prefetch: bool);
+    /// [`InstrPrefetcher::on_evict`].
+    fn on_evict(&mut self, ctx: &mut dyn PrefetchContext, block: Block, useless_prefetch: bool);
+    /// [`InstrPrefetcher::tick`].
+    fn tick(&mut self, ctx: &mut dyn PrefetchContext);
+}
+
+impl<P: InstrPrefetcher> DynPrefetcher for P {
+    fn on_demand(
+        &mut self,
+        ctx: &mut dyn PrefetchContext,
+        block: Block,
+        hit: bool,
+        hit_was_prefetched: bool,
+        recent: &RecentInstrs,
+    ) {
+        InstrPrefetcher::on_demand(self, ctx, block, hit, hit_was_prefetched, recent);
+    }
+
+    fn on_fill(&mut self, ctx: &mut dyn PrefetchContext, block: Block, was_prefetch: bool) {
+        InstrPrefetcher::on_fill(self, ctx, block, was_prefetch);
+    }
+
+    fn on_evict(&mut self, ctx: &mut dyn PrefetchContext, block: Block, useless_prefetch: bool) {
+        InstrPrefetcher::on_evict(self, ctx, block, useless_prefetch);
+    }
+
+    fn tick(&mut self, ctx: &mut dyn PrefetchContext) {
+        InstrPrefetcher::tick(self, ctx);
+    }
+}
+
+/// Applies `op` to a production prefetcher through `ctx`: first
 /// the [`EngineOp`] resident-set convention, then the matching
 /// `InstrPrefetcher` hook. Public so invariant checks can drive
 /// production prefetchers over fuzzed op streams directly.
-pub fn apply_engine_op(p: &mut dyn InstrPrefetcher, ctx: &mut MockContext, op: &EngineOp) {
+pub fn apply_engine_op(p: &mut dyn DynPrefetcher, ctx: &mut MockContext, op: &EngineOp) {
     match op {
         EngineOp::Demand { block, hit, .. } => {
             if *hit {
@@ -250,8 +301,8 @@ pub fn apply_engine_op(p: &mut dyn InstrPrefetcher, ctx: &mut MockContext, op: &
     }
 }
 
-/// Applies `op` to any production `InstrPrefetcher` through `drive`.
-fn step(p: &mut dyn InstrPrefetcher, drive: &mut Drive, op: &EngineOp) {
+/// Applies `op` to any production prefetcher through `drive`.
+fn step(p: &mut dyn DynPrefetcher, drive: &mut Drive, op: &EngineOp) {
     apply_engine_op(p, &mut drive.ctx, op);
 }
 

@@ -106,7 +106,7 @@ impl Confluence {
         }
     }
 
-    fn replay_some(&mut self, ctx: &mut dyn PrefetchContext, n: usize) {
+    fn replay_some<C: PrefetchContext + ?Sized>(&mut self, ctx: &mut C, n: usize) {
         let len = self.history.len();
         let limit = if self.filled { len } else { self.head };
         if limit == 0 {
@@ -156,9 +156,9 @@ impl InstrPrefetcher for Confluence {
         (self.history.len() as u64 * 34) + (16 * 1024 * 16)
     }
 
-    fn on_demand(
+    fn on_demand<C: PrefetchContext + ?Sized>(
         &mut self,
-        ctx: &mut dyn PrefetchContext,
+        ctx: &mut C,
         block: Block,
         hit: bool,
         _hit_was_prefetched: bool,

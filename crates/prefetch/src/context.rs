@@ -1,9 +1,13 @@
 //! The prefetcher ↔ machine interface.
 //!
 //! Prefetchers never touch the cache, BTB, or memory hierarchy
-//! directly; they act through a [`PrefetchContext`] the simulator
-//! provides on each call. This keeps every prefetcher a pure state
-//! machine over events — easy to unit-test against [`MockContext`].
+//! directly; they act through the context each [`InstrPrefetcher`]
+//! hook is handed. The context is a generic parameter of the hooks, so
+//! the simulator's machine and the scriptable [`MockContext`] each get
+//! their own monomorphic copy of every prefetcher (a `dyn
+//! PrefetchContext` still works where a caller wants one). This keeps
+//! every prefetcher a pure state machine over events — easy to
+//! unit-test against [`MockContext`].
 
 use dcfb_frontend::BtbEntry;
 use dcfb_telemetry::PfSource;
@@ -81,7 +85,9 @@ impl RecentInstrs {
 /// An L1i-event-driven instruction prefetcher.
 ///
 /// All hooks default to no-ops so each prefetcher implements only what
-/// it observes.
+/// it observes. The hooks are generic over the context, so the trait is
+/// not object-safe: the registry's prefetchers are dispatched through
+/// the [`Prefetcher`](crate::Prefetcher) enum instead.
 pub trait InstrPrefetcher {
     /// Display name (used by the experiment harness).
     fn name(&self) -> String;
@@ -92,9 +98,9 @@ pub trait InstrPrefetcher {
     /// A demand access to `block` resolved as `hit`;
     /// `hit_was_prefetched` is set when the hit line still carried its
     /// prefetch flag. `recent` holds the last two demanded instructions.
-    fn on_demand(
+    fn on_demand<C: PrefetchContext + ?Sized>(
         &mut self,
-        ctx: &mut dyn PrefetchContext,
+        ctx: &mut C,
         block: Block,
         hit: bool,
         hit_was_prefetched: bool,
@@ -105,19 +111,29 @@ pub trait InstrPrefetcher {
 
     /// `block` arrived in the L1i (`was_prefetch` distinguishes
     /// prefetch fills from demand fills).
-    fn on_fill(&mut self, ctx: &mut dyn PrefetchContext, block: Block, was_prefetch: bool) {
+    fn on_fill<C: PrefetchContext + ?Sized>(
+        &mut self,
+        ctx: &mut C,
+        block: Block,
+        was_prefetch: bool,
+    ) {
         let _ = (ctx, block, was_prefetch);
     }
 
     /// `block` left the L1i; `useless_prefetch` is set when it was
     /// prefetched and never demanded.
-    fn on_evict(&mut self, ctx: &mut dyn PrefetchContext, block: Block, useless_prefetch: bool) {
+    fn on_evict<C: PrefetchContext + ?Sized>(
+        &mut self,
+        ctx: &mut C,
+        block: Block,
+        useless_prefetch: bool,
+    ) {
         let _ = (ctx, block, useless_prefetch);
     }
 
     /// Called once per cycle so queue-driven engines can pump their
     /// internal pipelines.
-    fn tick(&mut self, ctx: &mut dyn PrefetchContext) {
+    fn tick<C: PrefetchContext + ?Sized>(&mut self, ctx: &mut C) {
         let _ = ctx;
     }
 

@@ -88,7 +88,11 @@ impl Dis {
     /// pre-decode at the stored offset, BTB consultation for indirect
     /// targets. Used directly by the combined engine, which routes the
     /// candidate through its RLU.
-    pub fn peek_target(&mut self, ctx: &mut dyn PrefetchContext, block: Block) -> Option<Block> {
+    pub fn peek_target<C: PrefetchContext + ?Sized>(
+        &mut self,
+        ctx: &mut C,
+        block: Block,
+    ) -> Option<Block> {
         let offset = self.table.lookup(block)?;
         let byte_offset = match self.offset_mode() {
             OffsetMode::Instr => u32::from(offset) * 4,
@@ -119,7 +123,11 @@ impl Dis {
     /// Replays the table for `block`: if a discontinuity branch is
     /// recorded, decode it and prefetch its target. Returns the
     /// prefetched target block, if any.
-    pub fn replay(&mut self, ctx: &mut dyn PrefetchContext, block: Block) -> Option<Block> {
+    pub fn replay<C: PrefetchContext + ?Sized>(
+        &mut self,
+        ctx: &mut C,
+        block: Block,
+    ) -> Option<Block> {
         let target_block = self.peek_target(ctx, block)?;
         if !ctx.l1i_lookup(target_block) {
             ctx.issue_prefetch(target_block, PfSource::Dis, self.issue_delay);
@@ -152,9 +160,9 @@ impl InstrPrefetcher for Dis {
         self.table.storage_bits()
     }
 
-    fn on_demand(
+    fn on_demand<C: PrefetchContext + ?Sized>(
         &mut self,
-        ctx: &mut dyn PrefetchContext,
+        ctx: &mut C,
         block: Block,
         hit: bool,
         _hit_was_prefetched: bool,
@@ -167,7 +175,12 @@ impl InstrPrefetcher for Dis {
         self.replay(ctx, block);
     }
 
-    fn on_fill(&mut self, ctx: &mut dyn PrefetchContext, block: Block, was_prefetch: bool) {
+    fn on_fill<C: PrefetchContext + ?Sized>(
+        &mut self,
+        ctx: &mut C,
+        block: Block,
+        was_prefetch: bool,
+    ) {
         // Prefetched blocks trigger replay when they arrive.
         if was_prefetch {
             self.replay(ctx, block);

@@ -74,9 +74,9 @@ impl InstrPrefetcher for DiscontinuityPrefetcher {
         self.table.len() as u64 * 34
     }
 
-    fn on_demand(
+    fn on_demand<C: PrefetchContext + ?Sized>(
         &mut self,
-        ctx: &mut dyn PrefetchContext,
+        ctx: &mut C,
         block: Block,
         hit: bool,
         _hit_was_prefetched: bool,

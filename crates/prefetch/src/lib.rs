@@ -23,10 +23,13 @@
 //!   split U-BTB/C-BTB/RIB.
 //!
 //! All L1i-event-driven prefetchers implement [`InstrPrefetcher`] and
-//! interact with the machine through [`PrefetchContext`], so the
-//! simulator in `dcfb-sim` can swap them freely. The BTB-directed
-//! engines (Boomerang, Shotgun) also drive the FTQ and are given a
-//! richer interface (see their modules).
+//! interact with the machine through [`PrefetchContext`], a generic
+//! parameter of every hook. The registry builds them as one
+//! [`Prefetcher`] enum (compositions as a [`Composite`] of parts), so
+//! the simulator in `dcfb-sim` dispatches each hook statically and
+//! gets a copy of every prefetcher specialised to its own context. The
+//! BTB-directed engines (Boomerang, Shotgun) also drive the FTQ and
+//! are given a richer interface (see their modules).
 
 //! # Examples
 //!
@@ -71,7 +74,7 @@ pub mod tables;
 
 pub use boomerang::Boomerang;
 pub use btb_pf::BtbPrefetchBuffer;
-pub use composite::Composite;
+pub use composite::{Composite, Prefetcher};
 pub use confluence::{Confluence, ConfluenceConfig};
 pub use context::{InstrPrefetcher, PrefetchContext, RecentInstrs, RunaheadContext};
 pub use dis::Dis;

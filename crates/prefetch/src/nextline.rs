@@ -50,9 +50,9 @@ impl InstrPrefetcher for NextLine {
         0 // stateless
     }
 
-    fn on_demand(
+    fn on_demand<C: PrefetchContext + ?Sized>(
         &mut self,
-        ctx: &mut dyn PrefetchContext,
+        ctx: &mut C,
         block: Block,
         _hit: bool,
         _hit_was_prefetched: bool,

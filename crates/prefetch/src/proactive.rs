@@ -209,7 +209,7 @@ impl Sn4lDisBtb {
         }
     }
 
-    fn pump_rlu(&mut self, ctx: &mut dyn PrefetchContext) {
+    fn pump_rlu<C: PrefetchContext + ?Sized>(&mut self, ctx: &mut C) {
         for _ in 0..self.cfg.rlu_per_cycle {
             let Some((block, depth, src)) = self.rlu_q.pop_front() else {
                 break;
@@ -248,7 +248,7 @@ impl Sn4lDisBtb {
         }
     }
 
-    fn pump_seq(&mut self, ctx: &mut dyn PrefetchContext) {
+    fn pump_seq<C: PrefetchContext + ?Sized>(&mut self, ctx: &mut C) {
         for _ in 0..self.cfg.engine_per_cycle {
             let Some((block, depth)) = self.seq_q.pop_front() else {
                 break;
@@ -270,7 +270,7 @@ impl Sn4lDisBtb {
         }
     }
 
-    fn pump_dis(&mut self, ctx: &mut dyn PrefetchContext) {
+    fn pump_dis<C: PrefetchContext + ?Sized>(&mut self, ctx: &mut C) {
         for _ in 0..self.cfg.engine_per_cycle {
             let Some((block, depth)) = self.dis_q.pop_front() else {
                 break;
@@ -306,9 +306,9 @@ impl InstrPrefetcher for Sn4lDisBtb {
         tables + line_meta + queues + buffer
     }
 
-    fn on_demand(
+    fn on_demand<C: PrefetchContext + ?Sized>(
         &mut self,
-        ctx: &mut dyn PrefetchContext,
+        ctx: &mut C,
         block: Block,
         hit: bool,
         hit_was_prefetched: bool,
@@ -333,7 +333,12 @@ impl InstrPrefetcher for Sn4lDisBtb {
         self.push_trigger(block, 0, true);
     }
 
-    fn on_evict(&mut self, _ctx: &mut dyn PrefetchContext, block: Block, useless_prefetch: bool) {
+    fn on_evict<C: PrefetchContext + ?Sized>(
+        &mut self,
+        _ctx: &mut C,
+        block: Block,
+        useless_prefetch: bool,
+    ) {
         if useless_prefetch {
             self.seq.reset(block);
         }
@@ -344,7 +349,7 @@ impl InstrPrefetcher for Sn4lDisBtb {
         Some((hits + misses, hits))
     }
 
-    fn tick(&mut self, ctx: &mut dyn PrefetchContext) {
+    fn tick<C: PrefetchContext + ?Sized>(&mut self, ctx: &mut C) {
         self.pump_seq(ctx);
         self.pump_dis(ctx);
         self.pump_rlu(ctx);

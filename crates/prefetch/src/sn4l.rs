@@ -64,9 +64,9 @@ impl InstrPrefetcher for Sn4l {
         self.table.storage_bits() + 512 * 5
     }
 
-    fn on_demand(
+    fn on_demand<C: PrefetchContext + ?Sized>(
         &mut self,
-        ctx: &mut dyn PrefetchContext,
+        ctx: &mut C,
         block: Block,
         hit: bool,
         hit_was_prefetched: bool,
@@ -92,7 +92,12 @@ impl InstrPrefetcher for Sn4l {
         }
     }
 
-    fn on_evict(&mut self, _ctx: &mut dyn PrefetchContext, block: Block, useless_prefetch: bool) {
+    fn on_evict<C: PrefetchContext + ?Sized>(
+        &mut self,
+        _ctx: &mut C,
+        block: Block,
+        useless_prefetch: bool,
+    ) {
         if useless_prefetch {
             self.table.reset(block);
         }

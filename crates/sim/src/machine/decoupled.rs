@@ -1,15 +1,17 @@
 //! The conventional decoupled frontend driver: fetch follows the
 //! trace, taken branches need a BTB hit to avoid a decode-detect
-//! bubble, and an optional [`InstrPrefetcher`] observes L1i events.
+//! bubble, and an optional [`Prefetcher`] observes L1i events. The
+//! prefetcher is held by value and its hooks take the machine itself
+//! as their context, so every hook is a direct call.
 
 use super::driver::{Consumed, FrontendDriver, Gate};
 use super::fetch::class_of;
 use super::memory::DemandOutcome;
-use super::Machine;
+use super::{Machine, SlotKeyOf};
 use crate::config::{SimConfig, BTB_MISS_PENALTY, MISPREDICT_PENALTY};
 use crate::metrics::SimReport;
 use dcfb_frontend::BtbEntry;
-use dcfb_prefetch::InstrPrefetcher;
+use dcfb_prefetch::{InstrPrefetcher, Prefetcher};
 use dcfb_telemetry::StallKind;
 use dcfb_trace::{block_of, Block, Instr, InstrKind};
 
@@ -17,11 +19,11 @@ use dcfb_trace::{block_of, Block, Instr, InstrKind};
 /// SN4L+Dis(+BTB), conventional discontinuity, Confluence, and registry
 /// compositions of them).
 pub(crate) struct DecoupledDriver {
-    pf: Option<Box<dyn InstrPrefetcher>>,
+    pf: Option<Prefetcher>,
 }
 
 impl DecoupledDriver {
-    pub(crate) fn new(pf: Option<Box<dyn InstrPrefetcher>>) -> Self {
+    pub(crate) fn new(pf: Option<Prefetcher>) -> Self {
         DecoupledDriver { pf }
     }
 
@@ -65,7 +67,7 @@ impl DecoupledDriver {
                     // decode-detect bubble.
                     if let Some(span) = m.btb_buffer.take_for(i.pc, m.branches.arena()) {
                         if let Some(t) = m.telem.as_deref_mut() {
-                            t.btbpf_hit(block_of(i.pc));
+                            t.btbpf_hit(m.code.slot_key(block_of(i.pc)));
                         }
                         for b in m.branches.get(span) {
                             let class = b.class;
@@ -82,7 +84,7 @@ impl DecoupledDriver {
                     } else {
                         btb_bubble = true;
                         if let Some(t) = m.telem.as_deref_mut() {
-                            t.btbpf_demand_miss(block_of(i.pc));
+                            t.btbpf_demand_miss(m.code.slot_key(block_of(i.pc)));
                         }
                         m.btb.insert(BtbEntry {
                             pc: i.pc,
@@ -124,7 +126,7 @@ impl DecoupledDriver {
 
 impl FrontendDriver for DecoupledDriver {
     fn begin_cycle(&mut self, m: &mut Machine) {
-        m.drain_fills(self.pf.as_deref_mut());
+        m.drain_fills(self.pf.as_mut());
     }
 
     fn gate(&mut self, _m: &mut Machine, _cfg: &SimConfig, _instr: &Instr, _d: u32) -> Gate {
@@ -157,7 +159,7 @@ impl FrontendDriver for DecoupledDriver {
     }
 
     fn pump(&mut self, m: &mut Machine) {
-        m.drain_fills(self.pf.as_deref_mut());
+        m.drain_fills(self.pf.as_mut());
         if let Some(pf) = &mut self.pf {
             pf.tick(m);
         }
@@ -166,7 +168,7 @@ impl FrontendDriver for DecoupledDriver {
     fn pump_batch(&mut self, m: &mut Machine, resume: u64, pumps: u64) {
         // Same work as `pump` in a loop, with the prefetcher `Option`
         // resolved once for the whole stall instead of twice per pump.
-        if let Some(pf) = self.pf.as_deref_mut() {
+        if let Some(pf) = self.pf.as_mut() {
             for k in 0..pumps {
                 m.cycle = resume + k + 1;
                 m.drain_fills(Some(&mut *pf));
@@ -175,7 +177,7 @@ impl FrontendDriver for DecoupledDriver {
         } else {
             for k in 0..pumps {
                 m.cycle = resume + k + 1;
-                m.drain_fills(None);
+                m.drain_fills::<Prefetcher>(None);
             }
         }
     }

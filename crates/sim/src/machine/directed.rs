@@ -11,7 +11,7 @@ use super::Machine;
 use crate::config::{SimConfig, BTB_MISS_PENALTY, MISPREDICT_PENALTY};
 use crate::metrics::SimReport;
 use dcfb_frontend::{Ftq, FtqEntry};
-use dcfb_prefetch::DiscoveryEngine;
+use dcfb_prefetch::{DiscoveryEngine, Prefetcher};
 use dcfb_telemetry::StallKind;
 use dcfb_trace::{Addr, Block, Instr, InstrKind};
 
@@ -75,7 +75,7 @@ impl DirectedDriver {
 impl FrontendDriver for DirectedDriver {
     fn begin_cycle(&mut self, m: &mut Machine) {
         self.fallback = false;
-        m.drain_fills(None);
+        m.drain_fills::<Prefetcher>(None);
         // Discovery runs every cycle.
         self.engine.advance(m, &mut self.ftq);
     }
@@ -203,7 +203,7 @@ impl FrontendDriver for DirectedDriver {
     fn end_cycle(&mut self, _m: &mut Machine) {}
 
     fn pump(&mut self, m: &mut Machine) {
-        m.drain_fills(None);
+        m.drain_fills::<Prefetcher>(None);
         self.engine.advance(m, &mut self.ftq);
     }
 
@@ -212,7 +212,7 @@ impl FrontendDriver for DirectedDriver {
         // instead of once per pump.
         for k in 0..pumps {
             m.cycle = resume + k + 1;
-            m.drain_fills(None);
+            m.drain_fills::<Prefetcher>(None);
             self.engine.advance(m, &mut self.ftq);
         }
     }

@@ -9,8 +9,8 @@ use dcfb_frontend::{BranchClass, BranchSpan};
 use dcfb_trace::{block_of, block_offset, Block, Instr, InstrKind};
 
 impl Machine {
-    /// The branches a pre-decode of `block` finds, as a span of the
-    /// branch store.
+    /// The branches a pre-decode of `block` (whose slot is `slot`)
+    /// finds, as a span of the branch store.
     ///
     /// A fixed-width pre-decoder finds every branch. A variable-length
     /// one decodes only at the offsets of the block's DV-LLC branch
@@ -19,8 +19,8 @@ impl Machine {
     /// finds exactly that prefix of the block's span — and nothing
     /// without a footprint. The `bf_lookup` still runs so the DV-LLC's
     /// footprint hit/miss statistics count every pre-decode.
-    pub(crate) fn predecode_span(&mut self, block: Block) -> BranchSpan {
-        let all = self.branches.span(&*self.code, block);
+    pub(crate) fn predecode_span(&mut self, block: Block, slot: Option<usize>) -> BranchSpan {
+        let all = self.branches.span(&*self.code, block, slot);
         if self.fixed_boundaries {
             return all;
         }
@@ -35,7 +35,9 @@ impl Machine {
     /// builds, the byte offsets of the block's first [`BF_CAPACITY`]
     /// branches.
     pub(crate) fn footprint_of(&mut self, block: Block) -> BranchFootprint {
-        let span = self.branches.span(&*self.code, block);
+        let span = self
+            .branches
+            .span(&*self.code, block, self.code.block_slot(block));
         let mut bf = BranchFootprint::new();
         for b in self.branches.get(span).iter().take(BF_CAPACITY) {
             bf.push(block_offset(b.pc) as u8);

@@ -1,8 +1,14 @@
 //! The memory plane: demand accesses against the L1i and prefetch
 //! buffer, MSHR allocation toward the uncore, fill draining, and the
 //! miss-classification / CMAL accounting that feeds the report.
+//!
+//! Per-block side state (the CMAL latency of a resident prefetched
+//! line, the telemetry trackers' records) lives in dense slot tables:
+//! each event resolves its block's slot once, as a
+//! [`SlotKey`](dcfb_telemetry::SlotKey), and every store it touches is
+//! indexed by that key.
 
-use super::Machine;
+use super::{Machine, SlotKeyOf};
 use dcfb_cache::LineFlags;
 use dcfb_cache::MshrOutcome;
 use dcfb_prefetch::InstrPrefetcher;
@@ -49,7 +55,7 @@ impl Machine {
                 if is_prefetch {
                     self.stats.issued_prefetches += 1;
                     if let Some(t) = self.telem.as_deref_mut() {
-                        t.pf_issued(block, source);
+                        t.pf_issued(self.code.slot_key(block), source);
                     }
                 }
                 Some(ready)
@@ -60,8 +66,9 @@ impl Machine {
     }
 
     /// Drains completed fetches into the L1i (or prefetch buffer),
-    /// firing fill/evict hooks on `pf`.
-    pub(crate) fn drain_fills(&mut self, mut pf: Option<&mut (dyn InstrPrefetcher + 'static)>) {
+    /// firing fill/evict hooks on `pf` (with the machine as its
+    /// context, so each prefetcher type gets its own copy of this loop).
+    pub(crate) fn drain_fills<P: InstrPrefetcher>(&mut self, mut pf: Option<&mut P>) {
         // Most cycles complete nothing: return before touching the
         // scratch vector.
         if self.cycle < self.mshr.earliest_ready() {
@@ -82,9 +89,9 @@ impl Machine {
             };
             if let Some(displaced) = buffered {
                 if let Some(t) = self.telem.as_deref_mut() {
-                    t.pf_fill(c.block, c.ready_at - c.issued_at);
+                    t.pf_fill(self.code.slot_key(c.block), c.ready_at - c.issued_at);
                     if let Some((evicted, _)) = displaced {
-                        t.pf_evict_unused(evicted);
+                        t.pf_evict_unused(self.code.slot_key(evicted));
                     }
                 }
             } else {
@@ -94,20 +101,22 @@ impl Machine {
                     LineFlags::demand_instruction()
                 };
                 if c.is_prefetch {
-                    self.prefetch_latency
-                        .insert(c.block, c.ready_at - c.issued_at);
+                    let key = self.code.slot_key(c.block);
+                    let latency = c.ready_at - c.issued_at;
+                    self.cmal_latency.update(key, |l| *l = Some(latency));
                     if !c.demand_waiting {
                         if let Some(t) = self.telem.as_deref_mut() {
-                            t.pf_fill(c.block, c.ready_at - c.issued_at);
+                            t.pf_fill(key, latency);
                         }
                     }
                 }
                 let evicted = self.l1i.fill(c.block, flags);
                 if let Some(ev) = evicted {
-                    self.prefetch_latency.remove(&ev.block);
+                    let key = self.code.slot_key(ev.block);
+                    self.cmal_latency.update(key, |l| *l = None);
                     if ev.flags.prefetched && !ev.flags.demanded {
                         if let Some(t) = self.telem.as_deref_mut() {
-                            t.pf_evict_unused(ev.block);
+                            t.pf_evict_unused(key);
                         }
                     }
                     if let Some(p) = pf.as_deref_mut() {
@@ -142,14 +151,15 @@ impl Machine {
                 was_prefetched: false,
             };
         }
+        let key = self.code.slot_key(block);
         if self.l1i.demand_access(block) {
-            let was_pref = self.prefetch_latency.remove(&block).map(|lat| {
+            let was_pref = self.cmal_latency.update(key, Option::take).map(|lat| {
                 self.stats.cmal_covered += lat as f64;
                 self.stats.cmal_total += lat as f64;
             });
             if was_pref.is_some() {
                 if let Some(t) = self.telem.as_deref_mut() {
-                    t.pf_hit(block);
+                    t.pf_hit(key);
                 }
             }
             return DemandOutcome::Hit {
@@ -168,7 +178,7 @@ impl Machine {
                 self.stats.cmal_total += lat;
                 self.stats.buffer_hits += 1;
                 if let Some(t) = self.telem.as_deref_mut() {
-                    t.pf_hit(block);
+                    t.pf_hit(key);
                 }
                 return DemandOutcome::Hit {
                     was_prefetched: true,
@@ -177,7 +187,7 @@ impl Machine {
         }
         self.classify_miss(block);
         if let Some(t) = self.telem.as_deref_mut() {
-            t.pf_demand_miss(block);
+            t.pf_demand_miss(key);
         }
         // In flight already?
         if let Some(ready) = self.mshr.ready_at(block) {
@@ -188,7 +198,7 @@ impl Machine {
             if is_pref {
                 self.stats.late_prefetches += 1;
                 if let Some(t) = self.telem.as_deref_mut() {
-                    t.pf_late(block);
+                    t.pf_late(key);
                 }
             }
             if let Some(t) = self.telem.as_deref_mut() {

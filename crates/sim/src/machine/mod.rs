@@ -58,11 +58,25 @@ use crate::config::{SimConfig, MSHRS, PREFETCH_BUFFER_ENTRIES};
 use dcfb_cache::{Completion, MshrFile, PrefetchBuffer, SetAssocCache};
 use dcfb_frontend::{BranchStore, Btb, ReturnAddressStack, Tage, TageConfig};
 use dcfb_prefetch::{BtbPrefetchBuffer, RecentInstrs};
-use dcfb_telemetry::{RunTelemetry, StallKind, TelemetryConfig};
+use dcfb_telemetry::{RunTelemetry, SlotKey, SlotTable, StallKind, TelemetryConfig};
 use dcfb_trace::{Block, CodeMemory};
 use dcfb_uncore::Uncore;
-use fxhash::FxHashMap;
 use std::sync::Arc;
+
+/// Resolves a block's [`SlotKey`] in a code memory: one
+/// `block_slot` lookup, done once per event and shared by every
+/// per-block store the event touches.
+pub(crate) trait SlotKeyOf {
+    /// The key of `block`.
+    fn slot_key(&self, block: Block) -> SlotKey;
+}
+
+impl<M: CodeMemory + ?Sized> SlotKeyOf for M {
+    #[inline]
+    fn slot_key(&self, block: Block) -> SlotKey {
+        SlotKey::new(block, self.block_slot(block))
+    }
+}
 
 /// Counters accumulated while running (reset after warmup). Together
 /// with the L1i, uncore, BTB and TAGE statistics they are the single
@@ -117,9 +131,10 @@ pub struct Machine {
     pub(crate) workload_name: String,
     pub(crate) recent: RecentInstrs,
     pub(crate) prev_demand_block: Option<Block>,
-    /// Latency of completed prefetches still resident (CMAL accounting).
-    /// FxHash: touched on every prefetch fill/evict/demand hit.
-    pub(crate) prefetch_latency: FxHashMap<Block, u64>,
+    /// Latency of completed prefetches still resident in the L1i
+    /// (CMAL accounting), by block slot: written on every prefetch
+    /// fill, cleared on every eviction and taken on every demand hit.
+    pub(crate) cmal_latency: SlotTable<Option<u64>>,
     /// Every block's branches, decoded once per run and indexed by the
     /// code memory's block slot. Serves the BTB prefetch buffer (whose
     /// entries are spans of this store), Dis replay, the reactive BTB
@@ -160,7 +175,7 @@ impl Machine {
             workload_name,
             recent: RecentInstrs::default(),
             prev_demand_block: None,
-            prefetch_latency: FxHashMap::default(),
+            cmal_latency: SlotTable::new(),
             branches: BranchStore::new(),
             fill_scratch: Vec::new(),
             perfect_l1i: cfg.perfect_l1i,

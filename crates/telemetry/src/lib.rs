@@ -32,6 +32,7 @@ pub mod doc;
 pub mod hist;
 pub mod json;
 pub mod series;
+pub mod slot_table;
 pub mod source;
 pub mod timeliness;
 pub mod trace_event;
@@ -44,6 +45,7 @@ pub use hist::{Hist, HistSet, Log2Histogram};
 pub use json::JsonValue;
 pub use recorder::{CycleSample, RunMeta, RunTelemetry, TelemetryConfig, TelemetryReport};
 pub use series::{WindowSample, WindowSeries};
+pub use slot_table::{SlotKey, SlotTable};
 pub use source::PfSource;
 pub use timeliness::{TimelinessCounts, TimelinessTracker};
 pub use trace_event::{chrome_trace_json, TraceEvent};

@@ -28,6 +28,17 @@ pub trait CodeMemory {
     /// of hash maps keyed by block.
     fn block_slot(&self, block: Block) -> Option<usize>;
 
+    /// Calls `f` with every instruction of `block`, in ascending
+    /// address order: the instructions
+    /// [`CodeMemory::instrs_in_block`] returns, without collecting them
+    /// into a vector. Code memories that keep their instructions in
+    /// memory override it, so a first decode copies nothing.
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        for i in &self.instrs_in_block(block) {
+            f(i);
+        }
+    }
+
     /// Returns `true` if `block` contains at least one instruction.
     fn is_code_block(&self, block: Block) -> bool {
         !self.instrs_in_block(block).is_empty()
@@ -42,6 +53,9 @@ impl<T: CodeMemory + ?Sized> CodeMemory for &T {
     fn block_slot(&self, block: Block) -> Option<usize> {
         (**self).block_slot(block)
     }
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        (**self).for_each_in_block(block, f);
+    }
 }
 
 impl<T: CodeMemory + ?Sized> CodeMemory for Box<T> {
@@ -52,6 +66,9 @@ impl<T: CodeMemory + ?Sized> CodeMemory for Box<T> {
     fn block_slot(&self, block: Block) -> Option<usize> {
         (**self).block_slot(block)
     }
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        (**self).for_each_in_block(block, f);
+    }
 }
 
 impl<T: CodeMemory + ?Sized> CodeMemory for std::sync::Arc<T> {
@@ -61,6 +78,9 @@ impl<T: CodeMemory + ?Sized> CodeMemory for std::sync::Arc<T> {
 
     fn block_slot(&self, block: Block) -> Option<usize> {
         (**self).block_slot(block)
+    }
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        (**self).for_each_in_block(block, f);
     }
 }
 
@@ -149,6 +169,12 @@ impl CodeMemory for RecordedCode {
     fn block_slot(&self, block: Block) -> Option<usize> {
         self.slots.get(&block).copied()
     }
+
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        if let Some(slot) = self.block_slot(block) {
+            self.blocks[slot].iter().for_each(f);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -207,6 +233,9 @@ mod tests {
         assert_eq!(b[0].pc, 0x1000);
         assert_eq!(b[1].kind, StaticKind::CondBranch);
         assert_eq!(b[1].target, Some(0x2000));
+        let mut visited = Vec::new();
+        rec.for_each_in_block(crate::block_of(0x1000), &mut |s| visited.push(*s));
+        assert_eq!(visited, b);
         // Indirect targets are NOT in the encoding.
         let b2 = rec.instrs_in_block(crate::block_of(0x2004));
         let call = b2.iter().find(|s| s.pc == 0x2004).unwrap();
@@ -241,6 +270,9 @@ mod tests {
         assert_eq!(boxed.instrs_in_block(2).len(), 4);
         assert!(boxed.is_code_block(2));
         assert_eq!(boxed.block_slot(2), Some(2));
+        let mut n = 0;
+        boxed.for_each_in_block(2, &mut |_| n += 1);
+        assert_eq!(n, 4, "the default visits what instrs_in_block returns");
         assert_eq!(std::sync::Arc::new(Toy).block_slot(9), None);
     }
 }
