@@ -22,13 +22,74 @@
 //! * `DCFB_FAIL_FIGURE=<id>` injects a panic into the named figure
 //!   (fault injection for the crash-isolation path itself).
 //!
+//! Progress goes to stderr as a JSONL run log: one JSON object per
+//! line, written through `dcfb_telemetry::json`. Every line has an
+//! `event` field:
+//!
+//! * `figure` — one per figure, with its `id`, `outcome`
+//!   (`regenerated`, `skipped` for a checkpointed figure, or `failed`
+//!   with the panic message as `error`) and `wall_s`;
+//! * `resume` (the checkpoint path and its figure count) and `warning`
+//!   (`message`) around checkpoint handling;
+//! * `done` — last, with the number of `failed` figures.
+//!
 //! Exits 0 when every figure completed, 4 (the run-failure exit code)
-//! when any figure failed.
+//! when any figure failed. A reader that closes stdout or stderr early
+//! (`| head`) does not change the exit code: writes to a closed pipe
+//! are dropped. Any other write error exits 5 (host I/O).
 
 use dcfb_bench::checkpoint::Checkpoint;
-use dcfb_errors::{panic_message, EXIT_RUN_FAILURE};
+use dcfb_errors::{panic_message, EXIT_IO, EXIT_RUN_FAILURE};
+use dcfb_telemetry::json::write_escaped;
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
+
+/// Writes `text` and a newline to `out`. A closed pipe is not a batch
+/// failure (the exit code still reports the run), so `BrokenPipe` is
+/// ignored; any other write error ends the batch with exit 5.
+fn emit(mut out: impl Write, text: &str) {
+    match writeln!(out, "{text}") {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => std::process::exit(EXIT_IO),
+        _ => {}
+    }
+}
+
+/// One line of the markdown document on stdout.
+fn doc(text: &str) {
+    emit(std::io::stdout().lock(), text);
+}
+
+/// A field value of a run-log line.
+enum Val<'a> {
+    Str(&'a str),
+    Count(usize),
+    Secs(f32),
+}
+
+/// Writes one run-log line to stderr: a JSON object of `event` and
+/// `fields`.
+fn log(event: &str, fields: &[(&str, Val)]) {
+    let mut line = String::from("{\"event\": ");
+    write_escaped(&mut line, event);
+    for (key, value) in fields {
+        line.push_str(", ");
+        write_escaped(&mut line, key);
+        line.push_str(": ");
+        match value {
+            Val::Str(s) => write_escaped(&mut line, s),
+            Val::Count(n) => {
+                let _ = write!(line, "{n}");
+            }
+            Val::Secs(s) => {
+                let _ = write!(line, "{s:.3}");
+            }
+        }
+    }
+    line.push('}');
+    emit(std::io::stderr().lock(), &line);
+}
 
 fn main() {
     let checkpoint_path = Checkpoint::default_path();
@@ -40,20 +101,24 @@ fn main() {
         match Checkpoint::load_lenient(&checkpoint_path) {
             Ok((cp, salvage)) => {
                 if let Some(reason) = salvage {
-                    eprintln!(
-                        "warning: checkpoint damaged ({reason}); salvaged {} complete figure(s)",
+                    let message = format!(
+                        "checkpoint damaged ({reason}); salvaged {} complete figure(s)",
                         cp.len()
                     );
+                    log("warning", &[("message", Val::Str(&message))]);
                 }
-                eprintln!(
-                    "resuming from {} ({} figures checkpointed)",
-                    checkpoint_path.display(),
-                    cp.len()
+                log(
+                    "resume",
+                    &[
+                        ("checkpoint", Val::Str(&checkpoint_path.to_string_lossy())),
+                        ("figures", Val::Count(cp.len())),
+                    ],
                 );
                 cp
             }
             Err(e) => {
-                eprintln!("warning: cannot resume: {e}; starting fresh");
+                let message = format!("cannot resume: {e}; starting fresh");
+                log("warning", &[("message", Val::Str(&message))]);
                 Checkpoint::new()
             }
         }
@@ -62,19 +127,26 @@ fn main() {
     };
     let fail_figure = std::env::var("DCFB_FAIL_FIGURE").ok();
 
-    println!("# Regenerated experiments — Divide and Conquer Frontend Bottleneck\n");
-    println!(
+    doc("# Regenerated experiments — Divide and Conquer Frontend Bottleneck\n");
+    doc(&format!(
         "Scale: warmup {} / measure {} instructions per run, {} workloads.\n",
         dcfb_bench::warmup_instrs(),
         dcfb_bench::measure_instrs(),
         dcfb_bench::workloads().len()
-    );
+    ));
 
     let mut failures: Vec<(String, String)> = Vec::new();
     for (id, gen) in dcfb_bench::figures::all() {
         if let Some(md) = checkpoint.get(id) {
-            eprintln!("[{id}] skipped (checkpoint)");
-            println!("{md}");
+            log(
+                "figure",
+                &[
+                    ("id", Val::Str(id)),
+                    ("outcome", Val::Str("skipped")),
+                    ("wall_s", Val::Secs(0.0)),
+                ],
+            );
+            doc(md);
             continue;
         }
         let t0 = Instant::now();
@@ -98,39 +170,56 @@ fn main() {
         match result {
             Ok(table) => {
                 let md = table.to_string();
-                eprintln!("[{id}] regenerated in {:.1}s", t0.elapsed().as_secs_f32());
-                println!("{md}");
+                log(
+                    "figure",
+                    &[
+                        ("id", Val::Str(id)),
+                        ("outcome", Val::Str("regenerated")),
+                        ("wall_s", Val::Secs(t0.elapsed().as_secs_f32())),
+                    ],
+                );
+                doc(&md);
                 checkpoint.put(id, &md);
                 if let Err(e) = checkpoint.save(&checkpoint_path) {
-                    eprintln!("warning: cannot write checkpoint: {e}");
+                    let message = format!("cannot write checkpoint: {e}");
+                    log("warning", &[("message", Val::Str(&message))]);
                 }
             }
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
-                eprintln!(
-                    "[{id}] FAILED after {:.1}s: {msg}",
-                    t0.elapsed().as_secs_f32()
+                log(
+                    "figure",
+                    &[
+                        ("id", Val::Str(id)),
+                        ("outcome", Val::Str("failed")),
+                        ("wall_s", Val::Secs(t0.elapsed().as_secs_f32())),
+                        ("error", Val::Str(&msg)),
+                    ],
                 );
                 failures.push((id.to_owned(), msg));
             }
         }
     }
 
-    if failures.is_empty() {
-        eprintln!("all figures completed");
-    } else {
-        println!("## Failure summary\n");
-        println!("| figure | error |");
-        println!("| --- | --- |");
+    if !failures.is_empty() {
+        doc("## Failure summary\n");
+        doc("| figure | error |");
+        doc("| --- | --- |");
         for (id, msg) in &failures {
-            println!("| {id} | {} |", msg.replace('|', "\\|"));
+            doc(&format!("| {id} | {} |", msg.replace('|', "\\|")));
         }
-        println!();
-        eprintln!(
-            "{} figure(s) failed; completed figures are checkpointed at {} — rerun with DCFB_RESUME=1 to retry only the failures",
-            failures.len(),
-            checkpoint_path.display()
-        );
+        doc("");
+    }
+    // Completed figures are checkpointed; DCFB_RESUME=1 retries only
+    // the failures.
+    log(
+        "done",
+        &[
+            ("failed", Val::Count(failures.len())),
+            ("checkpoint", Val::Str(&checkpoint_path.to_string_lossy())),
+        ],
+    );
+    if !failures.is_empty() {
         std::process::exit(EXIT_RUN_FAILURE);
     }
 }
