@@ -7,6 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use dcfb_telemetry::JsonValue;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -26,6 +27,18 @@ fn tiny_cmd(checkpoint: &Path, jobs: &str) -> Command {
         .env_remove("DCFB_RESUME")
         .env_remove("DCFB_FAIL_FIGURE");
     cmd
+}
+
+/// The `outcome` the batch's stderr run log (one JSON object per line)
+/// records for figure `id`.
+fn outcome(stderr: &str, id: &str) -> Option<String> {
+    stderr.lines().find_map(|line| {
+        let v = JsonValue::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        if v.get("id").and_then(JsonValue::as_str) != Some(id) {
+            return None;
+        }
+        v.get("outcome")?.as_str().map(str::to_owned)
+    })
 }
 
 /// An injected figure panic under a 4-worker sweep must produce the
@@ -53,8 +66,16 @@ fn crash_isolation_is_jobs_independent() {
         assert_eq!(out.status.code(), Some(4), "{label}\nstderr: {stderr}");
         assert!(stdout.contains("## Failure summary"), "{label}: {stdout}");
         assert!(stdout.contains("fig13"), "{label}: {stdout}");
-        assert!(stderr.contains("[fig13] FAILED"), "{label}: {stderr}");
-        assert!(stderr.contains("[fig16] regenerated"), "{label}: {stderr}");
+        assert_eq!(
+            outcome(&stderr, "fig13").as_deref(),
+            Some("failed"),
+            "{label}"
+        );
+        assert_eq!(
+            outcome(&stderr, "fig16").as_deref(),
+            Some("regenerated"),
+            "{label}"
+        );
     }
     // Identical documents and identical checkpoints: the parallel
     // executor merges in workload order, so nothing about the failure
@@ -81,8 +102,16 @@ fn crash_isolation_is_jobs_independent() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    assert!(stderr.contains("[fig16] skipped (checkpoint)"), "{stderr}");
-    assert!(stderr.contains("[fig13] regenerated"), "{stderr}");
+    assert_eq!(
+        outcome(&stderr, "fig16").as_deref(),
+        Some("skipped"),
+        "{stderr}"
+    );
+    assert_eq!(
+        outcome(&stderr, "fig13").as_deref(),
+        Some("regenerated"),
+        "{stderr}"
+    );
     assert!(!stdout.contains("## Failure summary"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).unwrap();
