@@ -106,8 +106,9 @@ pub trait FrontendDriver {
     /// Runs `pumps` background pumps for a stall that began at cycle
     /// `resume`, advancing `m.cycle` one cycle per pump. Equivalent to
     /// calling [`pump`](FrontendDriver::pump) in a loop; production
-    /// drivers override it to hoist per-pump dispatch (the prefetcher
-    /// `Option` check, the virtual call itself) out of the stall loop.
+    /// drivers override it so the simulator dispatches to the driver
+    /// once per stall rather than once per pump (and the decoupled
+    /// driver tests its prefetcher `Option` once).
     fn pump_batch(&mut self, m: &mut Machine, resume: u64, pumps: u64) {
         for k in 0..pumps {
             m.cycle = resume + k + 1;
@@ -143,6 +144,7 @@ pub fn build_driver(cfg: &SimConfig, start_pc: Addr) -> Box<dyn FrontendDriver> 
 /// per-instruction hooks are direct (inlinable) calls, plus a boxed
 /// variant for an explicit driver handed to
 /// [`Simulator::try_with_driver`](super::Simulator::try_with_driver).
+#[allow(clippy::large_enum_variant)] // one per simulator, holding its prefetcher inline
 pub(crate) enum Driver {
     Decoupled(DecoupledDriver),
     Directed(DirectedDriver),
