@@ -11,14 +11,8 @@
 //!   crash-isolation boundary: a panicking figure (any of its runs
 //!   panicking included) is recorded in the failure summary at the end
 //!   of the document instead of killing the batch. The default panic
-//!   hook is silenced while figures run, so a failure prints its
-//!   one-line `[figNN] FAILED` status and no hook message or
-//!   backtrace.
-//! * Completed figures are checkpointed to a JSON file
-//!   (`DCFB_CHECKPOINT`, default `target/all_experiments.checkpoint.json`)
-//!   after each one finishes. `DCFB_RESUME=1` reloads the file and
-//!   skips everything already present — only missing/failed figures are
-//!   regenerated.
+//!   hook is silenced while figures run, so a failure shows as one
+//!   run-log line and no hook message or backtrace.
 //! * `DCFB_FAIL_FIGURE=<id>` injects a panic into the named figure
 //!   (fault injection for the crash-isolation path itself).
 //!
@@ -27,18 +21,18 @@
 //! `event` field:
 //!
 //! * `figure` — one per figure, with its `id`, `outcome`
-//!   (`regenerated`, `skipped` for a checkpointed figure, or `failed`
-//!   with the panic message as `error`) and `wall_s`;
-//! * `resume` (the checkpoint path and its figure count) and `warning`
-//!   (`message`) around checkpoint handling;
+//!   (`regenerated`, or `failed` with the panic message as `error`)
+//!   and `wall_s`;
 //! * `done` — last, with the number of `failed` figures.
+//!
+//! The batch writes no file: the document and the run log are its
+//! only output.
 //!
 //! Exits 0 when every figure completed, 4 (the run-failure exit code)
 //! when any figure failed. A reader that closes stdout or stderr early
 //! (`| head`) does not change the exit code: writes to a closed pipe
 //! are dropped. Any other write error exits 5 (host I/O).
 
-use dcfb_bench::checkpoint::Checkpoint;
 use dcfb_errors::{panic_message, EXIT_IO, EXIT_RUN_FAILURE};
 use dcfb_telemetry::json::write_escaped;
 use std::fmt::Write as _;
@@ -92,39 +86,6 @@ fn log(event: &str, fields: &[(&str, Val)]) {
 }
 
 fn main() {
-    let checkpoint_path = Checkpoint::default_path();
-    let resume = Checkpoint::resume_requested();
-    let mut checkpoint = if resume {
-        // Lenient load: a checkpoint torn by a mid-write kill (or any
-        // other corruption) salvages its valid prefix instead of
-        // discarding all recorded progress.
-        match Checkpoint::load_lenient(&checkpoint_path) {
-            Ok((cp, salvage)) => {
-                if let Some(reason) = salvage {
-                    let message = format!(
-                        "checkpoint damaged ({reason}); salvaged {} complete figure(s)",
-                        cp.len()
-                    );
-                    log("warning", &[("message", Val::Str(&message))]);
-                }
-                log(
-                    "resume",
-                    &[
-                        ("checkpoint", Val::Str(&checkpoint_path.to_string_lossy())),
-                        ("figures", Val::Count(cp.len())),
-                    ],
-                );
-                cp
-            }
-            Err(e) => {
-                let message = format!("cannot resume: {e}; starting fresh");
-                log("warning", &[("message", Val::Str(&message))]);
-                Checkpoint::new()
-            }
-        }
-    } else {
-        Checkpoint::new()
-    };
     let fail_figure = std::env::var("DCFB_FAIL_FIGURE").ok();
 
     doc("# Regenerated experiments — Divide and Conquer Frontend Bottleneck\n");
@@ -137,18 +98,6 @@ fn main() {
 
     let mut failures: Vec<(String, String)> = Vec::new();
     for (id, gen) in dcfb_bench::figures::all() {
-        if let Some(md) = checkpoint.get(id) {
-            log(
-                "figure",
-                &[
-                    ("id", Val::Str(id)),
-                    ("outcome", Val::Str("skipped")),
-                    ("wall_s", Val::Secs(0.0)),
-                ],
-            );
-            doc(md);
-            continue;
-        }
         let t0 = Instant::now();
         let inject = fail_figure.as_deref() == Some(id);
         // The failure summary carries the panic message; the default
@@ -169,7 +118,6 @@ fn main() {
         std::panic::set_hook(default_hook);
         match result {
             Ok(table) => {
-                let md = table.to_string();
                 log(
                     "figure",
                     &[
@@ -178,12 +126,7 @@ fn main() {
                         ("wall_s", Val::Secs(t0.elapsed().as_secs_f32())),
                     ],
                 );
-                doc(&md);
-                checkpoint.put(id, &md);
-                if let Err(e) = checkpoint.save(&checkpoint_path) {
-                    let message = format!("cannot write checkpoint: {e}");
-                    log("warning", &[("message", Val::Str(&message))]);
-                }
+                doc(&table.to_string());
             }
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
@@ -210,15 +153,7 @@ fn main() {
         }
         doc("");
     }
-    // Completed figures are checkpointed; DCFB_RESUME=1 retries only
-    // the failures.
-    log(
-        "done",
-        &[
-            ("failed", Val::Count(failures.len())),
-            ("checkpoint", Val::Str(&checkpoint_path.to_string_lossy())),
-        ],
-    );
+    log("done", &[("failed", Val::Count(failures.len()))]);
     if !failures.is_empty() {
         std::process::exit(EXIT_RUN_FAILURE);
     }

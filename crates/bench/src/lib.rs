@@ -3,9 +3,8 @@
 //! The experiment harness: one generator per table and figure of the
 //! paper, shared by the `fig*`/`tab*` binaries and by
 //! `all_experiments`, which regenerates everything and emits
-//! `EXPERIMENTS.md`-ready markdown. Around it: the worker pool
-//! ([`sweep`]), the batch checkpoint ([`checkpoint`]), the pooled fuzz
-//! driver ([`fuzz`]) and the chaos campaign ([`chaos`]).
+//! `EXPERIMENTS.md`-ready markdown. The figure sweeps share one worker
+//! pool ([`sweep`]).
 //! Simulator throughput is measured by the repository benchmark
 //! (`perfbench/`), not here.
 //!
@@ -20,14 +19,10 @@
 //!   merged in item order, so the output is byte-identical for every
 //!   job count.
 
-pub mod chaos;
-pub mod checkpoint;
 pub mod figures;
-pub mod fuzz;
 pub mod runs;
 pub mod sweep;
 pub mod table;
 
-pub use fuzz::{run_fuzz_campaign, FuzzOptions, FuzzReport};
 pub use runs::{measure_instrs, warmup_instrs, workloads};
 pub use table::Table;

@@ -34,24 +34,6 @@ COMMANDS:
                          streams, plus cross-prefetcher invariants;
                          exits 4 with a shrunk counterexample on the
                          first divergence
-    chaos                Run the seeded fault campaign through the real
-                         stack (trace truncation under the strict and
-                         lenient loaders, checkpoint salvage) and check
-                         its invariants; exits 4 on any violation.
-                         --seed reproduces a campaign, --quick runs the
-                         tier-1 smoke subset
-    fuzz                 Coverage-guided conformance fuzzing: mutate op
-                         sequences on the worker pool, keep only
-                         coverage-increasing inputs (ddmin-minimized),
-                         and lockstep-check every candidate against the
-                         reference models; exits 4 with a shrunk
-                         counterexample on the first divergence. The
-                         result is bit-identical at any --jobs; --quick
-                         runs the bounded smoke campaign (and requires
-                         the guided coverage to beat the fixed-seed
-                         generator), --state persists/resumes the
-                         campaign, --corpus-out writes the minimized
-                         corpus text
     help                 Show this message
 
 OPTIONS:
@@ -69,24 +51,13 @@ OPTIONS:
     --out <FILE>         Output path for `record` / prefix for `profile`
     --trace <FILE>       Input path for `replay` / `import`
     --format <binary|text>  Trace format for `record` (default binary)
-    --ops <N>            Fuzzed ops per structure for `conformance`,
-                         total op budget for `fuzz` (default 10000;
-                         zero is a configuration error, exit 3)
+    --ops <N>            Fuzzed ops per structure for `conformance`
+                         (default 10000; zero is a configuration
+                         error, exit 3)
     --lenient            For `replay` / `import`: salvage the valid
                          prefix of a damaged input instead of failing
                          (default is strict: any corruption is an
                          error, exit 3)
-    --quick              For `chaos` / `fuzz`: run the reduced smoke
-                         campaign
-    --jobs <N>           For `fuzz`: worker threads for candidate
-                         evaluation (default 0 = DCFB_JOBS, which
-                         itself defaults to the host's parallelism);
-                         any value yields bit-identical results
-    --corpus-out <FILE>  For `fuzz`: write the minimized corpus in the
-                         replayable text form (the source of the
-                         checked-in seed corpus)
-    --state <FILE>       For `fuzz`: campaign checkpoint file, saved
-                         every round and resumed when present
 ";
 
 /// Parsed command line.
@@ -118,17 +89,9 @@ pub struct Cli {
     pub format: String,
     /// `--lenient` for `replay`: salvage damaged traces.
     pub lenient: bool,
-    /// `--ops` for `conformance` / `fuzz`: op budget. Positivity is a
+    /// `--ops` for `conformance`: op budget. Positivity is a
     /// typed config rule checked at run time, not here.
     pub ops: usize,
-    /// `--quick` for `chaos` / `fuzz`: reduced smoke campaign.
-    pub quick: bool,
-    /// `--jobs` for `fuzz`: worker threads (0 = `DCFB_JOBS`).
-    pub jobs: usize,
-    /// `--corpus-out` for `fuzz`: minimized-corpus output path.
-    pub corpus_out: Option<String>,
-    /// `--state` for `fuzz`: campaign checkpoint file.
-    pub state: Option<String>,
 }
 
 impl Cli {
@@ -159,10 +122,6 @@ impl Cli {
             format: "binary".to_owned(),
             lenient: false,
             ops: 10_000,
-            quick: false,
-            jobs: 0,
-            corpus_out: None,
-            state: None,
         };
         while let Some(flag) = it.next() {
             let mut value = |name: &str| -> Result<String, String> {
@@ -212,16 +171,8 @@ impl Cli {
                         .parse()
                         .map_err(|_| "--ops must be an integer")?;
                 }
-                "--jobs" => {
-                    cli.jobs = value("--jobs")?
-                        .parse()
-                        .map_err(|_| "--jobs must be an integer")?;
-                }
-                "--corpus-out" => cli.corpus_out = Some(value("--corpus-out")?),
-                "--state" => cli.state = Some(value("--state")?),
                 "--json" => cli.json = true,
                 "--lenient" => cli.lenient = true,
-                "--quick" => cli.quick = true,
                 "--out" => cli.out = Some(value("--out")?),
                 "--trace" => cli.trace = Some(value("--trace")?),
                 "--format" => {
@@ -335,6 +286,9 @@ mod tests {
         assert!(parse(&["run", "--isa", "thumb"]).is_err());
         assert!(parse(&["run", "--methods", ""]).is_err());
         assert!(parse(&[]).is_err());
+        for removed in ["--quick", "--jobs", "--state", "--corpus-out"] {
+            assert!(parse(&["conformance", removed, "1"]).is_err(), "{removed}");
+        }
     }
 
     #[test]
@@ -348,45 +302,6 @@ mod tests {
         // typed config error (exit 3), not a usage error.
         assert_eq!(parse(&["conformance", "--ops", "0"]).unwrap().ops, 0);
         assert!(parse(&["conformance", "--ops", "many"]).is_err());
-    }
-
-    #[test]
-    fn parses_fuzz_flags() {
-        let cli = parse(&[
-            "fuzz",
-            "--seed",
-            "7",
-            "--ops",
-            "50000",
-            "--jobs",
-            "4",
-            "--state",
-            "fuzz.json",
-            "--corpus-out",
-            "corpus.txt",
-            "--quick",
-        ])
-        .unwrap();
-        assert_eq!(cli.command, "fuzz");
-        assert_eq!(cli.seed, 7);
-        assert_eq!(cli.ops, 50_000);
-        assert_eq!(cli.jobs, 4);
-        assert_eq!(cli.state.as_deref(), Some("fuzz.json"));
-        assert_eq!(cli.corpus_out.as_deref(), Some("corpus.txt"));
-        assert!(cli.quick);
-        let defaults = parse(&["fuzz"]).unwrap();
-        assert_eq!(defaults.jobs, 0);
-        assert_eq!(defaults.corpus_out, None);
-        assert!(parse(&["fuzz", "--jobs", "many"]).is_err());
-    }
-
-    #[test]
-    fn parses_chaos_flags() {
-        let cli = parse(&["chaos", "--seed", "42", "--quick"]).unwrap();
-        assert_eq!(cli.command, "chaos");
-        assert_eq!(cli.seed, 42);
-        assert!(cli.quick);
-        assert!(!parse(&["chaos"]).unwrap().quick);
     }
 
     #[test]

@@ -412,9 +412,7 @@ pub fn replay(cli: &Cli) -> Result<(), DcfbError> {
         if let Some(reason) = &read.salvage {
             eprintln!(
                 "warning: {path}: trace damaged ({reason}); salvaged {} of {} records",
-                read.records,
-                read.declared_records
-                    .map_or_else(|| "unknown".to_owned(), |n| n.to_string()),
+                read.records, read.declared_records,
             );
         }
     }
@@ -464,90 +462,6 @@ pub fn conformance(cli: &Cli) -> Result<(), DcfbError> {
                 report.checks.len(),
                 report.seed,
                 report.ops_per_structure
-            ),
-        })
-    }
-}
-
-/// `dcfb fuzz` — the coverage-guided conformance campaign on the
-/// worker pool. Stdout carries only the deterministic summary (the
-/// same bytes at any `--jobs`); timing goes to stderr.
-pub fn fuzz(cli: &Cli) -> Result<(), DcfbError> {
-    let jobs = if cli.jobs == 0 {
-        dcfb_bench::sweep::jobs()
-    } else {
-        cli.jobs
-    };
-    let opts = dcfb_bench::FuzzOptions {
-        seed: cli.seed,
-        total_ops: cli.ops as u64,
-        jobs,
-        quick: cli.quick,
-        state: cli.state.as_ref().map(std::path::PathBuf::from),
-        corpus_out: cli.corpus_out.as_ref().map(std::path::PathBuf::from),
-    };
-    let report = dcfb_bench::run_fuzz_campaign(&opts)?;
-    print!("{}", report.render());
-    eprintln!(
-        "fuzz: {:.2}s wall clock, {:.0} ops/s, {} jobs",
-        report.seconds, report.ops_per_sec, report.jobs
-    );
-    if let Some(path) = &cli.corpus_out {
-        eprintln!("fuzz: wrote minimized corpus to {path}");
-    }
-    if let Some(len) = report.counterexample_len {
-        return Err(DcfbError::Run {
-            workload: "fuzzed op streams".to_owned(),
-            method: "fuzz".to_owned(),
-            message: format!(
-                "a campaign candidate diverged from production (shrunk to {len} op(s)); \
-                 reproduce with --seed {}{}",
-                report.seed,
-                if cli.quick {
-                    " --quick".to_owned()
-                } else {
-                    format!(" --ops {}", cli.ops)
-                }
-            ),
-        });
-    }
-    if cli.quick && report.coverage_bits <= report.baseline_bits {
-        // The --quick smoke doubles as the verify-flow gate: guided
-        // search must strictly beat the fixed-seed generator at the
-        // same executed-op budget.
-        return Err(DcfbError::Run {
-            workload: "fuzzed op streams".to_owned(),
-            method: "fuzz".to_owned(),
-            message: format!(
-                "guided coverage ({} bits) failed to exceed the fixed-seed baseline ({} bits)",
-                report.coverage_bits, report.baseline_bits
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// `chaos`: the seeded fault campaign — trace truncation under the
-/// strict and lenient loaders and checkpoint salvage, all through the
-/// real stack, with every invariant checked.
-pub fn chaos(cli: &Cli) -> Result<(), DcfbError> {
-    let report = dcfb_bench::chaos::run_chaos(&dcfb_bench::chaos::ChaosOptions {
-        seed: cli.seed,
-        quick: cli.quick,
-    });
-    print!("{}", report.render());
-    if report.passed() {
-        Ok(())
-    } else {
-        let first = report.failures.first().cloned().unwrap_or_default();
-        Err(DcfbError::Run {
-            workload: "fault campaign".to_owned(),
-            method: "chaos".to_owned(),
-            message: format!(
-                "{} invariant violation(s) (first: {first}); reproduce with --seed {}{}",
-                report.failures.len(),
-                report.seed,
-                if report.quick { " --quick" } else { "" }
             ),
         })
     }

@@ -11,9 +11,6 @@
 //! dcfb import   --trace champsim.bin --out trace.dcfbt [--lenient]
 //! dcfb replay   --trace trace.dcfbt --method Shotgun [--lenient] [options]
 //! dcfb conformance [--seed N] [--ops N]
-//! dcfb fuzz     [--seed N] [--ops N] [--jobs N] [--quick]
-//!               [--state camp.json] [--corpus-out corpus.txt]
-//! dcfb chaos    [--seed N] [--quick]
 //! ```
 //!
 //! Common options: `--warmup N`, `--measure N`, `--seed N`,
@@ -54,8 +51,6 @@ fn main() {
         "import" => commands::import(&cli),
         "replay" => commands::replay(&cli),
         "conformance" => commands::conformance(&cli),
-        "fuzz" => commands::fuzz(&cli),
-        "chaos" => commands::chaos(&cli),
         "help" | "--help" | "-h" => {
             println!("{}", args::USAGE);
             Ok(())

@@ -1,7 +1,8 @@
 //! End-to-end exit-code and diagnostics contract for the `dcfb`
-//! binary: corrupt traces must produce a one-line `error:` diagnostic
-//! and exit 3 (never a backtrace), `--lenient` must salvage the valid
-//! prefix, and a clean record → replay round trip must succeed.
+//! binary: corrupt traces (and files in the retired v1 binary format)
+//! must produce a one-line `error:` diagnostic and exit 3 (never a
+//! backtrace), `--lenient` must salvage and run the valid prefix, and
+//! a clean record → replay round trip must succeed.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -148,13 +149,74 @@ fn short_trace_source_runs_the_replay_window() {
 
 #[test]
 fn truncated_trace_exits_3() {
+    use dcfb_telemetry::json::JsonValue;
     let dir = temp_dir("trunc");
     let trace = dir.join("clean.dcfbt");
-    assert_eq!(record(&trace, "600").status.code(), Some(0));
+    // 1500 records = 3 chunks of 512; a cut at half the file lands in
+    // the second chunk, leaving one verified 512-record chunk.
+    assert_eq!(record(&trace, "1500").status.code(), Some(0));
     let data = std::fs::read(&trace).unwrap();
     let cut = dir.join("cut.dcfbt");
     std::fs::write(&cut, &data[..data.len() / 2]).unwrap();
     assert_one_line_error(&replay(&cut, &[]), 3);
+
+    // Lenient: the salvaged prefix runs and measures a non-empty
+    // window (the requested 200 warmup, then the other 312 records).
+    let out = replay(&cut, &["--lenient", "--json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.contains("salvaged 512 of 1500"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let report = JsonValue::parse(stdout.trim()).unwrap();
+    assert_eq!(
+        report.get("instructions").and_then(JsonValue::as_u64),
+        Some(312),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The v1 binary layout (`DCFBTRC1`: a bare magic and unchecked
+/// records) is no longer read. It is a typed trace error at every
+/// layer, and never falls through to the text parser.
+#[test]
+fn v1_trace_is_rejected_with_a_typed_error() {
+    use dcfb_errors::{DcfbError, TraceErrorKind};
+    use dcfb_trace::ReadMode;
+    let dir = temp_dir("v1");
+    let path = dir.join("legacy.dcfbt");
+    let mut bytes = b"DCFBTRC1".to_vec();
+    for i in 0..4u64 {
+        bytes.extend_from_slice(&(0x1000 + 4 * i).to_le_bytes()); // pc
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // target
+        bytes.extend_from_slice(&[4, 0]); // size, kind
+    }
+    std::fs::write(&path, &bytes).unwrap();
+
+    for mode in [ReadMode::Strict, ReadMode::Lenient] {
+        let err = dcfb_trace::read_binary_checked(bytes.as_slice(), mode).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DcfbError::Trace {
+                    kind: TraceErrorKind::BadMagic,
+                    ..
+                }
+            ),
+            "{mode:?}: {err:?}"
+        );
+        let err = dcfb_workloads::load_trace(path.to_str().unwrap(), mode, "legacy")
+            .err()
+            .unwrap();
+        assert!(matches!(err, DcfbError::Trace { .. }), "{mode:?}: {err:?}");
+    }
+
+    for extra in [&[][..], &["--lenient"][..]] {
+        let out = replay(&path, extra);
+        assert_one_line_error(&out, 3);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -166,9 +228,10 @@ fn usage_and_bad_input_exit_codes() {
     // Unknown command / option → usage error (2).
     assert_one_line_error(&dcfb(&["frobnicate"]), 2);
     assert_one_line_error(&dcfb(&["run", "--bogus"]), 2);
-    // The removed job server, perf harness and sharded execution are
-    // rejected, not silently ignored.
-    for removed in ["serve", "bench-sweep"] {
+    // The removed job server, perf harness, fuzz campaign, chaos
+    // campaign and sharded execution are rejected, not silently
+    // ignored.
+    for removed in ["serve", "bench-sweep", "fuzz", "chaos"] {
         let out = dcfb(&[removed]);
         assert_one_line_error(&out, 2);
         let stderr = String::from_utf8_lossy(&out.stderr);

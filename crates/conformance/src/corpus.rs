@@ -1,80 +1,20 @@
-//! The minimized fuzz corpus.
+//! The frozen fuzz corpus: hand-maintained test data for the 15th
+//! `dcfb conformance` check.
 //!
-//! The campaign keeps only *coverage-increasing* inputs: a candidate is
-//! admitted when its [`CoverageMap`] lights a bit the accumulated
-//! campaign map has not seen, and is then re-minimized through the
-//! existing ddmin [`shrink`] down to a subsequence that still
-//! contributes novel coverage. Entries serialize to a one-line,
-//! human-diffable text form (one token per op) so the corpus can
-//! persist through the PR-1 checkpoint machinery and ship as the
-//! checked-in seed corpus `corpus_seed.txt`, which the 15th
-//! `dcfb conformance` check replays through every engine harness.
+//! `corpus_seed.txt` holds short engine-op sequences, one per line (one
+//! token per op), over the program layout its header names. Each entry
+//! replays through every engine harness in [`check_corpus_replay`]. The
+//! file is edited by hand: add a line to pin a behaviour, and keep the
+//! header's layout seed, since every entry's branch addresses refer to
+//! that layout.
 
-use crate::coverage::{coverage_of, CoverageMap};
-use crate::ops::{CodeLayout, EngineOp, RecentBranch};
-use crate::shrink::shrink;
-use std::fmt::Write as _;
+use crate::ops::{EngineOp, RecentBranch};
 
-/// Schema tag of the corpus text form (header line + checkpoint key).
-pub const CORPUS_SCHEMA: &str = "dcfb-corpus-v1";
+/// Schema tag on the corpus header line.
+const CORPUS_SCHEMA: &str = "dcfb-corpus-v1";
 
-/// The checked-in seed corpus, produced by a `dcfb fuzz` campaign and
-/// re-blessed with `dcfb fuzz --corpus-out` after intentional
-/// reference-model changes.
+/// The checked-in corpus.
 const BUILTIN: &str = include_str!("corpus_seed.txt");
-
-/// FNV-1a over `bytes` — the stable, dependency-free digest used for
-/// corpus identity (two campaigns with equal digests hold identical
-/// entries in identical order).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Renders `ops` as one line: space-separated tokens, `T` for ticks,
-/// `D:block:hp[:pc:target]` demands (`h`/`p` are 0/1 flags),
-/// `F:block:p` fills, `E:block:u` evicts.
-pub fn serialize_ops(ops: &[EngineOp]) -> String {
-    let mut out = String::new();
-    for (i, op) in ops.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        match op {
-            EngineOp::Demand {
-                block,
-                hit,
-                hit_was_prefetched,
-                branch,
-            } => {
-                let _ = write!(
-                    out,
-                    "D:{block}:{}{}",
-                    u8::from(*hit),
-                    u8::from(*hit_was_prefetched)
-                );
-                if let Some(b) = branch {
-                    let _ = write!(out, ":{}:{}", b.pc, b.target);
-                }
-            }
-            EngineOp::Fill {
-                block,
-                was_prefetch,
-            } => {
-                let _ = write!(out, "F:{block}:{}", u8::from(*was_prefetch));
-            }
-            EngineOp::Evict { block, useless } => {
-                let _ = write!(out, "E:{block}:{}", u8::from(*useless));
-            }
-            EngineOp::Tick => out.push('T'),
-        }
-    }
-    out
-}
 
 fn parse_flag(s: &str, what: &str) -> Result<bool, String> {
     match s {
@@ -89,7 +29,9 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
         .map_err(|e| format!("bad {what} {s:?}: {e}"))
 }
 
-/// Parses one [`serialize_ops`] line back into ops.
+/// Parses one corpus line into ops: space-separated tokens, `T` for
+/// ticks, `D:block:hp[:pc:target]` demands (`h`/`p` are 0/1 flags),
+/// `F:block:p` fills, `E:block:u` evicts.
 ///
 /// # Errors
 ///
@@ -145,113 +87,6 @@ pub fn parse_ops(line: &str) -> Result<Vec<EngineOp>, String> {
     Ok(ops)
 }
 
-/// One admitted, minimized input.
-#[derive(Clone, Debug)]
-pub struct CorpusEntry {
-    /// The minimized op sequence.
-    pub ops: Vec<EngineOp>,
-    /// The entry's own coverage map (over the campaign layout).
-    pub map: CoverageMap,
-}
-
-/// The ordered store of coverage-increasing inputs.
-#[derive(Clone, Debug, Default)]
-pub struct Corpus {
-    entries: Vec<CorpusEntry>,
-}
-
-impl Corpus {
-    /// An empty corpus.
-    pub fn new() -> Self {
-        Corpus::default()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the corpus is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entries, in admission order.
-    pub fn entries(&self) -> &[CorpusEntry] {
-        &self.entries
-    }
-
-    /// Re-admits an already-minimized entry (checkpoint resume): its
-    /// map is recomputed over `layout` and folded into `global`.
-    pub fn admit_resumed(
-        &mut self,
-        layout: &CodeLayout,
-        global: &mut CoverageMap,
-        ops: Vec<EngineOp>,
-    ) {
-        let map = coverage_of(layout, &ops);
-        global.merge(&map);
-        self.entries.push(CorpusEntry { ops, map });
-    }
-
-    /// Considers a candidate whose coverage is `map`: admitted iff it
-    /// lights a bit `global` has not seen. On admission the input is
-    /// re-minimized with ddmin down to a subsequence that still
-    /// contributes novel coverage over the pre-admission map, `global`
-    /// absorbs both the full input's and the minimized entry's
-    /// coverage, and the entry is stored. Returns whether it was
-    /// admitted.
-    pub fn consider(
-        &mut self,
-        layout: &CodeLayout,
-        global: &mut CoverageMap,
-        ops: &[EngineOp],
-        map: &CoverageMap,
-    ) -> bool {
-        if !map.has_novel_bits_over(global) {
-            return false;
-        }
-        let before = *global;
-        let minimized = shrink(ops, &|sub: &[EngineOp]| {
-            coverage_of(layout, sub).has_novel_bits_over(&before)
-        });
-        let entry_map = coverage_of(layout, &minimized);
-        global.merge(map);
-        global.merge(&entry_map);
-        self.entries.push(CorpusEntry {
-            ops: minimized,
-            map: entry_map,
-        });
-        true
-    }
-
-    /// The serialized entry lines, in admission order.
-    pub fn lines(&self) -> Vec<String> {
-        self.entries.iter().map(|e| serialize_ops(&e.ops)).collect()
-    }
-
-    /// The corpus digest: FNV-1a over every serialized entry line, in
-    /// order. Equal digests mean identical corpora.
-    pub fn digest(&self) -> String {
-        let mut h = fnv1a64(CORPUS_SCHEMA.as_bytes());
-        for line in self.lines() {
-            h ^= fnv1a64(line.as_bytes());
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        format!("fnv:{h:016x}")
-    }
-
-    /// Renders the whole corpus in the checked-in text form.
-    pub fn render(&self, layout_seed: u64) -> String {
-        let mut out = format!("# {CORPUS_SCHEMA} layout-seed={layout_seed}\n");
-        for line in self.lines() {
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// Parses a corpus text (the checked-in form): a header naming the
 /// schema and the layout seed, then one entry line per input.
 ///
@@ -276,7 +111,7 @@ pub fn parse_corpus_text(text: &str) -> Result<(u64, Vec<Vec<EngineOp>>), String
     Ok((layout_seed, entries))
 }
 
-/// The checked-in seed corpus: `(layout_seed, entries)`.
+/// The checked-in corpus: `(layout_seed, entries)`.
 ///
 /// # Errors
 ///
@@ -285,15 +120,14 @@ pub fn builtin_corpus() -> Result<(u64, Vec<Vec<EngineOp>>), String> {
     parse_corpus_text(BUILTIN)
 }
 
-/// The 15th conformance check: every checked-in minimized corpus entry
-/// still passes lockstep through every engine harness (the corpus is
-/// the distilled record of the behaviors campaigns found interesting —
-/// a regression here means a reference/production divergence on a
-/// previously-conforming behavior).
+/// The 15th conformance check: every checked-in corpus entry still
+/// passes lockstep through every engine harness (a regression here
+/// means a reference/production divergence on a previously-conforming
+/// behavior).
 pub fn check_corpus_replay() -> Result<String, String> {
     let (layout_seed, entries) = builtin_corpus()?;
     let layout = crate::fuzz::Fuzzer::new(layout_seed).layout();
-    let harnesses = crate::campaign::engine_harnesses(&layout);
+    let harnesses = crate::engine_harnesses(&layout);
     let mut replayed = 0usize;
     for (i, ops) in entries.iter().enumerate() {
         for h in &harnesses {
@@ -318,17 +152,42 @@ pub fn check_corpus_replay() -> Result<String, String> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::fuzz::Fuzzer;
 
     #[test]
-    fn ops_round_trip_through_text() {
-        let mut fz = Fuzzer::new(13);
-        let layout = fz.layout();
-        let ops = fz.engine_ops(&layout, 300);
-        let line = serialize_ops(&ops);
-        let back = parse_ops(&line).unwrap();
-        assert_eq!(format!("{ops:?}"), format!("{back:?}"));
-        assert_eq!(serialize_ops(&back), line);
+    fn ops_parse_from_text() {
+        let ops = parse_ops("T D:5:10 D:9:01:320:640 F:7:1 E:7:0").unwrap();
+        let want = vec![
+            EngineOp::Tick,
+            EngineOp::Demand {
+                block: 5,
+                hit: true,
+                hit_was_prefetched: false,
+                branch: None,
+            },
+            EngineOp::Demand {
+                block: 9,
+                hit: false,
+                hit_was_prefetched: true,
+                branch: Some(RecentBranch {
+                    pc: 320,
+                    target: 640,
+                }),
+            },
+            EngineOp::Fill {
+                block: 7,
+                was_prefetch: true,
+            },
+            EngineOp::Evict {
+                block: 7,
+                useless: false,
+            },
+        ];
+        assert_eq!(format!("{ops:?}"), format!("{want:?}"));
+        let (seed, entries) =
+            parse_corpus_text("# dcfb-corpus-v1 layout-seed=29\n\n# note\nT T\n").unwrap();
+        assert_eq!((seed, entries.len()), (29, 1));
+        assert!(parse_corpus_text("no header\n").is_err());
+        assert!(parse_corpus_text("# dcfb-corpus-v1 layout-seed=x\n").is_err());
     }
 
     #[test]
@@ -347,69 +206,6 @@ mod tests {
         ] {
             assert!(parse_ops(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn corpus_admits_only_novel_coverage_and_minimizes() {
-        let mut fz = Fuzzer::new(17);
-        let layout = fz.layout();
-        let mut corpus = Corpus::new();
-        let mut global = CoverageMap::new();
-
-        let ops = fz.engine_ops(&layout, 400);
-        let map = coverage_of(&layout, &ops);
-        assert!(corpus.consider(&layout, &mut global, &ops, &map));
-        assert_eq!(corpus.len(), 1);
-        assert!(
-            corpus.entries()[0].ops.len() < ops.len(),
-            "minimization kept all {} ops",
-            ops.len()
-        );
-        // The exact same input again: nothing novel, not admitted.
-        assert!(!corpus.consider(&layout, &mut global, &ops, &map));
-        assert_eq!(corpus.len(), 1);
-        // The minimized entry still contributes everything it was
-        // admitted for: replaying it lights bits inside the global map.
-        assert!(!corpus.entries()[0].map.has_novel_bits_over(&global));
-    }
-
-    #[test]
-    fn digest_tracks_content_and_order() {
-        let mut fz = Fuzzer::new(23);
-        let layout = fz.layout();
-        let mut a = Corpus::new();
-        let mut b = Corpus::new();
-        let mut ga = CoverageMap::new();
-        let mut gb = CoverageMap::new();
-        assert_eq!(a.digest(), b.digest());
-        let ops = fz.engine_ops(&layout, 200);
-        let map = coverage_of(&layout, &ops);
-        a.consider(&layout, &mut ga, &ops, &map);
-        assert_ne!(a.digest(), b.digest());
-        b.consider(&layout, &mut gb, &ops, &map);
-        assert_eq!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn corpus_text_round_trips() {
-        let mut fz = Fuzzer::new(29);
-        let layout = fz.layout();
-        let mut corpus = Corpus::new();
-        let mut global = CoverageMap::new();
-        for n in [50, 400, 900] {
-            let ops = fz.engine_ops(&layout, n);
-            let map = coverage_of(&layout, &ops);
-            corpus.consider(&layout, &mut global, &ops, &map);
-        }
-        let text = corpus.render(29);
-        let (seed, entries) = parse_corpus_text(&text).unwrap();
-        assert_eq!(seed, 29);
-        assert_eq!(entries.len(), corpus.len());
-        for (e, back) in corpus.entries().iter().zip(entries.iter()) {
-            assert_eq!(format!("{:?}", e.ops), format!("{back:?}"));
-        }
-        assert!(parse_corpus_text("no header\n").is_err());
-        assert!(parse_corpus_text("# dcfb-corpus-v1 layout-seed=x\n").is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use crate::ops::{BtbBufOp, CodeLayout, DisTableOp, EngineOp, PfBufOp, RecentBranch, RluOp, SeqOp};
 use dcfb_frontend::{BranchClass, BtbEntry};
 use dcfb_telemetry::PfSource;
-use dcfb_trace::{splitmix64, Block};
+use dcfb_trace::Block;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,14 +55,6 @@ pub fn fuzz_proactive_config() -> dcfb_prefetch::Sn4lDisConfig {
         queue_capacity: FUZZ_QUEUE_CAPACITY,
         ..dcfb_prefetch::Sn4lDisConfig::default()
     }
-}
-
-/// Derives an independent sub-seed from `(base, a, b)` — the campaign
-/// seeds every `(round, candidate)` cell with this, so candidate
-/// generation is a pure function of the campaign seed and the cell
-/// coordinates, never of the job count or evaluation order.
-pub fn derive_seed(base: u64, a: u64, b: u64) -> u64 {
-    splitmix64(splitmix64(splitmix64(base) ^ a) ^ b)
 }
 
 /// The deterministic op-sequence generator.

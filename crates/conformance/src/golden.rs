@@ -22,9 +22,8 @@ use std::sync::Arc;
 const GOLDEN: &str = include_str!("golden_digests.txt");
 
 /// Builds the fixed-seed fixture program (the same image the simulator
-/// test suite uses: big enough to thrash the shrunken L1i). Public so
-/// external harnesses (the chaos campaign) can run the same fixture
-/// their golden checks are pinned to.
+/// test suite uses: big enough to thrash the shrunken L1i). The
+/// telemetry golden and the workload-source check run the same fixture.
 pub fn fixture_image() -> Arc<ProgramImage> {
     let params = WorkloadParams {
         functions: 500,

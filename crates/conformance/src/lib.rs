@@ -18,6 +18,8 @@
 //! accounting, replay determinism), and [`golden`] replays one
 //! fixed-seed trace through every method in the prefetch registry and
 //! pins the report digests bit-for-bit against checked-in goldens.
+//! [`corpus`] replays a frozen, hand-edited list of engine-op
+//! sequences through the engine harnesses.
 //!
 //! [`run_full_suite`] packages all of it behind one call; the
 //! `dcfb conformance` CLI subcommand is a thin wrapper around it.
@@ -26,29 +28,33 @@
 #![warn(missing_docs)]
 
 pub mod adapters;
-pub mod campaign;
 pub mod corpus;
-pub mod coverage;
 pub mod fuzz;
 pub mod golden;
 pub mod invariants;
 pub mod lockstep;
-pub mod mutate;
 pub mod ops;
 pub mod reference;
 pub mod shrink;
 pub mod telemetry_golden;
 pub mod workload_source;
 
-pub use campaign::{Campaign, CampaignConfig};
-pub use coverage::CoverageMap;
 pub use fuzz::Fuzzer;
 pub use lockstep::{Counterexample, Divergence, Harness, Model};
 pub use shrink::shrink;
 
-use crate::adapters::{ProdBtbBuffer, ProdDisTable, ProdPrefetchBuffer, ProdRlu, ProdSeqTable};
-use crate::fuzz::{FUZZ_BTB_BUF, FUZZ_PF_BUFFER_CAPACITY, FUZZ_TABLE_ENTRIES};
-use crate::reference::{RefBtbBuffer, RefDisTable, RefPrefetchBuffer, RefRlu, RefSeqTable, RefTag};
+use crate::adapters::{
+    ProdBtbBuffer, ProdDis, ProdDisTable, ProdPrefetchBuffer, ProdProactive, ProdRlu, ProdSeqTable,
+    ProdSn4l,
+};
+use crate::fuzz::{
+    fuzz_proactive_config, FUZZ_BTB_BUF, FUZZ_PF_BUFFER_CAPACITY, FUZZ_TABLE_ENTRIES,
+};
+use crate::ops::{CodeLayout, EngineOp};
+use crate::reference::{
+    RefBtbBuffer, RefDisEngine, RefDisTable, RefPrefetchBuffer, RefProactive, RefRlu, RefSeqTable,
+    RefSn4l, RefTag,
+};
 use dcfb_cache::PrefetchBuffer;
 use dcfb_prefetch::{BtbPrefetchBuffer, DisTable, Rlu, SeqTable, TagPolicy};
 use std::fmt::Debug;
@@ -140,6 +146,37 @@ fn invariant_result(name: &str, outcome: Result<String, String>) -> CheckResult 
     }
 }
 
+/// The three engine-level lockstep harnesses (SN4L, Dis, proactive)
+/// over `layout`: [`run_full_suite`] drives them with fuzzed ops, and
+/// [`corpus::check_corpus_replay`] with the checked-in corpus.
+pub fn engine_harnesses(layout: &CodeLayout) -> Vec<Harness<EngineOp>> {
+    let mut harnesses = Vec::new();
+    harnesses.push(Harness::new("sn4l", || {
+        (
+            Box::new(RefSn4l::new(FUZZ_TABLE_ENTRIES)) as _,
+            Box::new(ProdSn4l::new(FUZZ_TABLE_ENTRIES)) as _,
+        )
+    }));
+    let dis_layout = layout.clone();
+    harnesses.push(Harness::new("dis", move || {
+        (
+            Box::new(RefDisEngine::new(FUZZ_TABLE_ENTRIES, dis_layout.clone())) as _,
+            Box::new(ProdDis::new(FUZZ_TABLE_ENTRIES, &dis_layout)) as _,
+        )
+    }));
+    let pro_layout = layout.clone();
+    harnesses.push(Harness::new("proactive", move || {
+        (
+            Box::new(RefProactive::new(
+                fuzz_proactive_config(),
+                pro_layout.clone(),
+            )) as _,
+            Box::new(ProdProactive::new(fuzz_proactive_config(), &pro_layout)) as _,
+        )
+    }));
+    harnesses
+}
+
 /// Runs every lockstep harness over `n_ops` freshly fuzzed ops, then
 /// the cross-prefetcher invariant checks, digest parity, corpus replay
 /// and workload-source parity. Everything derives deterministically
@@ -199,9 +236,9 @@ pub fn run_full_suite(seed: u64, n_ops: usize) -> ConformanceReport {
     checks.push(lockstep_result(&h, &fz.pf_buf_ops(n_ops)));
 
     // ---- engine-level lockstep (shared adversarial layout; the same
-    // harness trio the fuzz campaign evaluates against) ----
+    // harness trio the corpus replays through) ----
     let layout = fz.layout();
-    for h in campaign::engine_harnesses(&layout) {
+    for h in engine_harnesses(&layout) {
         checks.push(lockstep_result(&h, &fz.engine_ops(&layout, n_ops)));
     }
 
@@ -227,7 +264,7 @@ pub fn run_full_suite(seed: u64, n_ops: usize) -> ConformanceReport {
         "digest-parity",
         golden::check_digest_parity(),
     ));
-    // ---- checked-in minimized fuzz corpus still passes lockstep ----
+    // ---- checked-in corpus still passes lockstep ----
     checks.push(invariant_result(
         "corpus-replay",
         corpus::check_corpus_replay(),

@@ -651,45 +651,6 @@ enum ChainSource {
     Dis,
 }
 
-/// A point-in-time counter snapshot of a [`RefProactive`], read after
-/// every op by the coverage probe in [`crate::coverage`]: the probe
-/// diffs consecutive snapshots to turn internal engine activity
-/// (issues, filter hits, queue drops, chain cutoffs, pre-decode
-/// recoveries) into behavioral coverage events.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProactiveStats {
-    /// Prefetches issued by the sequential (SN4L/SN1L) side.
-    pub seq_issued: u64,
-    /// Prefetches issued by the discontinuity side.
-    pub dis_issued: u64,
-    /// Candidates suppressed by the RLU filter.
-    pub rlu_filtered: u64,
-    /// RLU filter hits.
-    pub rlu_hits: u64,
-    /// RLU filter misses.
-    pub rlu_misses: u64,
-    /// Candidates dropped because a queue was full.
-    pub queue_drops: u64,
-    /// Chains terminated by the depth-4 cutoff.
-    pub depth_terminations: u64,
-    /// Blocks sent to the BTB pre-decode path.
-    pub predecoded: u64,
-    /// Discontinuity branches recorded.
-    pub dis_records: u64,
-    /// Replays that decoded to nothing (stale / partial-tag alias).
-    pub decode_mismatches: u64,
-    /// Indirect replays the BTB could not resolve.
-    pub unresolved_indirects: u64,
-    /// Deepest trigger depth accepted so far.
-    pub max_trigger_depth: u8,
-    /// Current SeqQueue occupancy.
-    pub seq_q: usize,
-    /// Current DisQueue occupancy.
-    pub dis_q: usize,
-    /// Current RLUQueue occupancy.
-    pub rlu_q: usize,
-}
-
 /// Reference SN4L+Dis+BTB proactive chaining engine (§V-B/§V-C): the
 /// SeqQueue / DisQueue / RLUQueue pipeline with SN4L at depth 0, SN1L
 /// past discontinuities, the RLU filter, BTB-buffer pre-decoding, and
@@ -742,34 +703,6 @@ impl RefProactive {
     /// use this to prove the cutoff actually fired).
     pub fn depth_terminations(&self) -> u64 {
         self.depth_terminations
-    }
-
-    /// Snapshot of every internal counter plus the live queue
-    /// occupancies, for the behavioral coverage probe.
-    pub fn stats(&self) -> ProactiveStats {
-        ProactiveStats {
-            seq_issued: self.seq_issued,
-            dis_issued: self.dis_issued,
-            rlu_filtered: self.rlu_filtered,
-            rlu_hits: self.rlu.hits,
-            rlu_misses: self.rlu.misses,
-            queue_drops: self.queue_drops,
-            depth_terminations: self.depth_terminations,
-            predecoded: self.predecoded,
-            dis_records: self.dis.records,
-            decode_mismatches: self.dis.decode_mismatches,
-            unresolved_indirects: self.dis.unresolved_indirects,
-            max_trigger_depth: self.max_trigger_depth,
-            seq_q: self.seq_q.len(),
-            dis_q: self.dis_q.len(),
-            rlu_q: self.rlu_q.len(),
-        }
-    }
-
-    /// The configured queue capacity (for occupancy bucketing in the
-    /// coverage probe).
-    pub fn queue_capacity(&self) -> usize {
-        self.cfg.queue_capacity
     }
 
     fn push_candidate(&mut self, block: Block, depth: u8, src: ChainSource) {

@@ -2,9 +2,8 @@
 //! parser and the string escaper.
 //!
 //! The workspace is dependency-free by design (no serde). The telemetry
-//! documents, the batch checkpoint and fuzz state files
-//! (`dcfb_bench::checkpoint`) and the CLI's `--json` output all read and
-//! write JSON through this module.
+//! documents, the batch run log and the CLI's `--json` output all read
+//! and write JSON through this module.
 //!
 //! Integers are kept exact: a number without fraction or exponent
 //! parses as `UInt`/`Int` (full 64-bit range), everything else as
@@ -119,8 +118,8 @@ pub fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Deepest nesting of arrays and objects the parser accepts. Deeper
-/// input is an error rather than a stack overflow: checkpoint and fuzz
-/// state files come from outside the program.
+/// input is an error rather than a stack overflow: parsed documents may
+/// come from outside the program.
 const MAX_DEPTH: usize = 128;
 
 /// A parse failure: what was wrong and the byte offset it was found at.
@@ -143,27 +142,6 @@ fn err(at: usize, what: impl Into<String>) -> JsonError {
         at,
         what: what.into(),
     }
-}
-
-/// Parses `text` as one JSON object and hands each complete top-level
-/// `(key, value)` pair to `visit` as soon as the value is parsed, before
-/// the separator after it is examined. On an error `visit` has therefore
-/// seen exactly the pairs before the damage, which lets a reader salvage
-/// a truncated file. `visit` may reject a pair with a message; the error
-/// then points at the value's first byte.
-///
-/// # Errors
-///
-/// The first syntax problem, a rejection from `visit`, or trailing data.
-pub fn parse_object_entries<F>(text: &str, mut visit: F) -> Result<(), JsonError>
-where
-    F: FnMut(String, JsonValue) -> Result<(), String>,
-{
-    let b = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_members(b, &mut pos, 1, &mut visit)?;
-    expect_end(b, &mut pos)
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -199,14 +177,7 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, Jso
         Some(b'{' | b'[') if depth >= MAX_DEPTH => {
             Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
         }
-        Some(b'{') => {
-            let mut fields = Vec::new();
-            parse_members(b, pos, depth + 1, &mut |k, v| {
-                fields.push((k, v));
-                Ok(())
-            })?;
-            Ok(JsonValue::Obj(fields))
-        }
+        Some(b'{') => parse_object(b, pos, depth + 1),
         Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
@@ -225,33 +196,26 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: JsonValue) -> Result<JsonV
     }
 }
 
-/// The one object loop: `{`, `"key": value` pairs separated by commas,
-/// `}`. Each pair goes to `visit` before the separator after it is read.
-fn parse_members<F>(b: &[u8], pos: &mut usize, depth: usize, visit: &mut F) -> Result<(), JsonError>
-where
-    F: FnMut(String, JsonValue) -> Result<(), String>,
-{
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonError> {
     expect(b, pos, b'{')?;
+    let mut fields = Vec::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(());
+        return Ok(JsonValue::Obj(fields));
     }
     loop {
         skip_ws(b, pos);
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        skip_ws(b, pos);
-        let at = *pos;
-        let value = parse_value(b, pos, depth)?;
-        visit(key, value).map_err(|what| err(at, what))?;
+        fields.push((key, parse_value(b, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(JsonValue::Obj(fields));
             }
             _ => return Err(err(*pos, "expected ',' or '}'")),
         }
@@ -430,37 +394,6 @@ mod tests {
         assert!(JsonValue::parse(&"{\"k\": ".repeat(200_000)).is_err());
         let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(JsonValue::parse(&deepest).is_ok());
-    }
-
-    #[test]
-    fn object_entries_reach_the_caller_before_the_damage() {
-        let mut seen = Vec::new();
-        let e = parse_object_entries(r#"{"a": 1, "b": [true], "c": "torn"#, |k, v| {
-            seen.push((k, v));
-            Ok(())
-        })
-        .unwrap_err();
-        assert_eq!(e.to_string(), "unterminated string at byte 32");
-        assert_eq!(
-            seen,
-            vec![
-                ("a".to_owned(), JsonValue::UInt(1)),
-                ("b".to_owned(), JsonValue::Arr(vec![JsonValue::Bool(true)])),
-            ]
-        );
-        // A rejected pair is reported at the value's first byte.
-        let e = parse_object_entries("{\"k\":   7}", |_, _| Err("no".to_owned())).unwrap_err();
-        assert_eq!((e.at, e.what.as_str()), (8, "no"));
-        let ok = |_: String, _: JsonValue| Ok(());
-        assert_eq!(
-            parse_object_entries(" [1]", ok).unwrap_err().to_string(),
-            "expected '{' at byte 1"
-        );
-        assert_eq!(
-            parse_object_entries("{} x", ok).unwrap_err().to_string(),
-            "trailing data at byte 3"
-        );
-        assert!(parse_object_entries(" { } ", ok).is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Trace (de)serialization: record a trace to a file and replay it.
 //!
-//! Three on-disk layouts are supported:
+//! Two on-disk layouts are supported:
 //!
 //! * **Binary v2** (`.dcfbt`, magic `DCFBTRC2`) — the native format:
 //!   a checksummed header (version, ISA mode, declared record count)
@@ -9,16 +9,15 @@
 //!   *detected*, never silently replayed; in [`ReadMode::Lenient`] the
 //!   reader salvages the longest fully-verified prefix instead of
 //!   failing.
-//! * **Binary v1** (magic `DCFBTRC1`) — the legacy format: a bare magic
-//!   header and records with no integrity metadata. Still read for
-//!   compatibility; v1 files replay byte-identically.
 //! * **Text** — one instruction per line,
 //!   `pc size kind [target [taken]]`, with `#` comments; easy to
 //!   generate from other simulators' traces (e.g. a ChampSim trace
 //!   converted by a script).
 //!
-//! All formats round-trip exactly through [`Instr`], so a recorded
+//! Both formats round-trip exactly through [`Instr`], so a recorded
 //! synthetic trace and a replayed one drive the simulator identically.
+//! The unchecked v1 binary layout (magic `DCFBTRC1`) is no longer read:
+//! it fails with [`TraceErrorKind::BadMagic`].
 //!
 //! # Binary v2 layout
 //!
@@ -40,11 +39,16 @@ use crate::stream::{InstrStream, VecTrace};
 use dcfb_errors::{DcfbError, TraceErrorKind, TraceLocation};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
-/// Magic bytes at the start of a legacy (v1) binary trace file.
-pub const MAGIC: &[u8; 8] = b"DCFBTRC1";
-
 /// Magic bytes at the start of a v2 binary trace file.
 pub const MAGIC_V2: &[u8; 8] = b"DCFBTRC2";
+
+/// Whether `data` starts like a binary trace of any version (`DCFBTRC`
+/// and a version byte). Such input goes to [`read_binary_checked`],
+/// which rejects every version but 2 with a typed error, rather than
+/// to the text parser.
+pub fn is_binary(data: &[u8]) -> bool {
+    data.starts_with(&MAGIC_V2[..7])
+}
 
 /// One encoded record: pc (8) + target (8) + size (1) + kind (1).
 const RECORD_BYTES: usize = 18;
@@ -206,28 +210,6 @@ pub fn write_binary_v2<S: InstrStream, W: Write>(
     Ok(n)
 }
 
-/// Writes up to `limit` instructions in the legacy v1 format (magic +
-/// bare records, no integrity metadata). Kept so older tooling can be
-/// fed and the v1 read path stays covered. Returns the number written.
-pub fn write_binary_v1<S: InstrStream, W: Write>(
-    stream: &mut S,
-    out: W,
-    limit: u64,
-) -> io::Result<u64> {
-    let mut w = BufWriter::new(out);
-    w.write_all(MAGIC)?;
-    let mut n = 0u64;
-    let mut buf = [0u8; RECORD_BYTES];
-    while n < limit {
-        let Some(i) = stream.next_instr() else { break };
-        encode_record(&i, &mut buf);
-        w.write_all(&buf)?;
-        n += 1;
-    }
-    w.flush()?;
-    Ok(n)
-}
-
 // ---------------------------------------------------------------------------
 // Readers
 // ---------------------------------------------------------------------------
@@ -246,14 +228,12 @@ pub enum ReadMode {
 /// What a binary read observed (alongside the decoded trace).
 #[derive(Clone, Debug)]
 pub struct ReadReport {
-    /// Format version (1 or 2).
-    pub version: u8,
-    /// ISA mode recorded in a v2 header, when present.
+    /// ISA mode recorded in the header, when present.
     pub isa: Option<IsaMode>,
     /// Records actually decoded.
     pub records: u64,
-    /// Record count declared by a v2 header.
-    pub declared_records: Option<u64>,
+    /// Record count declared by the header.
+    pub declared_records: u64,
     /// In lenient mode: why reading stopped before the declared end
     /// (`None` means the stream was fully intact).
     pub salvage: Option<DcfbError>,
@@ -312,8 +292,8 @@ impl<R: Read> CountingReader<R> {
     }
 }
 
-/// Reads a binary trace (v1 or v2, auto-detected by magic) in strict
-/// mode: any corruption or truncation is an error.
+/// Reads a binary v2 trace in strict mode: any corruption or
+/// truncation is an error.
 ///
 /// # Errors
 ///
@@ -323,15 +303,14 @@ pub fn read_binary<R: Read>(input: R) -> Result<VecTrace, DcfbError> {
     read_binary_checked(input, ReadMode::Strict).map(|(t, _)| t)
 }
 
-/// Reads a binary trace (v1 or v2) under `mode`, returning the decoded
-/// trace plus a [`ReadReport`] describing what was observed.
+/// Reads a binary v2 trace under `mode`, returning the decoded trace
+/// plus a [`ReadReport`] describing what was observed.
 ///
 /// In [`ReadMode::Lenient`], damage *after* the header degrades to a
-/// salvaged prefix: every chunk whose CRC verified (v2) or record that
-/// decoded cleanly (v1) before the damage is kept, and
-/// [`ReadReport::salvage`] carries the error that stopped reading. A
-/// damaged header is fatal in both modes — nothing after it can be
-/// trusted.
+/// salvaged prefix: every chunk whose CRC verified before the damage
+/// is kept, and [`ReadReport::salvage`] carries the error that stopped
+/// reading. A damaged header is fatal in both modes — nothing after it
+/// can be trusted.
 pub fn read_binary_checked<R: Read>(
     input: R,
     mode: ReadMode,
@@ -349,78 +328,12 @@ pub fn read_binary_checked<R: Read>(
     }
     if &magic == MAGIC_V2 {
         read_v2_body(r, mode)
-    } else if &magic == MAGIC {
-        read_v1_body(r, mode)
     } else {
         Err(DcfbError::trace_at(
             TraceErrorKind::BadMagic,
             TraceLocation::at_byte(0),
         ))
     }
-}
-
-fn read_v1_body<R: Read>(
-    mut r: CountingReader<R>,
-    mode: ReadMode,
-) -> Result<(VecTrace, ReadReport), DcfbError> {
-    let mut instrs = Vec::new();
-    let mut buf = [0u8; RECORD_BYTES];
-    let mut salvage = None;
-    loop {
-        let at = r.pos;
-        match r.fill(&mut buf)? {
-            Fill::Eof => break,
-            Fill::Partial => {
-                let err = DcfbError::trace_at(
-                    TraceErrorKind::Truncated,
-                    TraceLocation {
-                        byte_offset: Some(at),
-                        record: Some(instrs.len() as u64),
-                        chunk: None,
-                    },
-                );
-                match mode {
-                    ReadMode::Strict => return Err(err),
-                    ReadMode::Lenient => {
-                        salvage = Some(err);
-                        break;
-                    }
-                }
-            }
-            Fill::Full => {}
-        }
-        match decode_record(&buf) {
-            Ok(i) => instrs.push(i),
-            Err(kind) => {
-                let err = DcfbError::trace_at(
-                    kind,
-                    TraceLocation {
-                        byte_offset: Some(at),
-                        record: Some(instrs.len() as u64),
-                        chunk: None,
-                    },
-                );
-                match mode {
-                    ReadMode::Strict => return Err(err),
-                    ReadMode::Lenient => {
-                        salvage = Some(err);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    let records = instrs.len() as u64;
-    Ok((
-        VecTrace::new(instrs),
-        ReadReport {
-            version: 1,
-            isa: None,
-            records,
-            declared_records: None,
-            salvage,
-        },
-    ))
 }
 
 fn read_v2_body<R: Read>(
@@ -570,10 +483,9 @@ fn read_v2_body<R: Read>(
     Ok((
         VecTrace::new(instrs),
         ReadReport {
-            version: 2,
             isa,
             records,
-            declared_records: Some(declared),
+            declared_records: declared,
             salvage,
         },
     ))
@@ -761,24 +673,11 @@ mod tests {
     fn v2_header_records_metadata() {
         let buf = v2_bytes(&many(100), 16);
         let (t, rep) = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap();
-        assert_eq!(rep.version, 2);
         assert_eq!(rep.isa, Some(IsaMode::Fixed4));
-        assert_eq!(rep.declared_records, Some(100));
+        assert_eq!(rep.declared_records, 100);
         assert_eq!(rep.records, 100);
         assert!(!rep.is_salvaged());
         assert_eq!(t.len(), 100);
-    }
-
-    #[test]
-    fn v1_round_trip_still_reads() {
-        let mut src = VecTrace::new(sample());
-        let mut buf = Vec::new();
-        let n = write_binary_v1(&mut src, &mut buf, u64::MAX).unwrap();
-        assert_eq!(n, 6);
-        assert!(buf.starts_with(MAGIC));
-        let (back, rep) = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap();
-        assert_eq!(rep.version, 1);
-        assert_eq!(back.instrs(), sample().as_slice());
     }
 
     #[test]
@@ -808,44 +707,24 @@ mod tests {
 
     #[test]
     fn binary_rejects_flipped_magic_byte() {
-        for version in [1u8, 2] {
-            let mut buf = if version == 1 {
-                let mut src = VecTrace::new(sample());
-                let mut b = Vec::new();
-                write_binary_v1(&mut src, &mut b, u64::MAX).unwrap();
-                b
-            } else {
-                v2_bytes(&sample(), 4)
-            };
-            buf[3] ^= 0x20; // DCFBTRC? -> DCfBTRC?
-            let err = read_binary(buf.as_slice()).unwrap_err();
-            assert_eq!(trace_kind(&err), &TraceErrorKind::BadMagic, "v{version}");
-        }
+        let mut buf = v2_bytes(&sample(), 4);
+        buf[3] ^= 0x20; // DCFBTRC2 -> DCfBTRC2
+        let err = read_binary(buf.as_slice()).unwrap_err();
+        assert_eq!(trace_kind(&err), &TraceErrorKind::BadMagic);
     }
 
     #[test]
     fn binary_rejects_empty_file() {
         let err = read_binary(&b""[..]).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::Truncated);
-        // A bare magic with nothing behind it is a valid empty v1 trace…
-        let t = read_binary(&MAGIC[..]).unwrap();
-        assert!(t.is_empty());
-        // …but a bare v2 magic is a truncated header.
+        // A bare magic is a truncated header.
         let err = read_binary(&MAGIC_V2[..]).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::Truncated);
     }
 
     #[test]
     fn binary_rejects_mid_record_truncation() {
-        // v1: chop the last record in half.
-        let mut src = VecTrace::new(sample());
-        let mut buf = Vec::new();
-        write_binary_v1(&mut src, &mut buf, u64::MAX).unwrap();
-        buf.truncate(buf.len() - RECORD_BYTES / 2);
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert_eq!(trace_kind(&err), &TraceErrorKind::Truncated);
-
-        // v2: chop inside a chunk payload.
+        // Chop inside a chunk payload.
         let mut buf = v2_bytes(&many(40), 16);
         buf.truncate(buf.len() - 7);
         let err = read_binary(buf.as_slice()).unwrap_err();
@@ -854,17 +733,8 @@ mod tests {
 
     #[test]
     fn binary_rejects_bad_kind_code() {
-        // v1 path.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&[0u8; 16]);
-        buf.push(4); // size
-        buf.push(99); // bad kind
-        let err = read_binary(buf.as_slice()).unwrap_err();
-        assert_eq!(trace_kind(&err), &TraceErrorKind::BadKindCode(99));
-
-        // v2 path: a bad kind *behind a valid checksum* (written
-        // corrupt, not transmission damage) must still be rejected.
+        // A bad kind *behind a valid checksum* (written corrupt, not
+        // transmission damage) must still be rejected.
         let mut bad = sample();
         bad[2] = Instr::other(0x2000, 2);
         let mut buf = v2_bytes(&bad, 4);
@@ -965,18 +835,6 @@ mod tests {
                 "{err}"
             );
         }
-    }
-
-    #[test]
-    fn v1_lenient_salvages_to_last_good_record() {
-        let mut src = VecTrace::new(sample());
-        let mut buf = Vec::new();
-        write_binary_v1(&mut src, &mut buf, u64::MAX).unwrap();
-        buf.truncate(buf.len() - 5); // mid-final-record
-        let (t, rep) = read_binary_checked(buf.as_slice(), ReadMode::Lenient).unwrap();
-        assert_eq!(t.len(), 5);
-        assert_eq!(t.instrs(), &sample()[..5]);
-        assert!(rep.is_salvaged());
     }
 
     /// Satellite: any single-bit corruption of a valid v2 trace is

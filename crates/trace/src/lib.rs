@@ -35,8 +35,8 @@ pub mod stream;
 
 pub use fault::FaultyReader;
 pub use file::{
-    read_binary, read_binary_checked, read_text, write_binary, write_binary_v1, write_binary_v2,
-    write_text, ReadMode, ReadReport,
+    read_binary, read_binary_checked, read_text, write_binary, write_binary_v2, write_text,
+    ReadMode, ReadReport,
 };
 pub use import::{import_champsim, ImportReport, IMPORT_RECORD_BYTES};
 pub use instr::{Instr, InstrKind, StaticInstr, StaticKind};

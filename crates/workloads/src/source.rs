@@ -13,10 +13,10 @@
 //! * **mix** — `mix:NAME_A+NAME_B[,quantum=N]`: a multi-tenant
 //!   round-robin interleaving of ≥ 2 catalog images through one
 //!   simulator instance (see [`crate::mix`]).
-//! * **trace** — `trace:PATH`: an on-disk trace (v1/v2 binary or text,
+//! * **trace** — `trace:PATH`: an on-disk trace (v2 binary or text,
 //!   including `dcfb import` output), replayed over a [`RecordedCode`]
 //!   reconstruction. [`load_trace`] is the one trace loader (`dcfb
-//!   replay` and the chaos campaign call it directly to salvage), and
+//!   replay` calls it directly to salvage), and
 //!   [`ResolvedWorkload::window`] is the one rule fitting a run's
 //!   window to a finite trace.
 //!
@@ -43,7 +43,7 @@ pub const TRACE_PREFIX: &str = "trace:";
 /// Syntax summary for the mix source (shown in errors and `dcfb list`).
 pub const MIX_SYNTAX: &str = "mix:NAME_A+NAME_B[,quantum=N]";
 /// Syntax summary for the trace source (shown in errors and `dcfb list`).
-pub const TRACE_SYNTAX: &str = "trace:PATH (binary v1/v2 or text; see `dcfb import`)";
+pub const TRACE_SYNTAX: &str = "trace:PATH (binary v2 or text; see `dcfb import`)";
 
 /// Every way to name a workload: the seven synthetic names plus the
 /// `mix:` and `trace:` source syntaxes. This is the `available` list
@@ -69,7 +69,7 @@ pub enum SourceSpec {
     },
     /// Replay of an on-disk trace file.
     Trace {
-        /// Path to the trace (binary v1/v2 or text).
+        /// Path to the trace (binary v2 or text).
         path: String,
     },
 }
@@ -222,7 +222,7 @@ impl SourceSpec {
     }
 }
 
-/// Loads an on-disk trace (binary v1/v2 or text, sniffed by magic) as
+/// Loads an on-disk trace (binary v2 or text, sniffed by magic) as
 /// a workload labelled `name`: the trace is replayed verbatim over a
 /// [`RecordedCode`] reconstruction. Binary reads also return their
 /// [`ReadReport`]; under [`ReadMode::Lenient`] its `salvage` says why
@@ -239,9 +239,7 @@ pub fn load_trace(
     name: impl Into<String>,
 ) -> Result<(ResolvedWorkload, Option<ReadReport>), DcfbError> {
     let data = std::fs::read(path).map_err(|e| DcfbError::io(path, &e))?;
-    let (trace, report) = if data.starts_with(dcfb_trace::file::MAGIC)
-        || data.starts_with(dcfb_trace::file::MAGIC_V2)
-    {
+    let (trace, report) = if dcfb_trace::file::is_binary(&data) {
         let (trace, report) = read_binary_checked(data.as_slice(), mode)?;
         (trace, Some(report))
     } else {

@@ -1,13 +1,11 @@
-//! On-disk trace format contracts, end to end: v1 and v2 files must
-//! decode back to the exact instruction sequence that was encoded, a
+//! On-disk trace format contracts, end to end: v2 files must decode
+//! back to the exact instruction sequence that was encoded, a
 //! flipped byte anywhere past the header must be *detected* (strict
 //! mode rejects; lenient mode salvages only the CRC-verified prefix),
 //! and a damaged header must be fatal in both modes.
 
 use dcfb_errors::{DcfbError, TraceErrorKind};
-use dcfb_trace::{
-    read_binary, read_binary_checked, write_binary_v1, write_binary_v2, IsaMode, ReadMode, VecTrace,
-};
+use dcfb_trace::{read_binary, read_binary_checked, write_binary_v2, IsaMode, ReadMode, VecTrace};
 use dcfb_workloads::{Walker, Workload, WorkloadParams};
 
 /// v2 header length (see the layout doc in `dcfb_trace::file`).
@@ -56,23 +54,9 @@ fn v2_round_trips_exactly() {
     let bytes = encode_v2(&trace, 512);
     let (back, report) = read_binary_checked(bytes.as_slice(), ReadMode::Strict).unwrap();
     assert_eq!(back.instrs(), trace.instrs());
-    assert_eq!(report.version, 2);
     assert_eq!(report.isa, Some(IsaMode::Fixed4));
     assert_eq!(report.records, 5_000);
-    assert_eq!(report.declared_records, Some(5_000));
-    assert!(!report.is_salvaged());
-}
-
-#[test]
-fn v1_round_trips_exactly() {
-    let trace = capture(5_000);
-    let mut bytes = Vec::new();
-    let n = write_binary_v1(&mut trace.replay(), &mut bytes, u64::MAX).unwrap();
-    assert_eq!(n, 5_000);
-    let (back, report) = read_binary_checked(bytes.as_slice(), ReadMode::Strict).unwrap();
-    assert_eq!(back.instrs(), trace.instrs());
-    assert_eq!(report.version, 1);
-    assert_eq!(report.isa, None, "v1 headers carry no ISA");
+    assert_eq!(report.declared_records, 5_000);
     assert!(!report.is_salvaged());
 }
 
@@ -143,18 +127,4 @@ fn damaged_header_is_fatal_even_lenient() {
         read_binary_checked(bytes.as_slice(), ReadMode::Lenient).is_err(),
         "nothing after a damaged header can be trusted"
     );
-}
-
-#[test]
-fn truncated_v1_salvages_whole_records_lenient() {
-    let trace = capture(30);
-    let mut bytes = Vec::new();
-    write_binary_v1(&mut trace.replay(), &mut bytes, u64::MAX).unwrap();
-    // v1 layout: 8-byte magic + bare records. Cut mid-record.
-    let cut = 8 + 20 * RECORD + 7;
-    assert!(read_binary(&bytes[..cut]).is_err());
-    let (back, report) = read_binary_checked(&bytes[..cut], ReadMode::Lenient).unwrap();
-    assert_eq!(report.records, 20);
-    assert_eq!(back.instrs(), &trace.instrs()[..20]);
-    assert!(report.is_salvaged());
 }
