@@ -1,7 +1,6 @@
 //! Shared run helpers: scaled configurations, image caching, and
 //! baseline caching, so regenerating all experiments stays fast.
 
-use dcfb_errors::DcfbError;
 use dcfb_sim::{SimConfig, SimReport};
 use dcfb_trace::IsaMode;
 use dcfb_workloads::{all_workloads, ProgramImage, ResolvedWorkload, Workload};
@@ -93,28 +92,16 @@ pub fn scaled(mut cfg: SimConfig) -> SimConfig {
 ///
 /// # Panics
 ///
-/// Panics on an unknown method name; use [`try_method_config`] for
-/// untrusted names.
+/// Panics on an unknown method name. Figure generators pass only the
+/// fixed method names of their tables, so an unknown one is a bug in
+/// this crate; the CLI reports a user's unknown name as
+/// [`dcfb_errors::DcfbError::UnknownMethod`].
 pub fn method_config(name: &str) -> SimConfig {
-    match try_method_config(name) {
-        Ok(cfg) => cfg,
-        // Figure generators only pass the fixed method names from their
-        // tables; an unknown name here is a bug in this crate, reported
-        // through the same typed error the fallible path produces.
+    match SimConfig::for_method(name) {
+        Some(cfg) => scaled(cfg),
         #[allow(clippy::panic)]
-        Err(e) => panic!("{e}"),
+        None => panic!("unknown method {name:?}"),
     }
-}
-
-/// Fallible [`method_config`]: reports unknown names as
-/// [`DcfbError::UnknownMethod`] with the valid list.
-pub fn try_method_config(name: &str) -> Result<SimConfig, DcfbError> {
-    SimConfig::for_method(name)
-        .map(scaled)
-        .ok_or_else(|| DcfbError::UnknownMethod {
-            name: name.to_owned(),
-            available: dcfb_prefetch::method_names().map(str::to_owned).collect(),
-        })
 }
 
 type ImageKey = (String, IsaMode);
@@ -261,19 +248,6 @@ mod tests {
         });
         assert_eq!(warnings.load(Ordering::SeqCst), 1);
         std::env::remove_var("DCFB_TEST_WARN_ONCE");
-    }
-
-    #[test]
-    fn unknown_method_is_a_typed_error() {
-        let err = try_method_config("Bogus").unwrap_err();
-        match err {
-            DcfbError::UnknownMethod { name, available } => {
-                assert_eq!(name, "Bogus");
-                assert!(available.contains(&"Shotgun".to_owned()));
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-        assert!(try_method_config("Baseline").is_ok());
     }
 
     #[test]

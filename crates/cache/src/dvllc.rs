@@ -124,21 +124,10 @@ impl DvLlc {
         }
     }
 
-    /// Creates the paper's configuration: one core-visible LLC slice
-    /// (2 MiB, 16-way), fully-associative BF-holder with 10 entries.
-    pub fn paper_slice() -> Self {
-        DvLlc::new(2 * 1024 * 1024 / 64 / 16, 16, 10)
-    }
-
     /// Disables virtualization: behaves as a conventional LLC (all ways
     /// hold blocks, no BFs stored). Used for the §VII-J on/off study.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-    }
-
-    /// Whether BF virtualization is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Accumulated statistics.

@@ -135,11 +135,6 @@ impl MshrFile {
         self.find(block).map(|i| self.source[i].is_prefetch())
     }
 
-    /// The source tag of the outstanding entry for `block`.
-    pub fn source_of(&self, block: Block) -> Option<PfSource> {
-        self.find(block).map(|i| self.source[i])
-    }
-
     /// Removes and returns every entry whose fetch has completed by
     /// `now`, in completion order.
     pub fn drain_ready(&mut self, now: u64) -> Vec<Completion> {

@@ -331,11 +331,13 @@ pub fn record(cli: &Cli) -> Result<(), DcfbError> {
     let file = std::fs::File::create(out).map_err(|e| DcfbError::io(out, &e))?;
     let written = match cli.format.as_str() {
         "text" => dcfb_trace::write_text(&mut stream, file, cli.measure),
+        // Re-recording a trace keeps the ISA its records were made
+        // under; `--isa` only shapes synthetic images.
         _ => dcfb_trace::write_binary_v2(
             &mut stream,
             file,
             cli.measure,
-            Some(cli.isa),
+            Some(resolved.recorded_isa().unwrap_or(cli.isa)),
             dcfb_trace::file::DEFAULT_CHUNK_RECORDS,
         ),
     }

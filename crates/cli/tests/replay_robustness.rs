@@ -251,3 +251,117 @@ fn usage_and_bad_input_exit_codes() {
     );
     assert_one_line_error(&dcfb(&["run", "--workload", WORKLOAD, "--warmup", "0"]), 3);
 }
+
+/// A binary trace records the ISA it was captured under (re-recording
+/// keeps it), and a run under the other ISA is a config error (exit 3)
+/// naming both, on `replay` and on `trace:` sources alike. Text and
+/// imported traces record no ISA, so they run under whichever `--isa`
+/// is given.
+#[test]
+fn trace_recorded_isa_must_match_the_run() {
+    let dir = temp_dir("isa");
+    let variable = dir.join("variable.dcfbt");
+    let path = variable.to_str().unwrap();
+    let out = dcfb(&[
+        "record",
+        "--workload",
+        WORKLOAD,
+        "--isa",
+        "variable",
+        "--out",
+        path,
+        "--warmup",
+        "100",
+        "--measure",
+        "1500",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let out = replay(&variable, &[]);
+    assert_one_line_error(&out, 3);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("Variable") && stderr.contains("Fixed4"),
+        "{stderr}"
+    );
+    assert_eq!(
+        replay(&variable, &["--isa", "variable"]).status.code(),
+        Some(0)
+    );
+    // Re-recording the trace keeps its ISA, whatever `--isa` says.
+    let rerecorded = dir.join("rerecorded.dcfbt");
+    let spec = format!("trace:{path}");
+    let out = dcfb(&[
+        "record",
+        "--workload",
+        &spec,
+        "--out",
+        rerecorded.to_str().unwrap(),
+        "--warmup",
+        "10",
+        "--measure",
+        "1000",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_one_line_error(&replay(&rerecorded, &[]), 3);
+
+    let fixed = dir.join("fixed.dcfbt");
+    assert_eq!(record(&fixed, "1500").status.code(), Some(0));
+    assert_one_line_error(&replay(&fixed, &["--isa", "variable"]), 3);
+    let spec = format!("trace:{}", fixed.to_str().unwrap());
+    let out = dcfb(&[
+        "run",
+        "--workload",
+        &spec,
+        "--isa",
+        "variable",
+        "--warmup",
+        "200",
+        "--measure",
+        "800",
+    ]);
+    assert_one_line_error(&out, 3);
+
+    let text = dir.join("variable.txt");
+    let out = dcfb(&[
+        "record",
+        "--workload",
+        WORKLOAD,
+        "--isa",
+        "variable",
+        "--format",
+        "text",
+        "--out",
+        text.to_str().unwrap(),
+        "--warmup",
+        "100",
+        "--measure",
+        "1500",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let champ = dir.join("champ.bin");
+    let records: Vec<u8> = (0..64u64)
+        .flat_map(|i| {
+            let mut r = (0x1000 + 4 * i).to_le_bytes().to_vec();
+            r.resize(64, 0);
+            r
+        })
+        .collect();
+    std::fs::write(&champ, records).unwrap();
+    let imported = dir.join("imported.dcfbt");
+    let out = dcfb(&[
+        "import",
+        "--trace",
+        champ.to_str().unwrap(),
+        "--out",
+        imported.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    for unrecorded in [&text, &imported] {
+        for isa in ["fixed", "variable"] {
+            let out = replay(unrecorded, &["--isa", isa]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{unrecorded:?} {isa}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -11,9 +11,9 @@
 //! DCFB_BLESS=1 cargo test -p dcfb-conformance golden
 //! ```
 
-use dcfb_sim::{SimConfig, Simulator};
+use dcfb_sim::SimConfig;
 use dcfb_trace::IsaMode;
-use dcfb_workloads::{ProgramImage, Walker, WorkloadParams};
+use dcfb_workloads::{ProgramImage, ResolvedWorkload, WorkloadParams};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -23,7 +23,7 @@ const GOLDEN: &str = include_str!("golden_digests.txt");
 
 /// Builds the fixed-seed fixture program (the same image the simulator
 /// test suite uses: big enough to thrash the shrunken L1i). The
-/// telemetry golden and the workload-source check run the same fixture.
+/// telemetry golden's `trace:` run records its trace from it.
 pub fn fixture_image() -> Arc<ProgramImage> {
     let params = WorkloadParams {
         functions: 500,
@@ -68,9 +68,10 @@ pub fn fixture_report(
 ) -> Result<dcfb_sim::SimReport, String> {
     let mut cfg = fixture_config(method)?;
     cfg.telemetry = telemetry;
-    let mut sim = Simulator::try_new(cfg, Arc::clone(image)).map_err(|e| e.to_string())?;
-    let mut walker = Walker::new(Arc::clone(image), FIXTURE_TRACE_SEED);
-    Ok(sim.run(&mut walker))
+    let source = ResolvedWorkload::from_image(Arc::clone(image));
+    dcfb_sim::run(&source, cfg, FIXTURE_TRACE_SEED)
+        .map(|run| run.report)
+        .map_err(|e| e.to_string())
 }
 
 /// The checked-in `(method, digest)` golden pairs, in file order.

@@ -179,7 +179,7 @@ pub fn engine_harnesses(layout: &CodeLayout) -> Vec<Harness<EngineOp>> {
 
 /// Runs every lockstep harness over `n_ops` freshly fuzzed ops, then
 /// the cross-prefetcher invariant checks, digest parity, corpus replay
-/// and workload-source parity. Everything derives deterministically
+/// and the tenant-mix golden. Everything derives deterministically
 /// from `seed`.
 pub fn run_full_suite(seed: u64, n_ops: usize) -> ConformanceReport {
     let mut checks = Vec::new();
@@ -269,9 +269,8 @@ pub fn run_full_suite(seed: u64, n_ops: usize) -> ConformanceReport {
         "corpus-replay",
         corpus::check_corpus_replay(),
     ));
-    // ---- workload-source registry parity: synthetics via the
-    // resolution layer byte-match the goldens; the blessed tenant-mix
-    // digest holds sequentially and on concurrent workers ----
+    // ---- workload-source: the blessed tenant-mix digest holds
+    // sequentially and on concurrent workers ----
     checks.push(invariant_result(
         "workload-source",
         workload_source::check_workload_source(),

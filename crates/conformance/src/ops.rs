@@ -151,11 +151,6 @@ impl CodeLayout {
             .copied()
     }
 
-    /// All branches of `block` (empty slice if the block has none).
-    pub fn branches_of(&self, block: Block) -> &[BtbEntry] {
-        self.code.get(&block).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// The BTB target recorded for the branch at `pc`.
     pub fn btb_target(&self, pc: Addr) -> Option<Addr> {
         self.btb.get(&pc).copied()

@@ -61,7 +61,8 @@ fn fixture_trace() -> Result<ResolvedWorkload, String> {
     ));
     let file = std::fs::File::create(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut walker = Walker::new(fixture_image(), FIXTURE_TRACE_SEED);
-    dcfb_trace::write_binary(&mut walker, file, TRACE_INSTRS)
+    let chunk = dcfb_trace::file::DEFAULT_CHUNK_RECORDS;
+    dcfb_trace::write_binary_v2(&mut walker, file, TRACE_INSTRS, None, chunk)
         .map_err(|e| format!("{}: {e}", path.display()))?;
     // A fixed label: the metrics document records the workload name,
     // which must not carry the per-process file name.

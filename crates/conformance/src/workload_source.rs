@@ -1,20 +1,14 @@
-//! Workload-source registry parity: the 15th conformance check.
+//! Tenant-mix golden: the 15th conformance check.
 //!
-//! The `WorkloadSource` registry (`dcfb-workloads/src/source.rs`) is a
-//! *resolution* layer — it must never perturb simulation. This check
-//! pins that two ways:
-//!
-//! 1. **Synthetic parity.** Every method in the prefetch registry runs
-//!    the golden fixture through [`ResolvedWorkload::from_image`] (the
-//!    path `dcfb run` and the bench sweep both take) and each `SimReport::digest()` must be byte-identical to the
-//!    checked-in goldens captured via `Simulator::try_new` — same
-//!    fixture, different plumbing, zero drift.
-//! 2. **Tenant-mix golden.** A fixed two-tenant `mix:` spec runs once
-//!    sequentially and is pinned against the blessed `# tenant-mix`
-//!    digest in `golden_digests.txt`; the same resolved mix must then
-//!    reproduce that digest on [`MIX_WORKERS`] concurrent threads
-//!    sharing it (the interleaver schedule depends only on the quantum
-//!    and the trace seed, never on host parallelism).
+//! A fixed two-tenant `mix:` spec runs once sequentially and is pinned
+//! against the blessed `# tenant-mix` digest in `golden_digests.txt`;
+//! the same resolved mix must then reproduce that digest on
+//! [`MIX_WORKERS`] concurrent threads sharing it (the interleaver
+//! schedule depends only on the quantum and the trace seed, never on
+//! host parallelism). Synthetic sources need no check of their own:
+//! the method goldens already run through [`dcfb_sim::run`] on
+//! [`ResolvedWorkload::from_image`], the path `dcfb run` and the bench
+//! sweep take.
 //!
 //! Re-bless after an intentional timing-model change with
 //! `DCFB_BLESS=1 cargo test -p dcfb-conformance golden`.
@@ -54,31 +48,10 @@ pub fn tenant_mix_digest() -> Result<String, String> {
     digest(&mix, cfg)
 }
 
-/// The `invariant/workload-source` check: synthetic digests via the
-/// registry path, then the blessed tenant-mix digest, sequentially and
-/// on concurrent workers sharing one resolved mix.
+/// The `invariant/workload-source` check: the blessed tenant-mix
+/// digest, sequentially and on concurrent workers sharing one resolved
+/// mix.
 pub fn check_workload_source() -> Result<String, String> {
-    // Part 1: every registry method, resolved through the
-    // workload-source layer, must reproduce the checked-in golden.
-    let resolved = ResolvedWorkload::from_image(golden::fixture_image());
-    let goldens = golden::goldens()?;
-    let mut mismatched = Vec::new();
-    for (method, want) in &goldens {
-        let cfg = golden::fixture_config(method)?;
-        if digest(&resolved, cfg)? != *want {
-            mismatched.push(*method);
-        }
-    }
-    if !mismatched.is_empty() {
-        return Err(format!(
-            "registry-resolved digest mismatch for: {} (the WorkloadSource path must be \
-             byte-identical to the direct Simulator path)",
-            mismatched.join(", ")
-        ));
-    }
-
-    // Part 2: the blessed tenant-mix digest, sequentially and on
-    // concurrent workers.
     let spec = SourceSpec::parse(TENANT_MIX_SPEC).map_err(|e| e.to_string())?;
     let mix = spec.resolve(IsaMode::Fixed4).map_err(|e| e.to_string())?;
     let cfg = golden::fixture_config(TENANT_MIX_METHOD)?;
@@ -112,9 +85,7 @@ pub fn check_workload_source() -> Result<String, String> {
         }
     }
     Ok(format!(
-        "{} methods registry-identical; tenant-mix golden holds sequentially and on \
-         {MIX_WORKERS} concurrent workers",
-        goldens.len()
+        "tenant-mix golden holds sequentially and on {MIX_WORKERS} concurrent workers"
     ))
 }
 

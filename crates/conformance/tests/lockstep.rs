@@ -26,7 +26,7 @@ fn full_suite_runs_clean_at_10k_ops() {
     );
     assert_eq!(report.ops_per_structure, OPS);
     // 8 lockstep harnesses + 4 invariants + digest parity + corpus
-    // replay + workload-source registry parity.
+    // replay + the tenant-mix golden.
     assert_eq!(report.checks.len(), 15);
 }
 

@@ -175,25 +175,23 @@ mod tests {
     struct Toy;
 
     impl CodeMemory for Toy {
-        fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
+        fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
             if !(1..=3).contains(&block) {
-                return Vec::new();
+                return;
             }
-            (0..16u64)
-                .map(|slot| {
-                    let kind = match (block, slot) {
-                        (1 | 3, 2) => StaticKind::CondBranch,
-                        (1 | 3, 9) => StaticKind::Return,
-                        _ => StaticKind::Other,
-                    };
-                    StaticInstr {
-                        pc: block_base(block) + slot * 4,
-                        size: 4,
-                        kind,
-                        target: (kind == StaticKind::CondBranch).then_some(0x4000),
-                    }
-                })
-                .collect()
+            for slot in 0..16u64 {
+                let kind = match (block, slot) {
+                    (1 | 3, 2) => StaticKind::CondBranch,
+                    (1 | 3, 9) => StaticKind::Return,
+                    _ => StaticKind::Other,
+                };
+                f(&StaticInstr {
+                    pc: block_base(block) + slot * 4,
+                    size: 4,
+                    kind,
+                    target: (kind == StaticKind::CondBranch).then_some(0x4000),
+                });
+            }
         }
 
         fn block_slot(&self, block: Block) -> Option<usize> {

@@ -158,27 +158,24 @@ mod tests {
     struct Toy;
 
     impl CodeMemory for Toy {
-        fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
+        fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
             if block != 1 {
-                return Vec::new();
+                return;
             }
-            (0..16u64)
-                .map(|slot| {
-                    let pc = block_base(1) + slot * 4;
-                    let (kind, target) = match slot {
-                        3 => (StaticKind::CondBranch, Some(0x400)),
-                        7 => (StaticKind::Call, Some(0x800)),
-                        15 => (StaticKind::Return, None),
-                        _ => (StaticKind::Other, None),
-                    };
-                    StaticInstr {
-                        pc,
-                        size: 4,
-                        kind,
-                        target,
-                    }
-                })
-                .collect()
+            for slot in 0..16u64 {
+                let (kind, target) = match slot {
+                    3 => (StaticKind::CondBranch, Some(0x400)),
+                    7 => (StaticKind::Call, Some(0x800)),
+                    15 => (StaticKind::Return, None),
+                    _ => (StaticKind::Other, None),
+                };
+                f(&StaticInstr {
+                    pc: block_base(1) + slot * 4,
+                    size: 4,
+                    kind,
+                    target,
+                });
+            }
         }
 
         fn block_slot(&self, block: Block) -> Option<usize> {

@@ -171,11 +171,6 @@ impl Sn4lDisBtb {
         self.dis.counters()
     }
 
-    /// Read access to the SeqTable (analysis binaries).
-    pub fn seq_table(&self) -> &SeqTable {
-        &self.seq
-    }
-
     fn push_candidate(&mut self, block: Block, depth: u8, src: Source) {
         if self.rlu_q.len() == self.cfg.queue_capacity {
             self.stats.queue_drops += 1;

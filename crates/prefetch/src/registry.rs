@@ -268,8 +268,6 @@ impl DiscoveryEngine for Shotgun {
 pub struct MethodRow {
     /// The paper-facing method name (`"SN4L+Dis+BTB"`, `"Shotgun"`, …).
     pub name: &'static str,
-    /// Whether Fig. 16 compares this method.
-    pub fig16: bool,
     kind: fn() -> PrefetcherKind,
     btb: Option<fn() -> BtbConfig>,
 }
@@ -306,85 +304,71 @@ pub fn registry() -> &'static [MethodRow] {
     static ROWS: &[MethodRow] = &[
         MethodRow {
             name: "Baseline",
-            fig16: true,
             kind: || PrefetcherKind::None,
             btb: None,
         },
         MethodRow {
             name: "NL",
-            fig16: false,
             kind: || PrefetcherKind::NextLine(1),
             btb: None,
         },
         MethodRow {
             name: "N2L",
-            fig16: false,
             kind: || PrefetcherKind::NextLine(2),
             btb: None,
         },
         MethodRow {
             name: "N4L",
-            fig16: false,
             kind: || PrefetcherKind::NextLine(4),
             btb: None,
         },
         MethodRow {
             name: "N8L",
-            fig16: false,
             kind: || PrefetcherKind::NextLine(8),
             btb: None,
         },
         MethodRow {
             name: "SN4L",
-            fig16: false,
             kind: sn4l_paper,
             btb: None,
         },
         MethodRow {
             name: "Dis",
-            fig16: false,
             kind: dis_paper,
             btb: None,
         },
         MethodRow {
             name: "SN4L+Dis",
-            fig16: false,
             kind: || PrefetcherKind::Sn4lDis(Sn4lDisConfig::without_btb()),
             btb: None,
         },
         MethodRow {
             name: "SN4L+Dis+BTB",
-            fig16: true,
             kind: || PrefetcherKind::Sn4lDis(Sn4lDisConfig::default()),
             btb: None,
         },
         MethodRow {
             name: "Discontinuity",
-            fig16: false,
             kind: || PrefetcherKind::Discontinuity,
             btb: None,
         },
         MethodRow {
             name: "Confluence",
-            fig16: true,
             kind: || PrefetcherKind::Confluence(ConfluenceConfig::default()),
             btb: Some(BtbConfig::confluence_16k),
         },
         MethodRow {
             name: "Boomerang",
-            fig16: false,
             kind: || PrefetcherKind::Boomerang { btb_entries: 2048 },
             btb: None,
         },
         MethodRow {
             name: "Shotgun",
-            fig16: true,
             kind: || PrefetcherKind::Shotgun(ShotgunBtbConfig::default()),
             btb: None,
         },
         MethodRow {
             name: "N2L+Dis",
-            fig16: false,
             kind: || PrefetcherKind::Composed {
                 label: "N2L+Dis",
                 parts: vec![PrefetcherKind::NextLine(2), dis_paper()],
@@ -393,7 +377,6 @@ pub fn registry() -> &'static [MethodRow] {
         },
         MethodRow {
             name: "SN4L+Discontinuity",
-            fig16: false,
             kind: || PrefetcherKind::Composed {
                 label: "SN4L+Discontinuity",
                 parts: vec![sn4l_paper(), PrefetcherKind::Discontinuity],

@@ -112,20 +112,11 @@ impl SimConfig {
         Some(cfg)
     }
 
-    /// The methods Fig. 16 compares, in registry order.
-    pub fn fig16_methods() -> Vec<&'static str> {
-        dcfb_prefetch::registry()
-            .iter()
-            .filter(|row| row.fig16)
-            .map(|row| row.name)
-            .collect()
-    }
-
     /// Checks the configuration for values the simulator cannot run
     /// with, returning [`DcfbError::Config`] naming the first problem.
     ///
-    /// Called by [`Simulator::try_new`](crate::Simulator::try_new) and
-    /// the CLI before a run, so a bad sweep or hand-edited config fails
+    /// Called by [`crate::run`], the simulator constructors and the
+    /// CLI before a run, so a bad sweep or hand-edited config fails
     /// with a one-line diagnostic (exit 3) instead of an index panic
     /// deep in a table model.
     pub fn validate(&self) -> Result<(), DcfbError> {
@@ -288,15 +279,6 @@ mod tests {
             assert_eq!(cfg.prefetcher.name(), m, "round trip broke for {m}");
             cfg.validate().unwrap_or_else(|e| panic!("{m}: {e}"));
         }
-    }
-
-    #[test]
-    fn fig16_methods_come_from_the_registry() {
-        let methods = SimConfig::fig16_methods();
-        for m in ["Baseline", "SN4L+Dis+BTB", "Confluence", "Shotgun"] {
-            assert!(methods.contains(&m), "{m} missing from fig16 set");
-        }
-        assert_eq!(methods.len(), 4);
     }
 
     #[test]

@@ -22,14 +22,14 @@ pub struct Run {
 ///
 /// The requested window is first fitted to the source with
 /// [`ResolvedWorkload::window`], so a finite trace warms up on at most
-/// half its records. A synthetic source runs exactly as
-/// `Simulator::new` over its image with a seeded `Walker` would; the
-/// `invariant/workload-source` conformance check pins that equivalence
-/// for every registry method.
+/// half its records.
 ///
 /// # Errors
 ///
-/// Returns [`DcfbError::Config`] if `cfg` fails validation.
+/// Returns [`DcfbError::Config`] if `cfg` fails validation, or if the
+/// source is a trace recorded under another ISA than `cfg.isa` (its
+/// instruction sizes and branch offsets only make sense under the ISA
+/// that produced them).
 pub fn run(
     source: &ResolvedWorkload,
     mut cfg: SimConfig,
@@ -38,6 +38,14 @@ pub fn run(
     // Validate the request as given: the fitted window is never 0, so
     // checking only after fitting would accept a zero warmup/measure.
     cfg.validate()?;
+    if let Some(recorded) = source.recorded_isa().filter(|&isa| isa != cfg.isa) {
+        return Err(DcfbError::Config(format!(
+            "{}: trace was recorded with the {recorded:?} ISA, but the run is configured \
+             for {:?}",
+            source.name(),
+            cfg.isa
+        )));
+    }
     (cfg.warmup_instrs, cfg.measure_instrs) = source.window(cfg.warmup_instrs, cfg.measure_instrs);
     let profiled = cfg.telemetry;
     let mut sim = Simulator::try_with_code(

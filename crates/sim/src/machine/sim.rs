@@ -10,7 +10,6 @@ use crate::metrics::SimReport;
 use dcfb_errors::DcfbError;
 use dcfb_telemetry::{CycleSample, RunCounts, RunMeta, RunTelemetry, StallKind, TelemetryReport};
 use dcfb_trace::{Addr, CodeMemory, Instr, InstrStream};
-use dcfb_workloads::ProgramImage;
 use std::sync::Arc;
 
 /// The trace-driven frontend simulator.
@@ -42,23 +41,12 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator over a synthetic program `image`, after
-    /// [`SimConfig::validate`]-checking `cfg`.
-    ///
-    /// This is the entry point for callers handling untrusted
-    /// configuration (the CLI, sweep scripts); it reports a bad config
-    /// as [`DcfbError::Config`] instead of panicking mid-run.
-    pub fn try_new(cfg: SimConfig, image: Arc<ProgramImage>) -> Result<Self, DcfbError> {
-        let start_pc = image.functions()[0].entry;
-        let name = image.params().name.clone();
-        Simulator::try_with_code(cfg, image, start_pc, name)
-    }
-
-    /// Creates a simulator over any [`CodeMemory`] — e.g. a
-    /// [`dcfb_trace::RecordedCode`] reconstructed from an external
-    /// trace — after validating `cfg`. `start_pc` seeds the
-    /// BTB-directed discovery engines; `workload_name` labels the
-    /// report.
+    /// Creates a simulator over any [`CodeMemory`] after validating
+    /// `cfg`. `start_pc` seeds the BTB-directed discovery engines;
+    /// `workload_name` labels the report. [`crate::run`] builds one
+    /// from a resolved workload source; build one directly only to
+    /// drive it by hand (a custom stream, or a look at it after the
+    /// run).
     ///
     /// # Errors
     ///
@@ -73,20 +61,6 @@ impl Simulator {
         cfg.validate()?;
         let driver = Driver::build(&cfg, start_pc);
         Ok(Simulator::assemble(cfg, code, workload_name, driver))
-    }
-
-    /// Creates a simulator over a synthetic program `image`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`SimConfig::validate`]. Use
-    /// [`Simulator::try_new`] when the configuration is untrusted.
-    #[allow(clippy::panic)] // documented contract; try_new is the checked path
-    pub fn new(cfg: SimConfig, image: Arc<ProgramImage>) -> Self {
-        match Simulator::try_new(cfg, image) {
-            Ok(sim) => sim,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Creates a simulator with an explicit [`FrontendDriver`],

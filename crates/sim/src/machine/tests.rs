@@ -9,7 +9,7 @@ use crate::metrics::SimReport;
 use dcfb_prefetch::Prefetcher;
 use dcfb_telemetry::StallKind;
 use dcfb_trace::{Block, Instr, IsaMode};
-use dcfb_workloads::{ProgramImage, WorkloadParams};
+use dcfb_workloads::{ProgramImage, ResolvedWorkload, WorkloadParams};
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -38,11 +38,21 @@ fn quick_cfg(method: &str) -> SimConfig {
     cfg
 }
 
+/// Runs `cfg` on the tiny image through the one run path.
+fn run_cfg(cfg: SimConfig) -> crate::Run {
+    crate::run(&ResolvedWorkload::from_image(tiny_image()), cfg, 5).expect("valid config")
+}
+
 fn run(method: &str) -> SimReport {
-    let image = tiny_image();
-    let mut sim = Simulator::new(quick_cfg(method), Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    sim.run(&mut walker)
+    run_cfg(quick_cfg(method)).report
+}
+
+/// A simulator over the tiny image, for the tests that drive it by
+/// hand or look at it after the run.
+fn tiny_simulator(cfg: SimConfig) -> Simulator {
+    let w = ResolvedWorkload::from_image(tiny_image());
+    Simulator::try_with_code(cfg, w.code(), w.start_pc(), w.name().to_owned())
+        .expect("valid config")
 }
 
 #[test]
@@ -130,12 +140,9 @@ fn shotgun_reports_split_btb_stats() {
 
 #[test]
 fn perfect_l1i_removes_l1i_stalls() {
-    let image = tiny_image();
     let mut cfg = quick_cfg("Baseline");
     cfg.perfect_l1i = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    let r = sim.run(&mut walker);
+    let r = run_cfg(cfg).report;
     assert_eq!(r.stall_l1i, 0);
     assert_eq!(r.l1i.demand_misses, 0);
     let base = run("Baseline");
@@ -144,13 +151,10 @@ fn perfect_l1i_removes_l1i_stalls() {
 
 #[test]
 fn perfect_btb_removes_btb_stalls() {
-    let image = tiny_image();
     let mut cfg = quick_cfg("Baseline");
     cfg.perfect_l1i = true;
     cfg.perfect_btb = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    let r = sim.run(&mut walker);
+    let r = run_cfg(cfg).report;
     assert_eq!(r.stall_btb, 0);
     assert_eq!(r.frontend_stalls(), 0);
 }
@@ -180,12 +184,9 @@ fn prefetch_buffer_mode_absorbs_misses() {
     // The Fig. 5 methodology: NXL prefetches land in a 64-entry
     // buffer instead of the cache; demand misses that hit the
     // buffer are re-credited as hits.
-    let image = tiny_image();
     let mut cfg = quick_cfg("N4L");
     cfg.use_prefetch_buffer = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(Arc::clone(&image), 5);
-    let buffered = sim.run(&mut walker);
+    let buffered = run_cfg(cfg).report;
     let direct = run("N4L");
     // Both configurations must cover misses; the buffered one keeps
     // useless prefetches out of the cache entirely.
@@ -205,22 +206,21 @@ fn variable_isa_simulation_runs_with_dvllc() {
     let mut cfg = quick_cfg("SN4L+Dis+BTB");
     cfg.isa = IsaMode::Variable;
     cfg.uncore.dvllc = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    let r = sim.run(&mut walker);
+    let r = crate::run(&ResolvedWorkload::from_image(image), cfg, 5)
+        .expect("valid config")
+        .report;
     assert_eq!(r.instrs, 120_000);
     assert!(r.ipc() > 0.1);
 }
 
 #[test]
 fn exhausted_stream_ends_the_run() {
-    let image = tiny_image();
     let mut cfg = quick_cfg("Baseline");
     cfg.warmup_instrs = 1_000;
     cfg.measure_instrs = u64::MAX; // more than the trace offers
-    let mut walker = dcfb_workloads::Walker::new(Arc::clone(&image), 5);
+    let mut walker = dcfb_workloads::Walker::new(tiny_image(), 5);
     let trace = dcfb_trace::VecTrace::capture(&mut walker, 5_000);
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
+    let mut sim = tiny_simulator(cfg);
     let mut replay = trace.replay();
     let r = sim.run(&mut replay);
     assert_eq!(r.instrs, 4_000, "measured = total - warmup");
@@ -242,13 +242,10 @@ fn wrong_path_traffic_consumes_bandwidth() {
 
 #[test]
 fn ipc_never_exceeds_backend_rate_when_frontend_is_perfect() {
-    let image = tiny_image();
     let mut cfg = quick_cfg("Baseline");
     cfg.perfect_l1i = true;
     cfg.perfect_btb = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    let r = sim.run(&mut walker);
+    let r = run_cfg(cfg).report;
     // The decoupled-core model caps sustained IPC at the backend
     // rate (plus redirect effects pulling it below).
     assert!(r.ipc() <= Simulator::BACKEND_IPC + 1e-9, "ipc {}", r.ipc());
@@ -256,22 +253,17 @@ fn ipc_never_exceeds_backend_rate_when_frontend_is_perfect() {
 
 #[test]
 fn telemetry_off_by_default_and_detachable() {
-    let image = tiny_image();
-    let mut sim = Simulator::new(quick_cfg("SN4L"), Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    sim.run(&mut walker);
+    let mut sim = tiny_simulator(quick_cfg("SN4L"));
+    sim.run(&mut dcfb_workloads::Walker::new(tiny_image(), 5));
     assert!(sim.take_telemetry().is_none(), "telemetry must default off");
 }
 
 #[test]
 fn telemetry_does_not_perturb_the_run() {
     let plain = run("SN4L+Dis+BTB");
-    let image = tiny_image();
     let mut cfg = quick_cfg("SN4L+Dis+BTB");
     cfg.telemetry = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    let observed = sim.run(&mut walker);
+    let observed = run_cfg(cfg).report;
     assert_eq!(observed.cycles, plain.cycles);
     assert_eq!(observed.l1i.demand_misses, plain.l1i.demand_misses);
     assert_eq!(observed.external_requests, plain.external_requests);
@@ -279,12 +271,10 @@ fn telemetry_does_not_perturb_the_run() {
 
 #[test]
 fn telemetry_classifies_every_issued_prefetch() {
-    let image = tiny_image();
     let mut cfg = quick_cfg("SN4L+Dis+BTB");
     cfg.telemetry = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    let r = sim.run(&mut walker);
+    let mut sim = tiny_simulator(cfg);
+    let r = sim.run(&mut dcfb_workloads::Walker::new(tiny_image(), 5));
     let report = sim.take_telemetry().expect("telemetry enabled");
     report.doc.validate().expect("schema + sum invariant");
     // A second take returns nothing.
@@ -364,13 +354,13 @@ fn telemetry_classifies_every_issued_prefetch() {
 
 #[test]
 fn telemetry_tracks_directed_frontend_ftq() {
-    let image = tiny_image();
     let mut cfg = quick_cfg("Boomerang");
     cfg.telemetry = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    let r = sim.run(&mut walker);
-    let report = sim.take_telemetry().expect("telemetry enabled");
+    let crate::Run {
+        report: r,
+        telemetry,
+    } = run_cfg(cfg);
+    let report = telemetry.expect("telemetry enabled");
     report.doc.validate().expect("valid doc");
     assert!(r.stall_empty_ftq > 0, "Boomerang must starve its FTQ");
     assert_eq!(
@@ -399,15 +389,15 @@ fn telemetry_tracks_directed_frontend_ftq() {
 
 #[test]
 fn telemetry_buffer_mode_attributes_buffer_hits() {
-    let image = tiny_image();
     let mut cfg = quick_cfg("N4L");
     cfg.use_prefetch_buffer = true;
     cfg.telemetry = true;
-    let mut sim = Simulator::new(cfg, Arc::clone(&image));
-    let mut walker = dcfb_workloads::Walker::new(image, 5);
-    let r = sim.run(&mut walker);
+    let crate::Run {
+        report: r,
+        telemetry,
+    } = run_cfg(cfg);
     assert!(r.buffer_hits > 0, "buffer must absorb misses");
-    let report = sim.take_telemetry().expect("telemetry enabled");
+    let report = telemetry.expect("telemetry enabled");
     report.doc.validate().expect("valid doc");
     assert_eq!(report.doc.counter("buffer_hits"), Some(r.buffer_hits));
     // The report re-credits buffer absorptions as L1i hits; telemetry

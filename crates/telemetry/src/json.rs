@@ -81,14 +81,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array.
     pub fn as_array(&self) -> Option<&Vec<JsonValue>> {
         match self {
@@ -349,7 +341,7 @@ mod tests {
         assert_eq!(a[1], JsonValue::Int(-2));
         assert_eq!(a[2].as_f64(), Some(3.5));
         assert_eq!(a[3].as_str(), Some("x\n"));
-        assert_eq!(a[4].as_bool(), Some(true));
+        assert_eq!(a[4], JsonValue::Bool(true));
         assert_eq!(a[5], JsonValue::Null);
         // u64::MAX survives exactly — the reason this module exists.
         let c = v.get("b").and_then(|b| b.get("c")).unwrap();

@@ -83,11 +83,6 @@ impl<R: Read> FaultyReader<R> {
         FaultyReader::new(inner).flip_bits(offset, 1 << bit)
     }
 
-    /// Convenience: a reader that truncates after `offset` bytes.
-    pub fn with_truncation_at(inner: R, offset: u64) -> Self {
-        FaultyReader::new(inner).truncate_at(offset)
-    }
-
     /// Convenience: a reader capped at `n` bytes per call.
     pub fn with_max_read(inner: R, n: usize) -> Self {
         FaultyReader::new(inner).max_read(n)

@@ -156,17 +156,6 @@ fn decode_record(buf: &[u8]) -> Result<Instr, TraceErrorKind> {
 // Writers
 // ---------------------------------------------------------------------------
 
-/// Writes up to `limit` instructions from `stream` to `out` in the
-/// binary v2 format with default options (ISA unspecified,
-/// [`DEFAULT_CHUNK_RECORDS`] per chunk). Returns the number written.
-pub fn write_binary<S: InstrStream, W: Write>(
-    stream: &mut S,
-    out: W,
-    limit: u64,
-) -> io::Result<u64> {
-    write_binary_v2(stream, out, limit, None, DEFAULT_CHUNK_RECORDS)
-}
-
 /// Writes up to `limit` instructions in the binary v2 format,
 /// recording `isa` in the header and grouping `chunk_records` records
 /// per CRC-checked chunk. Returns the number written.
@@ -290,17 +279,6 @@ impl<R: Read> CountingReader<R> {
         }
         Ok(Fill::Full)
     }
-}
-
-/// Reads a binary v2 trace in strict mode: any corruption or
-/// truncation is an error.
-///
-/// # Errors
-///
-/// Returns [`DcfbError::Trace`] describing what was wrong and where;
-/// see [`TraceErrorKind`].
-pub fn read_binary<R: Read>(input: R) -> Result<VecTrace, DcfbError> {
-    read_binary_checked(input, ReadMode::Strict).map(|(t, _)| t)
 }
 
 /// Reads a binary v2 trace under `mode`, returning the decoded trace
@@ -662,10 +640,10 @@ mod tests {
     fn binary_round_trip() {
         let mut src = VecTrace::new(sample());
         let mut buf = Vec::new();
-        let n = write_binary(&mut src, &mut buf, u64::MAX).unwrap();
+        let n = write_binary_v2(&mut src, &mut buf, u64::MAX, None, DEFAULT_CHUNK_RECORDS).unwrap();
         assert_eq!(n, 6);
         assert!(buf.starts_with(MAGIC_V2));
-        let back = read_binary(buf.as_slice()).unwrap();
+        let (back, _) = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap();
         assert_eq!(back.instrs(), sample().as_slice());
     }
 
@@ -694,14 +672,17 @@ mod tests {
     fn limit_truncates() {
         let mut src = VecTrace::new(sample());
         let mut buf = Vec::new();
-        assert_eq!(write_binary(&mut src, &mut buf, 2).unwrap(), 2);
-        let back = read_binary(buf.as_slice()).unwrap();
+        assert_eq!(
+            write_binary_v2(&mut src, &mut buf, 2, None, DEFAULT_CHUNK_RECORDS).unwrap(),
+            2
+        );
+        let (back, _) = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap();
         assert_eq!(back.len(), 2);
     }
 
     #[test]
     fn binary_rejects_bad_magic() {
-        let err = read_binary(&b"NOTATRCE"[..]).unwrap_err();
+        let err = read_binary_checked(&b"NOTATRCE"[..], ReadMode::Strict).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::BadMagic);
     }
 
@@ -709,16 +690,16 @@ mod tests {
     fn binary_rejects_flipped_magic_byte() {
         let mut buf = v2_bytes(&sample(), 4);
         buf[3] ^= 0x20; // DCFBTRC2 -> DCfBTRC2
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::BadMagic);
     }
 
     #[test]
     fn binary_rejects_empty_file() {
-        let err = read_binary(&b""[..]).unwrap_err();
+        let err = read_binary_checked(&b""[..], ReadMode::Strict).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::Truncated);
         // A bare magic is a truncated header.
-        let err = read_binary(&MAGIC_V2[..]).unwrap_err();
+        let err = read_binary_checked(&MAGIC_V2[..], ReadMode::Strict).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::Truncated);
     }
 
@@ -727,7 +708,7 @@ mod tests {
         // Chop inside a chunk payload.
         let mut buf = v2_bytes(&many(40), 16);
         buf.truncate(buf.len() - 7);
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::Truncated);
     }
 
@@ -746,7 +727,7 @@ mod tests {
         let crc = crc32(&buf[payload_start..payload_start + payload_len]);
         buf[payload_start + payload_len..payload_start + payload_len + 4]
             .copy_from_slice(&crc.to_le_bytes());
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::BadKindCode(99));
     }
 
@@ -760,7 +741,7 @@ mod tests {
             target: 0,
         };
         let buf = v2_bytes(&bad, 4);
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap_err();
         assert_eq!(trace_kind(&err), &TraceErrorKind::ZeroSize);
     }
 
@@ -769,7 +750,7 @@ mod tests {
         let mut buf = v2_bytes(&many(64), 16);
         let flip_at = V2_HEADER_BYTES + 5; // inside chunk 0's payload
         buf[flip_at] ^= 0x01;
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap_err();
         assert!(
             matches!(trace_kind(&err), TraceErrorKind::ChecksumMismatch { .. }),
             "{err}"
@@ -811,7 +792,7 @@ mod tests {
         let mut buf = v2_bytes(&instrs, 16);
         let chunk_bytes = 16 * RECORD_BYTES + 4;
         buf.truncate(V2_HEADER_BYTES + 2 * chunk_bytes); // exactly 2 chunks
-        let err = read_binary(buf.as_slice()).unwrap_err();
+        let err = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap_err();
         assert_eq!(
             trace_kind(&err),
             &TraceErrorKind::RecordCountMismatch {
@@ -851,9 +832,9 @@ mod tests {
             for bit in 0..8 {
                 let mut dam = buf.clone();
                 dam[byte] ^= 1 << bit;
-                match read_binary(dam.as_slice()) {
+                match read_binary_checked(dam.as_slice(), ReadMode::Strict) {
                     Err(_) => {} // detected
-                    Ok(t) => {
+                    Ok((t, _)) => {
                         assert_eq!(
                             t.instrs(),
                             instrs.as_slice(),
@@ -875,9 +856,9 @@ mod tests {
         // Deterministically sweep fault offsets with the FaultyReader.
         for seed in 0..32u64 {
             let reader = FaultyReader::with_random_bit_flip(buf.as_slice(), buf.len(), seed);
-            match read_binary(reader) {
+            match read_binary_checked(reader, ReadMode::Strict) {
                 Err(_) => {}
-                Ok(t) => assert_eq!(t.len(), 64, "seed {seed} silently altered the stream"),
+                Ok((t, _)) => assert_eq!(t.len(), 64, "seed {seed} silently altered the stream"),
             }
         }
     }
@@ -887,7 +868,7 @@ mod tests {
         let buf = v2_bytes(&many(64), 16);
         // Short reads exercise the retry loop but deliver intact bytes.
         let reader = FaultyReader::with_max_read(buf.as_slice(), 3);
-        let t = read_binary(reader).unwrap();
+        let (t, _) = read_binary_checked(reader, ReadMode::Strict).unwrap();
         assert_eq!(t.len(), 64);
     }
 
@@ -895,7 +876,7 @@ mod tests {
     fn faulty_reader_io_error_surfaces_as_trace_io() {
         let buf = v2_bytes(&many(64), 16);
         let reader = FaultyReader::with_io_error_at(buf.as_slice(), 100);
-        let err = read_binary(reader).unwrap_err();
+        let err = read_binary_checked(reader, ReadMode::Strict).unwrap_err();
         assert!(matches!(trace_kind(&err), TraceErrorKind::Io(_)), "{err}");
     }
 
@@ -933,9 +914,9 @@ mod tests {
     fn replayed_trace_drives_streams_identically() {
         let mut src = VecTrace::new(sample());
         let mut buf = Vec::new();
-        write_binary(&mut src, &mut buf, u64::MAX).unwrap();
+        write_binary_v2(&mut src, &mut buf, u64::MAX, None, DEFAULT_CHUNK_RECORDS).unwrap();
         let mut a = VecTrace::new(sample());
-        let mut b = read_binary(buf.as_slice()).unwrap();
+        let (mut b, _) = read_binary_checked(buf.as_slice(), ReadMode::Strict).unwrap();
         loop {
             let (x, y) = (a.next_instr(), b.next_instr());
             assert_eq!(x, y);

@@ -34,10 +34,7 @@ pub mod memory;
 pub mod stream;
 
 pub use fault::FaultyReader;
-pub use file::{
-    read_binary, read_binary_checked, read_text, write_binary, write_binary_v2, write_text,
-    ReadMode, ReadReport,
-};
+pub use file::{read_binary_checked, read_text, write_binary_v2, write_text, ReadMode, ReadReport};
 pub use import::{import_champsim, ImportReport, IMPORT_RECORD_BYTES};
 pub use instr::{Instr, InstrKind, StaticInstr, StaticKind};
 pub use isa::IsaMode;

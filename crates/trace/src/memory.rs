@@ -15,10 +15,10 @@ use crate::{Block, StaticInstr};
 /// pre-decoder in `dcfb-frontend`) must treat the result as the exact
 /// content of the named 64-byte block.
 pub trait CodeMemory {
-    /// Returns every instruction whose first byte lies in `block`, in
-    /// ascending address order. Returns an empty vector for blocks that
-    /// hold no code (data, padding, unmapped).
-    fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr>;
+    /// Calls `f` with every instruction whose first byte lies in
+    /// `block`, in ascending address order. Calls it never for blocks
+    /// that hold no code (data, padding, unmapped).
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr));
 
     /// The dense slot of `block`: a small index, unique per block,
     /// assigned to every block that holds code (`None` means the block
@@ -28,59 +28,42 @@ pub trait CodeMemory {
     /// of hash maps keyed by block.
     fn block_slot(&self, block: Block) -> Option<usize>;
 
-    /// Calls `f` with every instruction of `block`, in ascending
-    /// address order: the instructions
-    /// [`CodeMemory::instrs_in_block`] returns, without collecting them
-    /// into a vector. Code memories that keep their instructions in
-    /// memory override it, so a first decode copies nothing.
-    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
-        for i in &self.instrs_in_block(block) {
-            f(i);
-        }
-    }
-
-    /// Returns `true` if `block` contains at least one instruction.
-    fn is_code_block(&self, block: Block) -> bool {
-        !self.instrs_in_block(block).is_empty()
+    /// The instructions [`CodeMemory::for_each_in_block`] visits,
+    /// collected into a vector (empty for blocks that hold no code).
+    fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
+        let mut instrs = Vec::new();
+        self.for_each_in_block(block, &mut |i| instrs.push(*i));
+        instrs
     }
 }
 
 impl<T: CodeMemory + ?Sized> CodeMemory for &T {
-    fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
-        (**self).instrs_in_block(block)
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        (**self).for_each_in_block(block, f);
     }
 
     fn block_slot(&self, block: Block) -> Option<usize> {
         (**self).block_slot(block)
-    }
-    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
-        (**self).for_each_in_block(block, f);
     }
 }
 
 impl<T: CodeMemory + ?Sized> CodeMemory for Box<T> {
-    fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
-        (**self).instrs_in_block(block)
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        (**self).for_each_in_block(block, f);
     }
 
     fn block_slot(&self, block: Block) -> Option<usize> {
         (**self).block_slot(block)
-    }
-    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
-        (**self).for_each_in_block(block, f);
     }
 }
 
 impl<T: CodeMemory + ?Sized> CodeMemory for std::sync::Arc<T> {
-    fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
-        (**self).instrs_in_block(block)
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        (**self).for_each_in_block(block, f);
     }
 
     fn block_slot(&self, block: Block) -> Option<usize> {
         (**self).block_slot(block)
-    }
-    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
-        (**self).for_each_in_block(block, f);
     }
 }
 
@@ -160,20 +143,14 @@ impl RecordedCode {
 }
 
 impl CodeMemory for RecordedCode {
-    fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
-        self.block_slot(block)
-            .map(|slot| self.blocks[slot].clone())
-            .unwrap_or_default()
-    }
-
-    fn block_slot(&self, block: Block) -> Option<usize> {
-        self.slots.get(&block).copied()
-    }
-
     fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
         if let Some(slot) = self.block_slot(block) {
             self.blocks[slot].iter().for_each(f);
         }
+    }
+
+    fn block_slot(&self, block: Block) -> Option<usize> {
+        self.slots.get(&block).copied()
     }
 }
 
@@ -187,30 +164,23 @@ mod tests {
     struct Toy;
 
     impl CodeMemory for Toy {
-        fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
+        fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
             if block >= 8 {
-                return Vec::new();
+                return;
             }
-            (0..4)
-                .map(|i| StaticInstr {
+            for i in 0..4 {
+                f(&StaticInstr {
                     pc: block_base(block) + i * 16,
                     size: 4,
                     kind: StaticKind::Other,
                     target: None,
-                })
-                .collect()
+                });
+            }
         }
 
         fn block_slot(&self, block: Block) -> Option<usize> {
             (block < 8).then_some(block as usize)
         }
-    }
-
-    #[test]
-    fn default_is_code_block_uses_instrs() {
-        let toy = Toy;
-        assert!(toy.is_code_block(0));
-        assert!(!toy.is_code_block(8));
     }
 
     #[test]
@@ -233,9 +203,6 @@ mod tests {
         assert_eq!(b[0].pc, 0x1000);
         assert_eq!(b[1].kind, StaticKind::CondBranch);
         assert_eq!(b[1].target, Some(0x2000));
-        let mut visited = Vec::new();
-        rec.for_each_in_block(crate::block_of(0x1000), &mut |s| visited.push(*s));
-        assert_eq!(visited, b);
         // Indirect targets are NOT in the encoding.
         let b2 = rec.instrs_in_block(crate::block_of(0x2004));
         let call = b2.iter().find(|s| s.pc == 0x2004).unwrap();
@@ -268,11 +235,8 @@ mod tests {
         assert_eq!(by_ref.instrs_in_block(1).len(), 4);
         let boxed: Box<dyn CodeMemory> = Box::new(Toy);
         assert_eq!(boxed.instrs_in_block(2).len(), 4);
-        assert!(boxed.is_code_block(2));
+        assert!(boxed.instrs_in_block(8).is_empty());
         assert_eq!(boxed.block_slot(2), Some(2));
-        let mut n = 0;
-        boxed.for_each_in_block(2, &mut |_| n += 1);
-        assert_eq!(n, 4, "the default visits what instrs_in_block returns");
         assert_eq!(std::sync::Arc::new(Toy).block_slot(9), None);
     }
 }

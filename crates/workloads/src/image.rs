@@ -598,8 +598,8 @@ impl ProgramImage {
 }
 
 impl CodeMemory for ProgramImage {
-    fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
-        self.block_slice(block).to_vec()
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        self.block_slice(block).iter().for_each(f);
     }
 
     /// The block's offset from the image base, for blocks inside the
@@ -608,10 +608,6 @@ impl CodeMemory for ProgramImage {
     fn block_slot(&self, block: Block) -> Option<usize> {
         let slot = block.checked_sub(block_of(IMAGE_BASE))? as usize;
         (slot < self.block_slots).then_some(slot)
-    }
-
-    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
-        self.block_slice(block).iter().for_each(f);
     }
 }
 

@@ -147,9 +147,6 @@ fn block_slice_matches_a_binary_search_for_every_block() {
     let first = block_of(IMAGE_BASE);
     for block in first - 2..=block_of(img.end()) + 2 {
         assert_eq!(img.block_slice(block), search(block), "block {block:#x}");
-        let mut visited = Vec::new();
-        img.for_each_in_block(block, &mut |i| visited.push(*i));
-        assert_eq!(visited, search(block), "visit of block {block:#x}");
     }
 }
 
@@ -174,7 +171,6 @@ fn empty_block_outside_image() {
     let img = build();
     assert!(img.instrs_in_block(0).is_empty());
     assert!(img.instrs_in_block(block_of(img.end()) + 100).is_empty());
-    assert!(!img.is_code_block(0));
 }
 
 #[test]

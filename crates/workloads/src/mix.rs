@@ -108,15 +108,12 @@ fn rebased(s: &StaticInstr, offset: Addr) -> StaticInstr {
 }
 
 impl CodeMemory for MixCode {
-    fn instrs_in_block(&self, block: Block) -> Vec<StaticInstr> {
-        let Some((t, inner)) = self.locate(block) else {
-            return Vec::new();
-        };
-        t.image
-            .block_slice(inner)
-            .iter()
-            .map(|s| rebased(s, t.offset))
-            .collect()
+    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
+        if let Some((t, inner)) = self.locate(block) {
+            for s in t.image.block_slice(inner) {
+                f(&rebased(s, t.offset));
+            }
+        }
     }
 
     /// The owning tenant's slot base plus the block's slot in the
@@ -125,14 +122,6 @@ impl CodeMemory for MixCode {
     fn block_slot(&self, block: Block) -> Option<usize> {
         let (t, inner) = self.locate(block)?;
         t.image.block_slot(inner).map(|s| t.slot_base + s)
-    }
-
-    fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
-        if let Some((t, inner)) = self.locate(block) {
-            for s in t.image.block_slice(inner) {
-                f(&rebased(s, t.offset));
-            }
-        }
     }
 }
 
@@ -279,9 +268,6 @@ mod tests {
                 let found = code.locate(b).map(|(t, _)| t.slot_base);
                 let want = scan(b).map(|k| code.tenants[k].slot_base);
                 assert_eq!(found, want, "block {b:#x}");
-                let mut visited = Vec::new();
-                code.for_each_in_block(b, &mut |s| visited.push(*s));
-                assert_eq!(visited, code.instrs_in_block(b), "visit of block {b:#x}");
             }
         }
     }

@@ -6,10 +6,9 @@
 //! memory, a start pc, and a deterministic instruction-stream factory.
 //! Three sources:
 //!
-//! * **synthetic** — the seven catalog workloads, unchanged. Resolution
-//!   reuses the exact `Arc<ProgramImage>` + [`Walker`] pair the direct
-//!   path uses, so report digests are byte-identical (gated by the
-//!   `invariant/workload-source` conformance check).
+//! * **synthetic** — the seven catalog workloads: one
+//!   `Arc<ProgramImage>`, streamed by seeded [`Walker`]s
+//!   ([`ResolvedWorkload::from_image`]).
 //! * **mix** — `mix:NAME_A+NAME_B[,quantum=N]`: a multi-tenant
 //!   round-robin interleaving of ≥ 2 catalog images through one
 //!   simulator instance (see [`crate::mix`]).
@@ -209,6 +208,7 @@ impl SourceSpec {
                     kind: "mix",
                     code: Arc::new(MixCode::new(&images)),
                     start_pc,
+                    recorded_isa: None,
                     factory: StreamFactory::Mix {
                         images,
                         quantum: *quantum,
@@ -226,7 +226,8 @@ impl SourceSpec {
 /// a workload labelled `name`: the trace is replayed verbatim over a
 /// [`RecordedCode`] reconstruction. Binary reads also return their
 /// [`ReadReport`]; under [`ReadMode::Lenient`] its `salvage` says why
-/// only a prefix was kept.
+/// only a prefix was kept. The ISA a binary header records becomes the
+/// workload's [`ResolvedWorkload::recorded_isa`].
 ///
 /// # Errors
 ///
@@ -261,6 +262,7 @@ pub fn load_trace(
         kind: "trace",
         code: Arc::new(RecordedCode::from_trace(trace.instrs())),
         start_pc,
+        recorded_isa: report.as_ref().and_then(|r| r.isa),
         factory: StreamFactory::Replay(trace),
     };
     Ok((workload, report))
@@ -293,6 +295,7 @@ pub struct ResolvedWorkload {
     kind: &'static str,
     code: Arc<dyn CodeMemory + Send + Sync>,
     start_pc: Addr,
+    recorded_isa: Option<IsaMode>,
     factory: StreamFactory,
 }
 
@@ -302,14 +305,14 @@ impl std::fmt::Debug for ResolvedWorkload {
             .field("name", &self.name)
             .field("kind", &self.kind)
             .field("start_pc", &self.start_pc)
+            .field("recorded_isa", &self.recorded_isa)
             .finish_non_exhaustive()
     }
 }
 
 impl ResolvedWorkload {
-    /// Wraps a synthetic image. Start pc and name match what
-    /// `Simulator::new` derives directly from the image, so the
-    /// resolved path is digest-identical to the legacy path.
+    /// Wraps a synthetic image: it starts at the entry of the image's
+    /// first function and is labelled with the image's workload name.
     pub fn from_image(image: Arc<ProgramImage>) -> Self {
         let start_pc = image.functions()[0].entry;
         let name = image.params().name.clone();
@@ -318,6 +321,7 @@ impl ResolvedWorkload {
             kind: "synthetic",
             code: image.clone() as Arc<dyn CodeMemory + Send + Sync>,
             start_pc,
+            recorded_isa: None,
             factory: StreamFactory::Synthetic(image),
         }
     }
@@ -340,6 +344,13 @@ impl ResolvedWorkload {
     /// First fetched pc.
     pub fn start_pc(&self) -> Addr {
         self.start_pc
+    }
+
+    /// The ISA a binary trace's header records. `None` for synthetic
+    /// and mix sources, text traces and traces written without one
+    /// (`dcfb import` output): those run under any ISA.
+    pub fn recorded_isa(&self) -> Option<IsaMode> {
+        self.recorded_isa
     }
 
     /// For synthetic sources, the underlying image (used by callers

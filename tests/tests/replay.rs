@@ -3,10 +3,12 @@
 //! behaves equivalently to the image-backed run.
 
 use dcfb_sim::{SimConfig, Simulator};
+use dcfb_trace::file::DEFAULT_CHUNK_RECORDS;
 use dcfb_trace::{
-    read_binary, write_binary, CodeMemory, InstrStream, IsaMode, RecordedCode, VecTrace,
+    read_binary_checked, write_binary_v2, CodeMemory, InstrStream, IsaMode, ReadMode, RecordedCode,
+    VecTrace,
 };
-use dcfb_workloads::{Walker, Workload, WorkloadParams};
+use dcfb_workloads::{ResolvedWorkload, Walker, Workload, WorkloadParams};
 use std::sync::Arc;
 
 fn workload() -> Workload {
@@ -33,9 +35,16 @@ fn recorded_trace_round_trips_through_files() {
     let trace = capture(200_000);
     let mut replay = trace.replay();
     let mut bytes = Vec::new();
-    let n = write_binary(&mut replay, &mut bytes, u64::MAX).unwrap();
+    let n = write_binary_v2(
+        &mut replay,
+        &mut bytes,
+        u64::MAX,
+        None,
+        DEFAULT_CHUNK_RECORDS,
+    )
+    .unwrap();
     assert_eq!(n, 200_000);
-    let back = read_binary(bytes.as_slice()).unwrap();
+    let (back, _) = read_binary_checked(bytes.as_slice(), ReadMode::Strict).unwrap();
     assert_eq!(back.instrs(), trace.instrs());
 }
 
@@ -49,10 +58,11 @@ fn replayed_trace_simulates_like_the_image_backed_run() {
     cfg.warmup_instrs = 100_000;
     cfg.measure_instrs = 200_000;
 
-    // Image-backed run over the SAME instruction stream.
-    let mut sim_img = Simulator::new(cfg.clone(), Arc::clone(&image));
-    let mut replay1 = trace.replay();
-    let img_rep = sim_img.run(&mut replay1);
+    // Image-backed run over the SAME instruction stream: the image's
+    // walker at the capture's seed.
+    let img_rep = dcfb_sim::run(&ResolvedWorkload::from_image(image), cfg.clone(), 5)
+        .unwrap()
+        .report;
 
     // Trace-backed run: pre-decode oracle reconstructed from the trace.
     let code: Arc<dyn CodeMemory + Send + Sync> =

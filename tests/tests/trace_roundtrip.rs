@@ -5,7 +5,7 @@
 //! and a damaged header must be fatal in both modes.
 
 use dcfb_errors::{DcfbError, TraceErrorKind};
-use dcfb_trace::{read_binary, read_binary_checked, write_binary_v2, IsaMode, ReadMode, VecTrace};
+use dcfb_trace::{read_binary_checked, write_binary_v2, IsaMode, ReadMode, VecTrace};
 use dcfb_workloads::{Walker, Workload, WorkloadParams};
 
 /// v2 header length (see the layout doc in `dcfb_trace::file`).
@@ -68,7 +68,8 @@ fn corrupted_chunk_is_rejected_strict() {
     // chunks precede it).
     let chunk_bytes = usize::from(CHUNK) * RECORD + 4;
     bytes[HEADER + 2 * chunk_bytes + 5] ^= 0x01;
-    let err = read_binary(bytes.as_slice()).expect_err("strict mode must reject");
+    let err = read_binary_checked(bytes.as_slice(), ReadMode::Strict)
+        .expect_err("strict mode must reject");
     match err {
         DcfbError::Trace { kind, .. } => {
             assert!(
@@ -108,7 +109,7 @@ fn truncated_v2_salvages_whole_chunks_lenient() {
     // Cut mid-way through the final (6-record) chunk.
     let cut = bytes.len() - 40;
     assert!(
-        read_binary(&bytes[..cut]).is_err(),
+        read_binary_checked(&bytes[..cut], ReadMode::Strict).is_err(),
         "strict mode must reject a truncated stream"
     );
     let (back, report) = read_binary_checked(&bytes[..cut], ReadMode::Lenient).unwrap();
@@ -122,7 +123,7 @@ fn damaged_header_is_fatal_even_lenient() {
     let trace = capture(30);
     let mut bytes = encode_v2(&trace, CHUNK);
     bytes[12] ^= 0x01; // declared-record-count field: header CRC breaks
-    assert!(read_binary(bytes.as_slice()).is_err());
+    assert!(read_binary_checked(bytes.as_slice(), ReadMode::Strict).is_err());
     assert!(
         read_binary_checked(bytes.as_slice(), ReadMode::Lenient).is_err(),
         "nothing after a damaged header can be trusted"
