@@ -12,7 +12,6 @@ use crate::runs::{
 };
 use crate::sweep::parallel_map;
 use crate::table::Table;
-use dcfb_frontend::ShotgunBtbConfig;
 use dcfb_prefetch::{Sn4lDisConfig, TagPolicy};
 use dcfb_sim::analysis;
 use dcfb_sim::{PrefetcherKind, SimConfig};
@@ -509,10 +508,9 @@ pub fn fig18_btb_sweep() -> Table {
     for scale in [1.0f64, 0.5, 0.25, 0.125] {
         let ratios = parallel_map(workloads(), |w| {
             let mut ours = method_config("SN4L+Dis+BTB");
-            let base_entries = ours.btb.entries;
-            ours.btb.entries = ((base_entries as f64 * scale) as usize).max(64) / 4 * 4;
+            ours.scale_btb(scale);
             let mut shot = method_config("Shotgun");
-            shot.prefetcher = PrefetcherKind::Shotgun(ShotgunBtbConfig::scaled(scale));
+            shot.scale_btb(scale);
             let ours_rep = run(w, ours);
             let shot_rep = run(w, shot);
             ours_rep.ipc() / shot_rep.ipc().max(1e-9)

@@ -13,6 +13,7 @@
 //! * `local_status` — SN4L's 4-bit local prefetch status cached next to
 //!   the line to avoid SeqTable lookups (§V-A).
 
+use crate::lru::LruSets;
 use dcfb_trace::Block;
 
 /// Geometry of a set-associative cache.
@@ -72,11 +73,6 @@ impl CacheConfig {
     fn set_index(&self, block: Block) -> usize {
         (block as usize) & (self.sets - 1)
     }
-
-    #[inline]
-    fn tag(&self, block: Block) -> u64 {
-        block >> self.sets.trailing_zeros()
-    }
 }
 
 /// Per-line metadata flags.
@@ -110,25 +106,6 @@ impl LineFlags {
             demanded: false,
             is_instruction: true,
             local_status: 0,
-        }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-    flags: LineFlags,
-}
-
-impl Line {
-    fn empty() -> Self {
-        Line {
-            tag: 0,
-            valid: false,
-            stamp: 0,
-            flags: LineFlags::default(),
         }
     }
 }
@@ -194,8 +171,8 @@ impl CacheStats {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
-    clock: u64,
+    /// Tagged by the whole block number.
+    lines: LruSets<LineFlags>,
     stats: CacheStats,
 }
 
@@ -204,15 +181,9 @@ impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
         SetAssocCache {
             cfg,
-            lines: vec![Line::empty(); cfg.blocks()],
-            clock: 0,
+            lines: LruSets::new(cfg.sets, cfg.ways),
             stats: CacheStats::default(),
         }
-    }
-
-    /// The cache geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
     }
 
     /// Accumulated statistics.
@@ -225,16 +196,9 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    fn set_range(&self, block: Block) -> std::ops::Range<usize> {
+    fn find(&self, block: Block) -> Option<(usize, usize)> {
         let set = self.cfg.set_index(block);
-        let start = set * self.cfg.ways;
-        start..start + self.cfg.ways
-    }
-
-    fn find(&self, block: Block) -> Option<usize> {
-        let tag = self.cfg.tag(block);
-        self.set_range(block)
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+        self.lines.find(set, block).map(|way| (set, way))
     }
 
     /// Demand access: updates LRU and statistics; on a hit to a
@@ -244,21 +208,20 @@ impl SetAssocCache {
     ///
     /// Returns `true` on a hit.
     pub fn demand_access(&mut self, block: Block) -> bool {
-        self.clock += 1;
         self.stats.demand_accesses += 1;
-        if let Some(i) = self.find(block) {
-            self.stats.demand_hits += 1;
-            self.lines[i].stamp = self.clock;
-            if self.lines[i].flags.prefetched {
-                self.stats.prefetch_hits += 1;
-                self.lines[i].flags.prefetched = false;
-            }
-            self.lines[i].flags.demanded = true;
-            true
-        } else {
+        let Some((set, way)) = self.find(block) else {
             self.stats.demand_misses += 1;
-            false
+            return false;
+        };
+        self.stats.demand_hits += 1;
+        self.lines.touch(set, way);
+        let flags = self.lines.get_mut(set, way);
+        if flags.prefetched {
+            self.stats.prefetch_hits += 1;
+            flags.prefetched = false;
         }
+        flags.demanded = true;
+        true
     }
 
     /// Non-demand probe (prefetcher cache lookup): no LRU update; counted
@@ -276,96 +239,40 @@ impl SetAssocCache {
 
     /// Read-only access to a resident line's flags.
     pub fn flags(&self, block: Block) -> Option<LineFlags> {
-        self.find(block).map(|i| self.lines[i].flags)
-    }
-
-    /// Mutable access to a resident line's flags.
-    pub fn flags_mut(&mut self, block: Block) -> Option<&mut LineFlags> {
-        self.find(block).map(|i| &mut self.lines[i].flags)
+        self.find(block).map(|(set, way)| *self.lines.get(set, way))
     }
 
     /// Inserts `block` with `flags`, evicting the LRU line if the set is
     /// full. If the block is already resident, only its flags are
     /// replaced (no eviction, no LRU promotion).
     pub fn fill(&mut self, block: Block, flags: LineFlags) -> Option<Evicted> {
-        self.clock += 1;
         self.stats.fills += 1;
         if flags.prefetched {
             self.stats.prefetch_fills += 1;
         }
-        if let Some(i) = self.find(block) {
-            self.lines[i].flags = flags;
+        if let Some((set, way)) = self.find(block) {
+            *self.lines.get_mut(set, way) = flags;
             return None;
         }
-        let range = self.set_range(block);
-        let tag = self.cfg.tag(block);
-        // Prefer an invalid way; otherwise evict LRU (min stamp).
-        let victim = range
-            .clone()
-            .find(|&i| !self.lines[i].valid)
-            .unwrap_or_else(|| {
-                range
-                    .clone()
-                    .min_by_key(|&i| self.lines[i].stamp)
-                    .expect("non-empty set")
-            });
-        let evicted = if self.lines[victim].valid {
-            self.stats.evictions += 1;
-            let f = self.lines[victim].flags;
-            if f.prefetched && !f.demanded {
-                self.stats.useless_prefetch_evictions += 1;
-            }
-            let set_bits = self.cfg.sets.trailing_zeros();
-            let set = self.cfg.set_index(block) as u64;
-            Some(Evicted {
-                block: (self.lines[victim].tag << set_bits) | set,
-                flags: f,
-            })
-        } else {
-            None
-        };
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            stamp: self.clock,
-            flags,
-        };
-        evicted
-    }
-
-    /// Invalidates `block` if resident; returns its flags.
-    pub fn invalidate(&mut self, block: Block) -> Option<LineFlags> {
-        let i = self.find(block)?;
-        self.lines[i].valid = false;
-        Some(self.lines[i].flags)
+        let (victim, f) = self.lines.insert(self.cfg.set_index(block), block, flags)?;
+        self.stats.evictions += 1;
+        if f.prefetched && !f.demanded {
+            self.stats.useless_prefetch_evictions += 1;
+        }
+        Some(Evicted {
+            block: victim,
+            flags: f,
+        })
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
-    }
-
-    /// Iterates over resident blocks in `block`'s set, MRU first.
-    pub fn set_contents(&self, block: Block) -> Vec<(Block, LineFlags)> {
-        let set_bits = self.cfg.sets.trailing_zeros();
-        let set = self.cfg.set_index(block) as u64;
-        let mut v: Vec<(u64, Block, LineFlags)> = self
-            .set_range(block)
-            .filter(|&i| self.lines[i].valid)
-            .map(|i| {
-                (
-                    self.lines[i].stamp,
-                    (self.lines[i].tag << set_bits) | set,
-                    self.lines[i].flags,
-                )
-            })
-            .collect();
-        v.sort_by(|a, b| b.0.cmp(&a.0));
-        v.into_iter().map(|(_, b, f)| (b, f)).collect()
+        self.lines.occupancy()
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -492,32 +399,16 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        c.fill(3, LineFlags::demand_instruction());
-        assert!(c.invalidate(3).is_some());
-        assert!(!c.contains(3));
-        assert!(c.invalidate(3).is_none());
-    }
-
-    #[test]
     fn local_status_round_trips() {
         let mut c = tiny();
-        c.fill(5, LineFlags::default());
-        c.flags_mut(5).unwrap().local_status = 0b1010;
+        c.fill(
+            5,
+            LineFlags {
+                local_status: 0b1010,
+                ..LineFlags::default()
+            },
+        );
         assert_eq!(c.flags(5).unwrap().local_status, 0b1010);
-    }
-
-    #[test]
-    fn set_contents_mru_order() {
-        let mut c = tiny();
-        c.fill(0, LineFlags::default());
-        c.fill(4, LineFlags::default());
-        c.demand_access(0);
-        let contents = c.set_contents(0);
-        assert_eq!(contents.len(), 2);
-        assert_eq!(contents[0].0, 0); // MRU
-        assert_eq!(contents[1].0, 4);
     }
 
     #[test]
@@ -544,6 +435,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;

@@ -14,6 +14,7 @@
 
 use crate::cache::LineFlags;
 use crate::footprint::BranchFootprint;
+use crate::lru::LruSets;
 use dcfb_trace::Block;
 
 /// DV-LLC statistics, including the mode-switching behaviour and the
@@ -64,30 +65,23 @@ impl DvLlcStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-    flags: LineFlags,
-}
-
-#[derive(Clone, Debug, Default)]
-struct BfHolder {
-    active: bool,
-    entries: Vec<(u64, BranchFootprint, u64)>, // (tag, bf, stamp)
-}
+/// The tag of a set's BF-holder way. Block tags are whole block
+/// numbers, below 2^58, so no block ever matches it.
+const BF_HOLDER: u64 = u64::MAX;
 
 /// A set-associative LLC whose LRU way dynamically virtualizes branch
 /// footprints (see module docs).
+///
+/// A set in BF-holder mode keeps one way of `lines` tagged
+/// [`BF_HOLDER`]; its footprints live in the same set of `bfs`. The
+/// holder way is touched before every fill into its set, so it is
+/// never the replacement victim while it exists.
 #[derive(Clone, Debug)]
 pub struct DvLlc {
-    sets: usize,
-    ways: usize,
-    bf_capacity: usize,
-    lines: Vec<Line>,
-    holders: Vec<BfHolder>,
-    clock: u64,
+    /// Tagged by the whole block number.
+    lines: LruSets<LineFlags>,
+    /// `bf_capacity` footprints per set, tagged by block number.
+    bfs: LruSets<BranchFootprint>,
     stats: DvLlcStats,
     enabled: bool,
 }
@@ -105,20 +99,8 @@ impl DvLlc {
         assert!(ways >= 2, "DV-LLC needs at least 2 ways");
         assert!(bf_capacity > 0, "bf_capacity must be non-zero");
         DvLlc {
-            sets,
-            ways,
-            bf_capacity,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    stamp: 0,
-                    flags: LineFlags::default(),
-                };
-                sets * ways
-            ],
-            holders: vec![BfHolder::default(); sets],
-            clock: 0,
+            lines: LruSets::new(sets, ways),
+            bfs: LruSets::new(sets, bf_capacity),
             stats: DvLlcStats::default(),
             enabled: true,
         }
@@ -142,46 +124,24 @@ impl DvLlc {
 
     #[inline]
     fn set_index(&self, block: Block) -> usize {
-        (block as usize) & (self.sets - 1)
+        (block as usize) & (self.lines.sets() - 1)
     }
 
-    #[inline]
-    fn tag(&self, block: Block) -> u64 {
-        block >> self.sets.trailing_zeros()
-    }
-
-    fn block_from(&self, tag: u64, set: usize) -> Block {
-        (tag << self.sets.trailing_zeros()) | set as u64
-    }
-
-    /// Number of ways currently usable for blocks in `set`.
-    fn usable_ways(&self, set: usize) -> usize {
-        if self.holders[set].active {
-            self.ways - 1
-        } else {
-            self.ways
-        }
-    }
-
-    fn find(&self, block: Block) -> Option<usize> {
-        let set = self.set_index(block);
-        let tag = self.tag(block);
-        let base = set * self.ways;
-        (base..base + self.usable_ways(set))
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+    /// The BF-holder way of `set`, when the set is in BF-holder mode.
+    fn holder(&self, set: usize) -> Option<usize> {
+        self.lines.find(set, BF_HOLDER)
     }
 
     /// Demand access to `block`; `is_instruction` selects which hit-ratio
     /// bucket the access lands in. Returns `true` on hit.
     pub fn demand_access(&mut self, block: Block, is_instruction: bool) -> bool {
-        self.clock += 1;
-        let hit = if let Some(i) = self.find(block) {
-            self.lines[i].stamp = self.clock;
-            self.lines[i].flags.demanded = true;
-            true
-        } else {
-            false
-        };
+        let set = self.set_index(block);
+        let way = self.lines.find(set, block);
+        if let Some(way) = way {
+            self.lines.touch(set, way);
+            self.lines.get_mut(set, way).demanded = true;
+        }
+        let hit = way.is_some();
         if is_instruction {
             self.stats.instr_accesses += 1;
             self.stats.instr_hits += u64::from(hit);
@@ -194,19 +154,18 @@ impl DvLlc {
 
     /// Residency check without LRU update or statistics.
     pub fn contains(&self, block: Block) -> bool {
-        self.find(block).is_some()
+        self.lines.find(self.set_index(block), block).is_some()
     }
 
     /// Fills `block`; activates BF mode when the first instruction block
     /// enters a set (evicting the LRU data block if needed). Returns the
     /// evicted block, if any.
     pub fn fill(&mut self, block: Block, flags: LineFlags) -> Option<Block> {
-        self.clock += 1;
         let set = self.set_index(block);
-        if let Some(i) = self.find(block) {
+        if let Some(way) = self.lines.find(set, block) {
             let had_instr = self.set_has_instruction(set);
-            self.lines[i].flags = flags;
-            self.lines[i].stamp = self.clock;
+            *self.lines.get_mut(set, way) = flags;
+            self.lines.touch(set, way);
             if self.enabled && flags.is_instruction && !had_instr {
                 return self.activate_bf(set);
             }
@@ -216,50 +175,17 @@ impl DvLlc {
         if self.enabled && flags.is_instruction && !self.set_has_instruction(set) {
             evicted = self.activate_bf(set);
         }
-        let base = set * self.ways;
-        let usable = base..base + self.usable_ways(set);
-        let victim = usable
-            .clone()
-            .find(|&i| !self.lines[i].valid)
-            .unwrap_or_else(|| {
-                usable
-                    .clone()
-                    .min_by_key(|&i| self.lines[i].stamp)
-                    .expect("non-empty set")
-            });
-        if self.lines[victim].valid {
-            let out = self.block_from(self.lines[victim].tag, set);
-            let was_instr = self.lines[victim].flags.is_instruction;
+        // Touched first, the holder way is never the victim.
+        if let Some(holder) = self.holder(set) {
+            self.lines.touch(set, holder);
+        }
+        if let Some((out, old)) = self.lines.insert(set, block, flags) {
             evicted = Some(out);
-            self.lines[victim] = Line {
-                tag: self.tag(block),
-                valid: true,
-                stamp: self.clock,
-                flags,
-            };
-            if was_instr {
-                self.on_instruction_departure(set, out);
+            if old.is_instruction {
+                self.on_instruction_departure(set);
             }
-        } else {
-            self.lines[victim] = Line {
-                tag: self.tag(block),
-                valid: true,
-                stamp: self.clock,
-                flags,
-            };
         }
         evicted
-    }
-
-    /// Invalidates `block` if resident.
-    pub fn invalidate(&mut self, block: Block) {
-        if let Some(i) = self.find(block) {
-            self.lines[i].valid = false;
-            let set = self.set_index(block);
-            if self.lines[i].flags.is_instruction {
-                self.on_instruction_departure(set, block);
-            }
-        }
     }
 
     /// Stores the footprint for an instruction block. Silently drops it
@@ -267,48 +193,29 @@ impl DvLlc {
     /// does nothing when virtualization is disabled or the set is not in
     /// BF mode.
     pub fn insert_bf(&mut self, block: Block, bf: BranchFootprint) {
-        if !self.enabled {
-            return;
-        }
         let set = self.set_index(block);
-        if !self.holders[set].active {
+        if !self.enabled || self.holder(set).is_none() {
             return;
         }
-        self.clock += 1;
-        let tag = self.tag(block);
-        let clock = self.clock;
-        let holder = &mut self.holders[set];
-        if let Some(e) = holder.entries.iter_mut().find(|(t, _, _)| *t == tag) {
-            e.1 = bf;
-            e.2 = clock;
-            self.stats.bf_inserts += 1;
-            return;
+        match self.bfs.find(set, block) {
+            Some(way) => {
+                *self.bfs.get_mut(set, way) = bf;
+                self.bfs.touch(set, way);
+            }
+            // A full holder replaces its LRU footprint.
+            None => {
+                if self.bfs.insert(set, block, bf).is_some() {
+                    self.stats.bf_capacity_drops += 1;
+                }
+            }
         }
-        if holder.entries.len() >= self.bf_capacity {
-            // Replace the LRU footprint.
-            let idx = holder
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, s))| *s)
-                .map(|(i, _)| i)
-                .expect("holder non-empty");
-            holder.entries.swap_remove(idx);
-            self.stats.bf_capacity_drops += 1;
-        }
-        holder.entries.push((tag, bf, clock));
         self.stats.bf_inserts += 1;
     }
 
     /// Retrieves the footprint for `block`, if stored.
     pub fn bf_lookup(&mut self, block: Block) -> Option<BranchFootprint> {
         let set = self.set_index(block);
-        let tag = self.tag(block);
-        let found = self.holders[set]
-            .entries
-            .iter()
-            .find(|(t, _, _)| *t == tag)
-            .map(|(_, bf, _)| *bf);
+        let found = self.bfs.find(set, block).map(|way| *self.bfs.get(set, way));
         if found.is_some() {
             self.stats.bf_hits += 1;
         } else {
@@ -319,72 +226,46 @@ impl DvLlc {
 
     /// Number of sets currently in BF-holder mode.
     pub fn bf_mode_sets(&self) -> usize {
-        self.holders.iter().filter(|h| h.active).count()
-    }
-
-    /// Effective storage overhead of the mode bits, in bits: one
-    /// `isInstruction` bit per line (the paper reports < 0.2 % of a
-    /// 32 MB LLC).
-    pub fn mode_bit_overhead_bits(&self) -> u64 {
-        (self.sets * self.ways) as u64
+        (0..self.lines.sets())
+            .filter(|&set| self.holder(set).is_some())
+            .count()
     }
 
     fn set_has_instruction(&self, set: usize) -> bool {
-        let base = set * self.ways;
-        (base..base + self.ways).any(|i| self.lines[i].valid && self.lines[i].flags.is_instruction)
+        self.lines.iter(set).any(|(_, f)| f.is_instruction)
     }
 
+    /// Turns `set`'s LRU way into its BF holder: the holder takes a free
+    /// way if there is one, else the set's LRU block leaves.
     fn activate_bf(&mut self, set: usize) -> Option<Block> {
-        if self.holders[set].active {
+        if self.holder(set).is_some() {
             return None;
         }
-        self.holders[set].active = true;
-        self.holders[set].entries.clear();
         self.stats.switches_to_bf += 1;
-        // The way at index ways-1 of the set is reserved; relocate or
-        // evict its occupant. We model the reservation by evicting the
-        // true-LRU valid line if the set was completely full.
-        let base = set * self.ways;
-        let reserved = base + self.ways - 1;
-        if self.lines[reserved].valid {
-            // Move the reserved way's occupant into an invalid way if one
-            // exists; otherwise evict the set's LRU line and move the
-            // occupant there (if the occupant itself is not the LRU).
-            let spare = (base..base + self.ways - 1).find(|&i| !self.lines[i].valid);
-            match spare {
-                Some(i) => {
-                    self.lines[i] = self.lines[reserved];
-                    self.lines[reserved].valid = false;
-                    None
-                }
-                None => {
-                    let lru = (base..base + self.ways)
-                        .min_by_key(|&i| self.lines[i].stamp)
-                        .expect("non-empty");
-                    let out = self.block_from(self.lines[lru].tag, set);
-                    self.stats.data_evicted_for_bf += 1;
-                    if lru != reserved {
-                        self.lines[lru] = self.lines[reserved];
-                    }
-                    self.lines[reserved].valid = false;
-                    Some(out)
-                }
-            }
-        } else {
-            None
-        }
+        let (out, _) = self.lines.insert(set, BF_HOLDER, LineFlags::default())?;
+        self.stats.data_evicted_for_bf += 1;
+        Some(out)
     }
 
-    fn on_instruction_departure(&mut self, set: usize, _block: Block) {
-        if self.holders[set].active && !self.set_has_instruction(set) {
-            self.holders[set].active = false;
-            self.holders[set].entries.clear();
-            self.stats.switches_to_block += 1;
+    /// Reverts `set` to holding blocks only once its last instruction
+    /// block has left; its footprints go with the holder way.
+    fn on_instruction_departure(&mut self, set: usize) {
+        let Some(holder) = self.holder(set) else {
+            return;
+        };
+        if self.set_has_instruction(set) {
+            return;
         }
+        self.lines.invalidate(set, holder);
+        for way in 0..self.bfs.ways() {
+            self.bfs.invalidate(set, way);
+        }
+        self.stats.switches_to_block += 1;
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -494,7 +375,12 @@ mod tests {
         llc.fill(0, instr_flags());
         llc.insert_bf(0, bf(&[1]));
         assert_eq!(llc.bf_mode_sets(), 1);
-        llc.invalidate(0);
+        // Three usable ways: the third data fill evicts block 0, the
+        // set's only (and least recently used) instruction block.
+        for b in [4u64, 8, 12] {
+            llc.fill(b, data_flags());
+        }
+        assert!(!llc.contains(0));
         assert_eq!(llc.bf_mode_sets(), 0);
         assert_eq!(llc.stats().switches_to_block, 1);
         // Footprints are gone with the mode.
@@ -537,12 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_bit_overhead_is_one_bit_per_line() {
-        let llc = DvLlc::new(64, 16, 4);
-        assert_eq!(llc.mode_bit_overhead_bits(), 64 * 16);
-    }
-
-    #[test]
     fn eviction_of_instruction_block_by_data_reverts_mode() {
         let mut llc = DvLlc::new(4, 2, 2);
         llc.fill(0, instr_flags()); // set 0, bf mode on; 1 usable way
@@ -553,17 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn activation_relocates_reserved_way_occupant() {
+    fn activation_with_free_ways_loses_no_block() {
         let mut llc = DvLlc::new(4, 4, 2);
-        // Fill exactly the reserved way by filling all 4 then removing one.
-        for i in 0..4u64 {
-            llc.fill(i * 4, data_flags());
-        }
-        llc.invalidate(0);
-        llc.invalidate(4);
-        // Two free ways: one absorbs the BF reservation (the reserved
-        // way's occupant relocates into it), the other takes the new
-        // block. No resident block may be lost.
+        llc.fill(8, data_flags());
+        llc.fill(12, data_flags());
+        // Two free ways: one becomes the BF holder, the other takes the
+        // new block. No resident block may be lost.
         let ev = llc.fill(16, instr_flags());
         assert_eq!(ev, None);
         assert_eq!(llc.stats().data_evicted_for_bf, 0);

@@ -94,6 +94,7 @@ impl BranchFootprint {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use dcfb_trace::StaticKind;

@@ -7,6 +7,7 @@
 //! are accurate enough to prefetch directly into the cache and need no
 //! buffer — making that contrast measurable is the point of this type.
 
+use crate::lru::LruSets;
 use dcfb_telemetry::PfSource;
 use dcfb_trace::Block;
 
@@ -15,9 +16,8 @@ use dcfb_trace::Block;
 /// hits can be attributed for timeliness classification.
 #[derive(Clone, Debug)]
 pub struct PrefetchBuffer {
-    entries: Vec<(Block, u64, PfSource)>, // (block, lru stamp, filler)
-    capacity: usize,
-    clock: u64,
+    /// One set, tagged by block number.
+    entries: LruSets<PfSource>,
     hits: u64,
     lookups: u64,
     inserted: u64,
@@ -33,9 +33,7 @@ impl PrefetchBuffer {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "prefetch buffer capacity must be non-zero");
         PrefetchBuffer {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-            clock: 0,
+            entries: LruSets::new(1, capacity),
             hits: 0,
             lookups: 0,
             inserted: 0,
@@ -47,25 +45,13 @@ impl PrefetchBuffer {
     /// LRU entry if full. Returns the evicted `(block, filler)`, if
     /// any. Re-inserting a resident block refreshes its LRU position.
     pub fn insert(&mut self, block: Block, source: PfSource) -> Option<(Block, PfSource)> {
-        self.clock += 1;
         self.inserted += 1;
-        if let Some(e) = self.entries.iter_mut().find(|(b, _, _)| *b == block) {
-            e.1 = self.clock;
+        if let Some(way) = self.entries.find(0, block) {
+            self.entries.touch(0, way);
             return None;
         }
-        let mut evicted = None;
-        if self.entries.len() == self.capacity {
-            let (idx, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, stamp, _))| *stamp)
-                .expect("buffer non-empty");
-            let (b, _, s) = self.entries.swap_remove(idx);
-            evicted = Some((b, s));
-            self.replaced_unused += 1;
-        }
-        self.entries.push((block, self.clock, source));
+        let evicted = self.entries.insert(0, block, source);
+        self.replaced_unused += u64::from(evicted.is_some());
         evicted
     }
 
@@ -73,23 +59,19 @@ impl PrefetchBuffer {
     /// cache proper) and its filler is returned.
     pub fn take(&mut self, block: Block) -> Option<PfSource> {
         self.lookups += 1;
-        if let Some(idx) = self.entries.iter().position(|(b, _, _)| *b == block) {
-            let (_, _, source) = self.entries.swap_remove(idx);
-            self.hits += 1;
-            Some(source)
-        } else {
-            None
-        }
+        let way = self.entries.find(0, block)?;
+        self.hits += 1;
+        Some(self.entries.invalidate(0, way))
     }
 
     /// Non-destructive residency check.
     pub fn contains(&self, block: Block) -> bool {
-        self.entries.iter().any(|(b, _, _)| *b == block)
+        self.entries.find(0, block).is_some()
     }
 
     /// Number of resident blocks.
     pub fn occupancy(&self) -> usize {
-        self.entries.len()
+        self.entries.occupancy()
     }
 
     /// `(lookups, hits, inserted, evicted_unused)` counters.
@@ -97,21 +79,16 @@ impl PrefetchBuffer {
         (self.lookups, self.hits, self.inserted, self.replaced_unused)
     }
 
-    /// The resident blocks in LRU-stamp order (oldest first). Exposed
-    /// for conformance checks that compare full buffer state against a
+    /// The resident blocks in LRU order (oldest first). Exposed for
+    /// conformance checks that compare full buffer state against a
     /// reference model.
     pub fn resident_blocks(&self) -> Vec<Block> {
-        let mut stamped: Vec<(u64, Block)> = self
-            .entries
-            .iter()
-            .map(|&(b, stamp, _)| (stamp, b))
-            .collect();
-        stamped.sort_unstable();
-        stamped.into_iter().map(|(_, b)| b).collect()
+        self.entries.iter(0).map(|(block, _)| block).collect()
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

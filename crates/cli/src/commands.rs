@@ -8,8 +8,7 @@ use crate::args::Cli;
 use crate::json::JsonObject;
 use dcfb_cache::CacheConfig;
 use dcfb_errors::DcfbError;
-use dcfb_frontend::ShotgunBtbConfig;
-use dcfb_sim::{analysis, PrefetcherKind, SimConfig, SimReport};
+use dcfb_sim::{analysis, SimConfig, SimReport};
 use dcfb_trace::{InstrStream, IsaMode, ReadMode};
 use dcfb_workloads::{
     all_workloads, load_trace, ResolvedWorkload, Walker, MIX_SYNTAX, TRACE_SYNTAX,
@@ -218,10 +217,10 @@ pub fn sweep_btb(cli: &Cli) -> Result<(), DcfbError> {
     );
     for scale in [1.0f64, 0.5, 0.25, 0.125] {
         let mut ours = config_for(cli, "SN4L+Dis+BTB")?;
-        ours.btb.entries = ((ours.btb.entries as f64 * scale) as usize).max(64) / 4 * 4;
+        ours.scale_btb(scale);
         let ours_rep = simulate(&resolved, ours, cli)?;
         let mut shot = config_for(cli, "Shotgun")?;
-        shot.prefetcher = PrefetcherKind::Shotgun(ShotgunBtbConfig::scaled(scale));
+        shot.scale_btb(scale);
         let shot_rep = simulate(&resolved, shot, cli)?;
         println!(
             "{:>10} {:>14.3} {:>10.3} {:>12.2}x {:>15.1}%",

@@ -16,7 +16,7 @@ use dcfb_prefetch::{
     BtbPrefetchBuffer, Dis, DisTable, InstrPrefetcher, PrefetchContext, RecentInstrs, Rlu,
     SeqTable, Sn4l, Sn4lDisBtb, Sn4lDisConfig, TagPolicy,
 };
-use dcfb_trace::{Block, Instr, InstrKind};
+use dcfb_trace::{Block, Instr, InstrKind, IsaMode};
 
 /// Production `SeqTable` under the [`SeqOp`] vocabulary.
 pub struct ProdSeqTable(pub SeqTable);
@@ -389,7 +389,7 @@ impl ProdProactive {
     /// Wraps the combined engine with `cfg` and the agreed layout.
     pub fn new(cfg: Sn4lDisConfig, layout: &CodeLayout) -> Self {
         ProdProactive {
-            inner: Sn4lDisBtb::new(cfg),
+            inner: Sn4lDisBtb::new(cfg, IsaMode::Fixed4),
             drive: Drive::new(layout),
         }
     }

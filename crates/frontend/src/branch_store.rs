@@ -167,6 +167,7 @@ impl BranchStore {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use dcfb_trace::{block_base, StaticInstr, StaticKind};

@@ -5,14 +5,17 @@
 //! basic-block reorganization. Table III gives the baseline size:
 //! 2 K entries.
 
+use dcfb_cache::LruSets;
 use dcfb_trace::{Addr, StaticKind};
 
-/// The branch class stored with a BTB entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// The branch class stored with a BTB entry. The default, `Jump`, is
+/// only the placeholder of an empty way.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BranchClass {
     /// Conditional branch.
     Conditional,
     /// Direct unconditional jump.
+    #[default]
     Jump,
     /// Direct call.
     Call,
@@ -51,7 +54,7 @@ impl BranchClass {
 }
 
 /// One BTB entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BtbEntry {
     /// The branch instruction's address.
     pub pc: Addr,
@@ -117,21 +120,11 @@ impl BtbStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-    target: Addr,
-    class: BranchClass,
-}
-
 /// A set-associative, true-LRU BTB.
 #[derive(Clone, Debug)]
 pub struct Btb {
-    cfg: BtbConfig,
-    ways: Vec<Way>,
-    clock: u64,
+    /// Tagged by `pc >> 2`.
+    ways: LruSets<BtbEntry>,
     stats: BtbStats,
 }
 
@@ -145,25 +138,9 @@ impl Btb {
         assert!(cfg.ways > 0 && cfg.entries % cfg.ways == 0, "bad BTB shape");
         assert!(cfg.sets().is_power_of_two(), "BTB sets not a power of two");
         Btb {
-            cfg,
-            ways: vec![
-                Way {
-                    tag: 0,
-                    valid: false,
-                    stamp: 0,
-                    target: 0,
-                    class: BranchClass::Jump,
-                };
-                cfg.entries
-            ],
-            clock: 0,
+            ways: LruSets::new(cfg.sets(), cfg.ways),
             stats: BtbStats::default(),
         }
-    }
-
-    /// The geometry.
-    pub fn config(&self) -> BtbConfig {
-        self.cfg
     }
 
     /// Accumulated statistics.
@@ -178,78 +155,54 @@ impl Btb {
 
     #[inline]
     fn index(&self, pc: Addr) -> (usize, u64) {
-        let sets = self.cfg.sets();
-        let idx = ((pc >> 2) as usize) & (sets - 1);
-        let tag = pc >> (2 + sets.trailing_zeros());
-        (idx, tag)
+        ((pc >> 2) as usize & (self.ways.sets() - 1), pc >> 2)
     }
 
     /// Looks up `pc`, updating LRU and statistics.
     pub fn lookup(&mut self, pc: Addr) -> Option<BtbEntry> {
-        self.clock += 1;
         self.stats.lookups += 1;
         let (set, tag) = self.index(pc);
-        let base = set * self.cfg.ways;
-        for i in base..base + self.cfg.ways {
-            if self.ways[i].valid && self.ways[i].tag == tag {
-                self.ways[i].stamp = self.clock;
-                self.stats.hits += 1;
-                return Some(BtbEntry {
-                    pc,
-                    target: self.ways[i].target,
-                    class: self.ways[i].class,
-                });
-            }
-        }
-        self.stats.misses += 1;
-        None
+        let Some(way) = self.ways.find(set, tag) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.ways.touch(set, way);
+        self.stats.hits += 1;
+        Some(BtbEntry {
+            pc,
+            ..*self.ways.get(set, way)
+        })
     }
 
     /// Checks residency without LRU update or statistics.
     pub fn contains(&self, pc: Addr) -> bool {
         let (set, tag) = self.index(pc);
-        let base = set * self.cfg.ways;
-        (base..base + self.cfg.ways).any(|i| self.ways[i].valid && self.ways[i].tag == tag)
+        self.ways.find(set, tag).is_some()
     }
 
     /// Inserts or updates the entry for `entry.pc`.
     pub fn insert(&mut self, entry: BtbEntry) {
-        self.clock += 1;
         self.stats.inserts += 1;
         let (set, tag) = self.index(entry.pc);
-        let base = set * self.cfg.ways;
-        // Update in place if present.
-        for i in base..base + self.cfg.ways {
-            if self.ways[i].valid && self.ways[i].tag == tag {
-                self.ways[i].target = entry.target;
-                self.ways[i].class = entry.class;
-                self.ways[i].stamp = self.clock;
-                return;
+        match self.ways.find(set, tag) {
+            Some(way) => {
+                *self.ways.get_mut(set, way) = entry;
+                self.ways.touch(set, way);
+            }
+            None => {
+                self.ways.insert(set, tag, entry);
             }
         }
-        let victim = (base..base + self.cfg.ways)
-            .find(|&i| !self.ways[i].valid)
-            .unwrap_or_else(|| {
-                (base..base + self.cfg.ways)
-                    .min_by_key(|&i| self.ways[i].stamp)
-                    .expect("non-empty set")
-            });
-        self.ways[victim] = Way {
-            tag,
-            valid: true,
-            stamp: self.clock,
-            target: entry.target,
-            class: entry.class,
-        };
     }
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.ways.occupancy()
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

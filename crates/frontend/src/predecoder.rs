@@ -121,15 +121,16 @@ impl Predecoder {
             }
             Some(bf) => {
                 for &off in bf.offsets() {
-                    match instrs.iter().find(|i| i.byte_offset() == u32::from(off)) {
-                        Some(i) if i.kind.is_branch() => {
-                            let e = Self::to_entry(i).expect("branch entry");
+                    let at = instrs.iter().find(|i| i.byte_offset() == u32::from(off));
+                    match at.and_then(Self::to_entry) {
+                        Some(e) => {
                             if e.target == 0 {
                                 out.unresolved_targets += 1;
                             }
                             out.branches.push(e);
                         }
-                        _ => out.stale_offsets += 1,
+                        // No instruction, or no branch, at that offset.
+                        None => out.stale_offsets += 1,
                     }
                 }
             }
@@ -149,6 +150,7 @@ impl Predecoder {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use dcfb_trace::{block_base, StaticKind};

@@ -20,6 +20,7 @@
 //! crawls block-by-block (Table I's empty-FTQ stalls).
 
 use crate::btb::BranchClass;
+use dcfb_cache::LruSets;
 use dcfb_trace::Addr;
 
 /// A spatial footprint: bit `i` set means block `base_block + i` was
@@ -29,7 +30,7 @@ use dcfb_trace::Addr;
 pub type SpatialFootprint = u8;
 
 /// One U-BTB entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UBtbEntry {
     /// Basic-block start this entry is keyed by.
     pub pc: Addr,
@@ -117,47 +118,50 @@ impl ShotgunBtbStats {
             1.0 - self.u_footprint_hits as f64 / self.u_lookups as f64
         }
     }
-
-    /// C-BTB miss ratio.
-    pub fn c_miss_ratio(&self) -> f64 {
-        if self.c_lookups == 0 {
-            0.0
-        } else {
-            1.0 - self.c_hits as f64 / self.c_lookups as f64
-        }
-    }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct UWay {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-    end: Addr,
-    target: Addr,
-    class: BranchClass,
-    call_fp: SpatialFootprint,
-    ret_fp: SpatialFootprint,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct SmallWay {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-    end: Addr,
-    target: Addr,
-}
-
-/// The three-part Shotgun BTB.
+/// The three-part Shotgun BTB. Each component is tagged by `pc >> 2`.
 #[derive(Clone, Debug)]
 pub struct ShotgunBtb {
-    cfg: ShotgunBtbConfig,
-    u: Vec<UWay>,
-    c: Vec<SmallWay>,
-    r: Vec<SmallWay>,
-    clock: u64,
+    u: LruSets<UBtbEntry>,
+    /// `(end, target)` of a conditional-branch basic block.
+    c: LruSets<(Addr, Addr)>,
+    /// `end` of a return basic block.
+    r: LruSets<Addr>,
     stats: ShotgunBtbStats,
+}
+
+/// The `(set, tag)` of `pc` in a component of `sets` sets.
+fn locate(sets: usize, pc: Addr) -> (usize, u64) {
+    (((pc >> 2) % sets as u64) as usize, pc >> 2)
+}
+
+/// Looks `pc` up in a component, touching the way on a hit.
+fn lookup<T: Copy + Default>(table: &mut LruSets<T>, pc: Addr) -> Option<T> {
+    let (set, tag) = locate(table.sets(), pc);
+    let way = table.find(set, tag)?;
+    table.touch(set, way);
+    Some(*table.get(set, way))
+}
+
+/// Inserts `new` for `pc` into a component, or, when `pc` is resident,
+/// lets `refresh` rewrite its payload and touches it.
+fn upsert<T: Copy + Default>(
+    table: &mut LruSets<T>,
+    pc: Addr,
+    new: T,
+    refresh: impl FnOnce(&mut T),
+) {
+    let (set, tag) = locate(table.sets(), pc);
+    match table.find(set, tag) {
+        Some(way) => {
+            refresh(table.get_mut(set, way));
+            table.touch(set, way);
+        }
+        None => {
+            table.insert(set, tag, new);
+        }
+    }
 }
 
 impl ShotgunBtb {
@@ -179,48 +183,11 @@ impl ShotgunBtb {
             );
         }
         ShotgunBtb {
-            cfg,
-            u: vec![
-                UWay {
-                    tag: 0,
-                    valid: false,
-                    stamp: 0,
-                    end: 0,
-                    target: 0,
-                    class: BranchClass::Jump,
-                    call_fp: 0,
-                    ret_fp: 0,
-                };
-                cfg.u_entries
-            ],
-            c: vec![
-                SmallWay {
-                    tag: 0,
-                    valid: false,
-                    stamp: 0,
-                    end: 0,
-                    target: 0
-                };
-                cfg.c_entries
-            ],
-            r: vec![
-                SmallWay {
-                    tag: 0,
-                    valid: false,
-                    stamp: 0,
-                    end: 0,
-                    target: 0
-                };
-                cfg.r_entries
-            ],
-            clock: 0,
+            u: LruSets::new(cfg.u_entries / cfg.ways, cfg.ways),
+            c: LruSets::new(cfg.c_entries / cfg.ways, cfg.ways),
+            r: LruSets::new(cfg.r_entries / cfg.ways, cfg.ways),
             stats: ShotgunBtbStats::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> ShotgunBtbConfig {
-        self.cfg
     }
 
     /// Accumulated statistics.
@@ -233,69 +200,34 @@ impl ShotgunBtb {
         self.stats = ShotgunBtbStats::default();
     }
 
-    fn locate(n_entries: usize, ways: usize, pc: Addr) -> (usize, u64) {
-        let sets = n_entries / ways;
-        let set = ((pc >> 2) as usize) % sets;
-        let tag = (pc >> 2) / sets as u64;
-        (set * ways, tag)
-    }
-
     /// Looks up an unconditional branch in the U-BTB.
     pub fn lookup_u(&mut self, pc: Addr) -> Option<UBtbEntry> {
-        self.clock += 1;
         self.stats.u_lookups += 1;
-        let (base, tag) = Self::locate(self.cfg.u_entries, self.cfg.ways, pc);
-        for i in base..base + self.cfg.ways {
-            if self.u[i].valid && self.u[i].tag == tag {
-                self.u[i].stamp = self.clock;
-                self.stats.u_hits += 1;
-                if self.u[i].call_fp != 0 {
-                    self.stats.u_footprint_hits += 1;
-                }
-                return Some(UBtbEntry {
-                    pc,
-                    end: self.u[i].end,
-                    target: self.u[i].target,
-                    class: self.u[i].class,
-                    call_footprint: self.u[i].call_fp,
-                    ret_footprint: self.u[i].ret_fp,
-                });
-            }
+        let e = lookup(&mut self.u, pc)?;
+        self.stats.u_hits += 1;
+        if e.call_footprint != 0 {
+            self.stats.u_footprint_hits += 1;
         }
-        None
+        Some(UBtbEntry { pc, ..e })
     }
 
     /// Looks up a conditional-branch basic block in the C-BTB; returns
     /// `(end, target)` — the terminating branch address and its taken
     /// target.
     pub fn lookup_c(&mut self, pc: Addr) -> Option<(Addr, Addr)> {
-        self.clock += 1;
         self.stats.c_lookups += 1;
-        let (base, tag) = Self::locate(self.cfg.c_entries, self.cfg.ways, pc);
-        for i in base..base + self.cfg.ways {
-            if self.c[i].valid && self.c[i].tag == tag {
-                self.c[i].stamp = self.clock;
-                self.stats.c_hits += 1;
-                return Some((self.c[i].end, self.c[i].target));
-            }
-        }
-        None
+        let hit = lookup(&mut self.c, pc);
+        self.stats.c_hits += u64::from(hit.is_some());
+        hit
     }
 
     /// Looks up a return basic block in the RIB; returns the address of
     /// the return instruction.
     pub fn lookup_r(&mut self, pc: Addr) -> Option<Addr> {
-        self.clock += 1;
         self.stats.r_lookups += 1;
-        let (base, tag) = Self::locate(self.cfg.r_entries, self.cfg.ways, pc);
-        for i in base..base + self.cfg.ways {
-            if self.r[i].valid && self.r[i].tag == tag {
-                self.r[i].stamp = self.clock;
-                self.stats.r_hits += 1;
-                return Some(self.r[i].end);
-            }
-        }
-        None
+        let hit = lookup(&mut self.r, pc);
+        self.stats.r_hits += u64::from(hit.is_some());
+        hit
     }
 
     /// Checks, without disturbing LRU or statistics, whether the U-BTB
@@ -303,44 +235,30 @@ impl ShotgunBtb {
     /// Returns `None` on a miss, `Some(has_footprint)` on a hit. Used
     /// for the retire-side Fig. 1 accounting.
     pub fn peek_u_footprint(&self, pc: Addr) -> Option<bool> {
-        let (base, tag) = Self::locate(self.cfg.u_entries, self.cfg.ways, pc);
-        (base..base + self.cfg.ways)
-            .find(|&i| self.u[i].valid && self.u[i].tag == tag)
-            .map(|i| self.u[i].call_fp != 0)
+        let (set, tag) = locate(self.u.sets(), pc);
+        let way = self.u.find(set, tag)?;
+        Some(self.u.get(set, way).call_footprint != 0)
     }
 
     /// Inserts (or refreshes) an unconditional branch. Footprints of a
     /// *new* entry start unlearned; a refresh keeps the learned
     /// footprints and updates the target.
     pub fn insert_u(&mut self, pc: Addr, end: Addr, target: Addr, class: BranchClass) {
-        self.clock += 1;
-        let (base, tag) = Self::locate(self.cfg.u_entries, self.cfg.ways, pc);
-        for i in base..base + self.cfg.ways {
-            if self.u[i].valid && self.u[i].tag == tag {
-                self.u[i].end = end;
-                self.u[i].target = target;
-                self.u[i].class = class;
-                self.u[i].stamp = self.clock;
-                return;
-            }
-        }
-        let victim = (base..base + self.cfg.ways)
-            .find(|&i| !self.u[i].valid)
-            .unwrap_or_else(|| {
-                (base..base + self.cfg.ways)
-                    .min_by_key(|&i| self.u[i].stamp)
-                    .expect("set non-empty")
-            });
-        self.u[victim] = UWay {
-            tag,
-            valid: true,
-            stamp: self.clock,
+        let new = UBtbEntry {
+            pc,
             end,
             target,
             class,
-            call_fp: 0,
-            ret_fp: 0,
+            call_footprint: 0,
+            ret_footprint: 0,
         };
+        upsert(&mut self.u, pc, new, |e| {
+            *e = UBtbEntry {
+                call_footprint: e.call_footprint,
+                ret_footprint: e.ret_footprint,
+                ..new
+            }
+        });
     }
 
     /// Merges learned footprints into an existing U-BTB entry (no-op if
@@ -352,82 +270,23 @@ impl ShotgunBtb {
         call_fp: SpatialFootprint,
         ret_fp: SpatialFootprint,
     ) {
-        let (base, tag) = Self::locate(self.cfg.u_entries, self.cfg.ways, pc);
-        for i in base..base + self.cfg.ways {
-            if self.u[i].valid && self.u[i].tag == tag {
-                self.u[i].call_fp |= call_fp;
-                self.u[i].ret_fp |= ret_fp;
-                return;
-            }
+        let (set, tag) = locate(self.u.sets(), pc);
+        if let Some(way) = self.u.find(set, tag) {
+            let e = self.u.get_mut(set, way);
+            e.call_footprint |= call_fp;
+            e.ret_footprint |= ret_fp;
         }
     }
 
     /// Inserts a conditional-branch basic block into the C-BTB.
     pub fn insert_c(&mut self, pc: Addr, end: Addr, target: Addr) {
-        self.clock += 1;
-        let (base, tag) = Self::locate(self.cfg.c_entries, self.cfg.ways, pc);
-        for i in base..base + self.cfg.ways {
-            if self.c[i].valid && self.c[i].tag == tag {
-                self.c[i].end = end;
-                self.c[i].target = target;
-                self.c[i].stamp = self.clock;
-                return;
-            }
-        }
-        let victim = (base..base + self.cfg.ways)
-            .find(|&i| !self.c[i].valid)
-            .unwrap_or_else(|| {
-                (base..base + self.cfg.ways)
-                    .min_by_key(|&i| self.c[i].stamp)
-                    .expect("set non-empty")
-            });
-        self.c[victim] = SmallWay {
-            tag,
-            valid: true,
-            stamp: self.clock,
-            end,
-            target,
-        };
+        upsert(&mut self.c, pc, (end, target), |e| *e = (end, target));
     }
 
     /// Inserts a return basic block into the RIB.
     pub fn insert_r(&mut self, pc: Addr, end: Addr) {
-        self.clock += 1;
-        let (base, tag) = Self::locate(self.cfg.r_entries, self.cfg.ways, pc);
-        for i in base..base + self.cfg.ways {
-            if self.r[i].valid && self.r[i].tag == tag {
-                self.r[i].end = end;
-                self.r[i].stamp = self.clock;
-                return;
-            }
-        }
-        let victim = (base..base + self.cfg.ways)
-            .find(|&i| !self.r[i].valid)
-            .unwrap_or_else(|| {
-                (base..base + self.cfg.ways)
-                    .min_by_key(|&i| self.r[i].stamp)
-                    .expect("set non-empty")
-            });
-        self.r[victim] = SmallWay {
-            tag,
-            valid: true,
-            stamp: self.clock,
-            end,
-            target: 0,
-        };
+        upsert(&mut self.r, pc, end, |e| *e = end);
     }
-}
-
-/// Builds a spatial footprint from block deltas relative to an anchor
-/// block: deltas outside `0..8` are ignored.
-pub fn footprint_from_deltas<I: IntoIterator<Item = i64>>(deltas: I) -> SpatialFootprint {
-    let mut fp = 0u8;
-    for d in deltas {
-        if (0..8).contains(&d) {
-            fp |= 1 << d;
-        }
-    }
-    fp
 }
 
 /// Expands a footprint into block numbers given its anchor block.
@@ -439,6 +298,7 @@ pub fn footprint_blocks(anchor_block: u64, fp: SpatialFootprint) -> Vec<u64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -512,7 +372,6 @@ mod tests {
         let s = b.stats();
         assert_eq!(s.c_lookups, 2);
         assert_eq!(s.c_hits, 1);
-        assert!((s.c_miss_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(s.r_hits, 1);
     }
 
@@ -529,9 +388,7 @@ mod tests {
 
     #[test]
     fn footprint_helpers() {
-        let fp = footprint_from_deltas([0i64, 2, 9, -1]);
-        assert_eq!(fp, 0b101);
-        assert_eq!(footprint_blocks(100, fp), vec![100, 102]);
+        assert_eq!(footprint_blocks(100, 0b101), vec![100, 102]);
         assert_eq!(footprint_blocks(5, 0), Vec::<u64>::new());
     }
 

@@ -11,12 +11,13 @@
 //! also how it prefills the BTB ahead of the core.
 
 use crate::context::RunaheadContext;
+use dcfb_cache::LruSets;
 use dcfb_frontend::{BranchClass, BtbEntry, Ftq, FtqEntry};
 use dcfb_telemetry::PfSource;
 use dcfb_trace::{block_of, Addr, Block, Instr, InstrKind};
 
 /// One basic-block BTB entry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BbEntry {
     /// Address of the terminating branch.
     pub end: Addr,
@@ -27,21 +28,10 @@ pub struct BbEntry {
     pub class: BranchClass,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct BbWay {
-    tag: u64,
-    valid: bool,
-    stamp: u64,
-    entry: BbEntry,
-}
-
-/// A set-associative basic-block-oriented BTB.
+/// A set-associative basic-block-oriented BTB, tagged by `pc >> 2`.
 #[derive(Clone, Debug)]
 pub struct BbBtb {
-    ways: usize,
-    sets: usize,
-    slots: Vec<BbWay>,
-    clock: u64,
+    table: LruSets<BbEntry>,
     lookups: u64,
     hits: u64,
 }
@@ -55,79 +45,42 @@ impl BbBtb {
     pub fn new(entries: usize, ways: usize) -> Self {
         assert!(ways > 0 && entries % ways == 0, "bad BB-BTB shape");
         BbBtb {
-            ways,
-            sets: entries / ways,
-            slots: vec![
-                BbWay {
-                    tag: 0,
-                    valid: false,
-                    stamp: 0,
-                    entry: BbEntry {
-                        end: 0,
-                        target: 0,
-                        class: BranchClass::Jump,
-                    },
-                };
-                entries
-            ],
-            clock: 0,
+            table: LruSets::new(entries / ways, ways),
             lookups: 0,
             hits: 0,
         }
     }
 
     fn locate(&self, pc: Addr) -> (usize, u64) {
-        let set = ((pc >> 2) as usize) % self.sets;
-        let tag = (pc >> 2) / self.sets as u64;
-        (set * self.ways, tag)
+        (((pc >> 2) % self.table.sets() as u64) as usize, pc >> 2)
     }
 
     /// Looks up the basic block starting at `pc`.
     pub fn lookup(&mut self, pc: Addr) -> Option<BbEntry> {
-        self.clock += 1;
         self.lookups += 1;
-        let (base, tag) = self.locate(pc);
-        for i in base..base + self.ways {
-            if self.slots[i].valid && self.slots[i].tag == tag {
-                self.slots[i].stamp = self.clock;
-                self.hits += 1;
-                return Some(self.slots[i].entry);
-            }
-        }
-        None
+        let (set, tag) = self.locate(pc);
+        let way = self.table.find(set, tag)?;
+        self.table.touch(set, way);
+        self.hits += 1;
+        Some(*self.table.get(set, way))
     }
 
     /// Inserts (or refreshes) the basic block starting at `pc`.
     pub fn insert(&mut self, pc: Addr, entry: BbEntry) {
-        self.clock += 1;
-        let (base, tag) = self.locate(pc);
-        for i in base..base + self.ways {
-            if self.slots[i].valid && self.slots[i].tag == tag {
-                // Keep a known target over an unknown one.
-                let keep_target = entry.target == 0 && self.slots[i].entry.target != 0;
-                let target = if keep_target {
-                    self.slots[i].entry.target
-                } else {
-                    entry.target
-                };
-                self.slots[i].entry = BbEntry { target, ..entry };
-                self.slots[i].stamp = self.clock;
-                return;
-            }
-        }
-        let victim = (base..base + self.ways)
-            .find(|&i| !self.slots[i].valid)
-            .unwrap_or_else(|| {
-                (base..base + self.ways)
-                    .min_by_key(|&i| self.slots[i].stamp)
-                    .expect("set non-empty")
-            });
-        self.slots[victim] = BbWay {
-            tag,
-            valid: true,
-            stamp: self.clock,
-            entry,
+        let (set, tag) = self.locate(pc);
+        let Some(way) = self.table.find(set, tag) else {
+            self.table.insert(set, tag, entry);
+            return;
         };
+        let old = self.table.get_mut(set, way);
+        // Keep a known target over an unknown one.
+        let target = if entry.target == 0 && old.target != 0 {
+            old.target
+        } else {
+            entry.target
+        };
+        *old = BbEntry { target, ..entry };
+        self.table.touch(set, way);
     }
 
     /// `(lookups, hits)` counters.
@@ -194,15 +147,11 @@ impl Boomerang {
         self.stats
     }
 
-    /// Read access to the BB-BTB (tests, harness).
-    pub fn bb_btb(&self) -> &BbBtb {
-        &self.bb_btb
-    }
-
     /// Per-core storage: BB-BTB entries (~8 B each) + 64-entry L1i
     /// prefetch buffer.
     pub fn storage_bits(&self) -> u64 {
-        (self.bb_btb.slots.len() as u64) * 64 + 64 * (34 + 8)
+        let t = &self.bb_btb.table;
+        (t.sets() * t.ways()) as u64 * 64 + 64 * (34 + 8)
     }
 
     /// Learns basic-block entries from the retired instruction stream.
@@ -416,6 +365,7 @@ impl Boomerang {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::context::MockContext;

@@ -12,23 +12,15 @@
 //! the lookups that need the branches themselves take the store's
 //! arena as an argument.
 
+use dcfb_cache::LruSets;
 use dcfb_frontend::{BranchSpan, BtbEntry};
 use dcfb_trace::{block_of, Addr, Block};
-
-#[derive(Clone, Copy, Debug)]
-struct BufEntry {
-    block: Block,
-    stamp: u64,
-    branches: BranchSpan,
-}
 
 /// A small set-associative buffer of pre-decoded block branch sets.
 #[derive(Clone, Debug)]
 pub struct BtbPrefetchBuffer {
-    sets: usize,
-    ways: usize,
-    slots: Vec<Option<BufEntry>>,
-    clock: u64,
+    /// Tagged by block number.
+    slots: LruSets<BranchSpan>,
     fills: u64,
     hits: u64,
     lookups: u64,
@@ -46,10 +38,7 @@ impl BtbPrefetchBuffer {
         let sets = entries / ways;
         assert!(sets.is_power_of_two(), "sets must be a power of two");
         BtbPrefetchBuffer {
-            sets,
-            ways,
-            slots: vec![None; entries],
-            clock: 0,
+            slots: LruSets::new(sets, ways),
             fills: 0,
             hits: 0,
             lookups: 0,
@@ -61,8 +50,8 @@ impl BtbPrefetchBuffer {
         BtbPrefetchBuffer::new(32, 2)
     }
 
-    fn base(&self, block: Block) -> usize {
-        ((block as usize) & (self.sets - 1)) * self.ways
+    fn set_of(&self, block: Block) -> usize {
+        (block as usize) & (self.slots.sets() - 1)
     }
 
     /// Stores the branches of `block` (a span of the arena later
@@ -74,44 +63,26 @@ impl BtbPrefetchBuffer {
         if branches.is_empty() {
             return None;
         }
-        self.clock += 1;
         self.fills += 1;
-        let base = self.base(block);
-        // Update in place.
-        for i in base..base + self.ways {
-            if let Some(e) = &mut self.slots[i] {
-                if e.block == block {
-                    e.branches = branches;
-                    e.stamp = self.clock;
-                    return None;
-                }
-            }
+        let set = self.set_of(block);
+        if let Some(way) = self.slots.find(set, block) {
+            *self.slots.get_mut(set, way) = branches;
+            self.slots.touch(set, way);
+            return None;
         }
-        let victim = (base..base + self.ways)
-            .find(|&i| self.slots[i].is_none())
-            .unwrap_or_else(|| {
-                (base..base + self.ways)
-                    .min_by_key(|&i| self.slots[i].as_ref().map(|e| e.stamp).unwrap_or(0))
-                    .expect("non-empty set")
-            });
-        let displaced = self.slots[victim].as_ref().map(|e| e.block);
-        self.slots[victim] = Some(BufEntry {
-            block,
-            stamp: self.clock,
-            branches,
-        });
-        displaced
+        self.slots
+            .insert(set, block, branches)
+            .map(|(displaced, _)| displaced)
     }
 
-    /// The way of the set holding the branch at `pc`, if any.
-    fn find(&self, pc: Addr, arena: &[BtbEntry]) -> Option<usize> {
+    /// The `(set, way)` holding the branch at `pc`: the entry of its
+    /// block, if that entry's branches include `pc`.
+    fn find(&self, pc: Addr, arena: &[BtbEntry]) -> Option<(usize, usize)> {
         let block = block_of(pc);
-        let base = self.base(block);
-        (base..base + self.ways).find(|&i| {
-            self.slots[i].is_some_and(|e| {
-                e.block == block && e.branches.resolve(arena).iter().any(|b| b.pc == pc)
-            })
-        })
+        let set = self.set_of(block);
+        let way = self.slots.find(set, block)?;
+        let branches = self.slots.get(set, way).resolve(arena);
+        branches.iter().any(|b| b.pc == pc).then_some((set, way))
     }
 
     /// Looks for the branch at `pc`; on a hit, removes and returns the
@@ -119,9 +90,9 @@ impl BtbPrefetchBuffer {
     /// §V-C) as a span of `arena`.
     pub fn take_for(&mut self, pc: Addr, arena: &[BtbEntry]) -> Option<BranchSpan> {
         self.lookups += 1;
-        let i = self.find(pc, arena)?;
+        let (set, way) = self.find(pc, arena)?;
         self.hits += 1;
-        self.slots[i].take().map(|e| e.branches)
+        Some(self.slots.invalidate(set, way))
     }
 
     /// Non-destructive residency check for the branch at `pc`.
@@ -138,11 +109,12 @@ impl BtbPrefetchBuffer {
     /// four compressed branch records (~60 b each), matching the
     /// paper's ≈1 KB figure for 32 entries.
     pub fn storage_bits(&self) -> u64 {
-        (self.slots.len() as u64) * (34 + 4 * 60)
+        (self.slots.sets() * self.slots.ways()) as u64 * (34 + 4 * 60)
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use dcfb_frontend::BranchClass;

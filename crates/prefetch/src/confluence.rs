@@ -200,6 +200,7 @@ impl InstrPrefetcher for Confluence {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::context::MockContext;

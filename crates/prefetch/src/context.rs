@@ -283,6 +283,7 @@ impl PrefetchContext for MockContext {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use dcfb_trace::InstrKind;

@@ -121,6 +121,7 @@ impl InstrPrefetcher for DiscontinuityPrefetcher {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::context::MockContext;

@@ -69,6 +69,7 @@ impl InstrPrefetcher for NextLine {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::context::MockContext;

@@ -23,7 +23,7 @@ use crate::context::{InstrPrefetcher, PrefetchContext, RecentInstrs};
 use crate::dis::Dis;
 use crate::tables::{DisTable, Rlu, SeqTable, TagPolicy};
 use dcfb_telemetry::PfSource;
-use dcfb_trace::Block;
+use dcfb_trace::{Block, IsaMode};
 use std::collections::VecDeque;
 
 /// Which engine produced a prefetch candidate (affects issue latency).
@@ -42,8 +42,6 @@ pub struct Sn4lDisConfig {
     pub dis_entries: usize,
     /// DisTable tagging policy (4-bit partial in the paper).
     pub dis_tag: TagPolicy,
-    /// DisTable offset width: 4 (fixed ISA) or 6 (variable ISA).
-    pub dis_offset_bits: u32,
     /// RLU entries (8 in the paper).
     pub rlu_entries: usize,
     /// Capacity of SeqQueue, DisQueue, and RLUQueue (16 each).
@@ -71,7 +69,6 @@ impl Default for Sn4lDisConfig {
             seq_entries: 16 * 1024,
             dis_entries: 4 * 1024,
             dis_tag: TagPolicy::Partial(4),
-            dis_offset_bits: 4,
             rlu_entries: 8,
             queue_capacity: 16,
             max_depth: 4,
@@ -125,14 +122,17 @@ pub struct Sn4lDisBtb {
 }
 
 impl Sn4lDisBtb {
-    /// Creates the engine with the given configuration.
-    pub fn new(cfg: Sn4lDisConfig) -> Self {
+    /// Creates the engine with the given configuration for `isa`,
+    /// whose encoding sets the DisTable offset width (§V-D: 4-bit
+    /// instruction slots, or 6-bit byte offsets for a variable-length
+    /// ISA).
+    pub fn new(cfg: Sn4lDisConfig, isa: IsaMode) -> Self {
         Sn4lDisBtb {
             seq: SeqTable::new(cfg.seq_entries),
             dis: Dis::with_table(DisTable::new(
                 cfg.dis_entries,
                 cfg.dis_tag,
-                cfg.dis_offset_bits,
+                isa.dis_offset_bits(),
             )),
             rlu: Rlu::new(cfg.rlu_entries),
             seq_q: VecDeque::with_capacity(cfg.queue_capacity),
@@ -145,7 +145,7 @@ impl Sn4lDisBtb {
 
     /// The paper's full SN4L+Dis+BTB configuration.
     pub fn paper_sized() -> Self {
-        Sn4lDisBtb::new(Sn4lDisConfig::default())
+        Sn4lDisBtb::new(Sn4lDisConfig::default(), IsaMode::Fixed4)
     }
 
     /// Accumulated counters.
@@ -352,6 +352,7 @@ impl InstrPrefetcher for Sn4lDisBtb {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::context::MockContext;
@@ -366,7 +367,7 @@ mod tests {
 
     #[test]
     fn demand_triggers_sn4l_prefetches() {
-        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb());
+        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb(), IsaMode::Fixed4);
         let mut ctx = MockContext::default();
         p.on_demand(&mut ctx, 100, false, false, &RecentInstrs::default());
         drain(&mut p, &mut ctx, 8);
@@ -379,7 +380,7 @@ mod tests {
     #[test]
     fn chain_follows_discontinuity_with_sn1l() {
         // Sequence A=100 -> branch at 102 to B=200 (paper's example).
-        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb());
+        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb(), IsaMode::Fixed4);
         let mut ctx = MockContext::default();
         let branch_pc = 102 * 64 + 16;
         ctx.code.insert(
@@ -409,7 +410,7 @@ mod tests {
 
     #[test]
     fn rlu_filters_duplicate_candidates() {
-        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb());
+        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb(), IsaMode::Fixed4);
         let mut ctx = MockContext::default();
         p.on_demand(&mut ctx, 100, false, false, &RecentInstrs::default());
         drain(&mut p, &mut ctx, 8);
@@ -425,10 +426,13 @@ mod tests {
     fn depth_limit_terminates_chains() {
         // Build a long chain of discontinuities: block i jumps to block
         // i+10, for i = 100, 110, 120, ...
-        let mut p = Sn4lDisBtb::new(Sn4lDisConfig {
-            btb_prefetch: false,
-            ..Sn4lDisConfig::default()
-        });
+        let mut p = Sn4lDisBtb::new(
+            Sn4lDisConfig {
+                btb_prefetch: false,
+                ..Sn4lDisConfig::default()
+            },
+            IsaMode::Fixed4,
+        );
         let mut ctx = MockContext::default();
         for k in 0..12u64 {
             let b = 100 + k * 10;
@@ -484,7 +488,7 @@ mod tests {
 
     #[test]
     fn dis_prefetches_carry_issue_delay() {
-        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb());
+        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb(), IsaMode::Fixed4);
         let mut ctx = MockContext::default();
         let pc = 100 * 64 + 4;
         ctx.code.insert(
@@ -509,11 +513,14 @@ mod tests {
 
     #[test]
     fn queue_overflow_drops_not_panics() {
-        let mut p = Sn4lDisBtb::new(Sn4lDisConfig {
-            queue_capacity: 2,
-            btb_prefetch: false,
-            ..Sn4lDisConfig::default()
-        });
+        let mut p = Sn4lDisBtb::new(
+            Sn4lDisConfig {
+                queue_capacity: 2,
+                btb_prefetch: false,
+                ..Sn4lDisConfig::default()
+            },
+            IsaMode::Fixed4,
+        );
         let mut ctx = MockContext::default();
         for b in 0..20u64 {
             p.on_demand(&mut ctx, b * 100, false, false, &RecentInstrs::default());
@@ -541,7 +548,7 @@ mod tests {
     /// the cache, so C is prefetched too.
     #[test]
     fn fig10_worked_example() {
-        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb());
+        let mut p = Sn4lDisBtb::new(Sn4lDisConfig::without_btb(), IsaMode::Fixed4);
         let mut ctx = MockContext::default();
         let a: Block = 1000;
         let c: Block = 2000;
@@ -593,7 +600,7 @@ mod tests {
     fn names_reflect_btb_mode() {
         assert_eq!(Sn4lDisBtb::paper_sized().name(), "SN4L+Dis+BTB");
         assert_eq!(
-            Sn4lDisBtb::new(Sn4lDisConfig::without_btb()).name(),
+            Sn4lDisBtb::new(Sn4lDisConfig::without_btb(), IsaMode::Fixed4).name(),
             "SN4L+Dis"
         );
     }

@@ -132,13 +132,7 @@ impl PrefetcherKind {
             PrefetcherKind::Dis { dis_entries, tag } => Prefetcher::Dis(Dis::with_table(
                 DisTable::new(*dis_entries, *tag, isa.dis_offset_bits()),
             )),
-            PrefetcherKind::Sn4lDis(c) => {
-                // §V-D: a variable-length ISA needs byte offsets in the
-                // DisTable (6 bits) instead of instruction slots.
-                let mut c = c.clone();
-                c.dis_offset_bits = isa.dis_offset_bits();
-                Prefetcher::Sn4lDisBtb(Sn4lDisBtb::new(c))
-            }
+            PrefetcherKind::Sn4lDis(c) => Prefetcher::Sn4lDisBtb(Sn4lDisBtb::new(c.clone(), isa)),
             PrefetcherKind::Discontinuity => {
                 Prefetcher::Discontinuity(DiscontinuityPrefetcher::paper_baseline())
             }

@@ -105,6 +105,7 @@ impl InstrPrefetcher for Sn4l {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::context::MockContext;

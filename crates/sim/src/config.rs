@@ -9,7 +9,7 @@
 
 use dcfb_cache::CacheConfig;
 use dcfb_errors::DcfbError;
-use dcfb_frontend::BtbConfig;
+use dcfb_frontend::{BtbConfig, ShotgunBtbConfig};
 use dcfb_trace::IsaMode;
 use dcfb_uncore::UncoreConfig;
 
@@ -110,6 +110,18 @@ impl SimConfig {
             cfg.btb = btb;
         }
         Some(cfg)
+    }
+
+    /// Scales the BTB budget by `scale`, as Fig. 18's BTB-size sweep
+    /// does: Shotgun's split BTB shrinks every component
+    /// ([`ShotgunBtbConfig::scaled`]); any other method's conventional
+    /// BTB keeps at least 64 entries, rounded down to a multiple of 4.
+    pub fn scale_btb(&mut self, scale: f64) {
+        if let PrefetcherKind::Shotgun(sc) = &mut self.prefetcher {
+            *sc = ShotgunBtbConfig::scaled(scale);
+        } else {
+            self.btb.entries = ((self.btb.entries as f64 * scale) as usize).max(64) / 4 * 4;
+        }
     }
 
     /// Checks the configuration for values the simulator cannot run

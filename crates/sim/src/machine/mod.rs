@@ -58,7 +58,7 @@ use crate::config::{SimConfig, MSHRS, PREFETCH_BUFFER_ENTRIES};
 use dcfb_cache::{Completion, MshrFile, PrefetchBuffer, SetAssocCache};
 use dcfb_frontend::{BranchStore, Btb, ReturnAddressStack, Tage, TageConfig};
 use dcfb_prefetch::{BtbPrefetchBuffer, RecentInstrs};
-use dcfb_telemetry::{RunTelemetry, SlotKey, SlotTable, StallKind, TelemetryConfig};
+use dcfb_telemetry::{RunTelemetry, SlotKey, SlotTable, StallKind};
 use dcfb_trace::{Block, CodeMemory};
 use dcfb_uncore::Uncore;
 use std::sync::Arc;
@@ -180,9 +180,7 @@ impl Machine {
             fill_scratch: Vec::new(),
             perfect_l1i: cfg.perfect_l1i,
             stats: RawStats::default(),
-            telem: cfg
-                .telemetry
-                .then(|| Box::new(RunTelemetry::new(TelemetryConfig::default()))),
+            telem: cfg.telemetry.then(|| Box::new(RunTelemetry::new())),
         }
     }
 }

@@ -8,7 +8,7 @@ use super::{Machine, RawStats};
 use crate::config::{SimConfig, FETCH_WIDTH};
 use crate::metrics::SimReport;
 use dcfb_errors::DcfbError;
-use dcfb_telemetry::{CycleSample, RunCounts, RunMeta, RunTelemetry, StallKind, TelemetryReport};
+use dcfb_telemetry::{CycleSample, RunCounts, RunMeta, StallKind, TelemetryReport, SAMPLE_EVERY};
 use dcfb_trace::{Addr, CodeMemory, Instr, InstrStream};
 use std::sync::Arc;
 
@@ -94,10 +94,11 @@ impl Simulator {
         driver: Driver,
     ) -> Self {
         let machine = Machine::new(&cfg, code, workload_name);
-        let telem_stride = machine
-            .telem
-            .as_deref()
-            .map_or(1, RunTelemetry::sample_every);
+        let telem_stride = if machine.telem.is_some() {
+            SAMPLE_EVERY
+        } else {
+            1
+        };
         Simulator {
             cfg,
             machine,

@@ -43,7 +43,7 @@ pub use counters::{Ctr, RunCounts, StallKind};
 pub use doc::{HistDump, MetricsDoc, TimelinessRow, METRICS_SCHEMA, SERIES_COLUMNS};
 pub use hist::{Hist, HistSet, Log2Histogram};
 pub use json::JsonValue;
-pub use recorder::{CycleSample, RunMeta, RunTelemetry, TelemetryConfig, TelemetryReport};
+pub use recorder::{CycleSample, RunMeta, RunTelemetry, TelemetryReport, SAMPLE_EVERY};
 pub use series::{WindowSample, WindowSeries};
 pub use slot_table::{SlotKey, SlotTable};
 pub use source::PfSource;

@@ -20,40 +20,24 @@ use crate::source::PfSource;
 use crate::timeliness::{TimelinessCounts, TimelinessTracker};
 use crate::trace_event::{chrome_trace_json, TraceEvent};
 
-/// Recording knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct TelemetryConfig {
-    /// Nominal time-series window width in cycles.
-    pub window_cycles: u64,
-    /// Maximum retained windows before pairwise coalescing.
-    pub series_capacity: usize,
-    /// Maximum retained trace events; overflow increments
-    /// [`Ctr::TraceEventsDropped`](crate::Ctr::TraceEventsDropped).
-    pub max_trace_events: usize,
-    /// Early-evicted FIFO window size (per tracker).
-    pub evicted_window: usize,
-    /// Occupancy sampling stride: the per-cycle sampler calls
-    /// [`RunTelemetry::tick`] once every `sample_every` cycles, and the
-    /// recorder weights each observation by the stride so histogram
-    /// counts and occupancy sums still estimate per-cycle totals.
-    /// Window series stay *exact* regardless (they difference
-    /// cumulative counters at window boundaries, which telescope), as
-    /// do timeliness events and stall spans, which are recorded
-    /// per-event, not per-cycle. 1 disables sampling.
-    pub sample_every: u64,
-}
+/// Nominal time-series window width in cycles.
+const WINDOW_CYCLES: u64 = 1024;
+/// Maximum retained windows before pairwise coalescing.
+const SERIES_CAPACITY: usize = 512;
+/// Maximum retained trace events; overflow increments
+/// [`Ctr::TraceEventsDropped`](crate::Ctr::TraceEventsDropped).
+const MAX_TRACE_EVENTS: usize = 50_000;
+/// Early-evicted FIFO window size (per tracker).
+const EVICTED_WINDOW: usize = 4096;
 
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            window_cycles: 1024,
-            series_capacity: 512,
-            max_trace_events: 50_000,
-            evicted_window: 4096,
-            sample_every: 16,
-        }
-    }
-}
+/// Occupancy sampling stride: the per-cycle sampler calls
+/// [`RunTelemetry::tick`] once every `SAMPLE_EVERY` cycles, and the
+/// recorder weights each observation by the stride so histogram counts
+/// and occupancy sums still estimate per-cycle totals. Window series
+/// stay *exact* regardless (they difference cumulative counters at
+/// window boundaries, which telescope), as do timeliness events and
+/// stall spans, which are recorded per-event, not per-cycle.
+pub const SAMPLE_EVERY: u64 = 16;
 
 /// Cumulative pipeline state sampled once per simulated cycle.
 /// All fields except the occupancies are running totals; the recorder
@@ -119,7 +103,6 @@ impl TelemetryReport {
 /// Recording state for one simulated run.
 #[derive(Clone, Debug)]
 pub struct RunTelemetry {
-    cfg: TelemetryConfig,
     hists: HistSet,
     /// MSHR-mediated (L1i) prefetches, keyed by cache block.
     timeliness: TimelinessTracker,
@@ -137,15 +120,20 @@ pub struct RunTelemetry {
     dropped_events: u64,
 }
 
+impl Default for RunTelemetry {
+    fn default() -> Self {
+        RunTelemetry::new()
+    }
+}
+
 impl RunTelemetry {
     /// A fresh recorder.
-    pub fn new(cfg: TelemetryConfig) -> RunTelemetry {
+    pub fn new() -> RunTelemetry {
         RunTelemetry {
-            cfg,
             hists: HistSet::new(),
-            timeliness: TimelinessTracker::new(cfg.evicted_window),
-            btbpf: TimelinessTracker::new(cfg.evicted_window),
-            series: WindowSeries::new(cfg.window_cycles, cfg.series_capacity),
+            timeliness: TimelinessTracker::new(EVICTED_WINDOW),
+            btbpf: TimelinessTracker::new(EVICTED_WINDOW),
+            series: WindowSeries::new(WINDOW_CYCLES, SERIES_CAPACITY),
             started: false,
             window_start: 0,
             snap: CycleSample::default(),
@@ -156,18 +144,11 @@ impl RunTelemetry {
         }
     }
 
-    /// The configured sampling stride (see
-    /// [`TelemetryConfig::sample_every`]); callers tick once every this
-    /// many cycles.
-    pub fn sample_every(&self) -> u64 {
-        self.cfg.sample_every.max(1)
-    }
-
     /// Sampled-cycle observation: occupancy histograms plus window
-    /// rollover. Call once every [`RunTelemetry::sample_every`] cycles;
-    /// each observation is weighted by the stride.
+    /// rollover. Call once every [`SAMPLE_EVERY`] cycles; each
+    /// observation is weighted by the stride.
     pub fn tick(&mut self, s: &CycleSample) {
-        let weight = self.sample_every();
+        let weight = SAMPLE_EVERY;
         if let Some(occ) = s.ftq_occupancy {
             self.hists.record_n(Hist::FtqOccupancy, occ, weight);
             self.ftq_occ_sum += occ * weight;
@@ -217,7 +198,7 @@ impl RunTelemetry {
     }
 
     fn push_event(&mut self, e: TraceEvent) {
-        if self.events.len() < self.cfg.max_trace_events {
+        if self.events.len() < MAX_TRACE_EVENTS {
             self.events.push(e);
         } else {
             self.dropped_events += 1;
@@ -450,11 +431,10 @@ mod tests {
 
     #[test]
     fn windows_roll_and_doc_validates() {
-        let mut rt = RunTelemetry::new(TelemetryConfig {
-            window_cycles: 10,
-            ..TelemetryConfig::default()
-        });
-        for c in 0..100 {
+        // Ten windows' worth of cycles.
+        let cycles = 10 * WINDOW_CYCLES;
+        let mut rt = RunTelemetry::new();
+        for c in 0..cycles {
             rt.tick(&sample(c, c * 2));
         }
         rt.pf_issued(k(5), PfSource::Sn4l);
@@ -466,11 +446,11 @@ mod tests {
             stall_cycles: [30, 0, 0],
             ..RunCounts::default()
         };
-        let report = finalize(rt, 100, 200, counts);
+        let report = finalize(rt, cycles, 2 * cycles, counts);
         report.doc.validate().expect("valid doc");
         assert!(report.doc.series.len() >= 9);
         let total_instrs: u64 = report.doc.series.iter().map(|r| r[2]).sum();
-        assert_eq!(total_instrs, 200);
+        assert_eq!(total_instrs, 2 * cycles);
         // Counters are the machine's statistics, passed through.
         assert_eq!(report.doc.counter("stall_l1i_cycles"), Some(30));
         assert_eq!(report.doc.counter("stall_l1i_events"), Some(1));
@@ -486,7 +466,7 @@ mod tests {
 
     #[test]
     fn sum_invariant_after_messy_run() {
-        let mut rt = RunTelemetry::new(TelemetryConfig::default());
+        let mut rt = RunTelemetry::new();
         // accurate, late, early-evicted, useless, in-flight-at-end.
         rt.pf_issued(k(1), PfSource::Sn4l);
         rt.pf_fill(k(1), 10);
@@ -520,7 +500,7 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut rt = RunTelemetry::new(TelemetryConfig::default());
+        let mut rt = RunTelemetry::new();
         for c in 0..5000 {
             rt.tick(&sample(c, c));
         }
@@ -535,15 +515,12 @@ mod tests {
 
     #[test]
     fn event_cap_counts_drops() {
-        let mut rt = RunTelemetry::new(TelemetryConfig {
-            max_trace_events: 2,
-            ..TelemetryConfig::default()
-        });
-        for i in 0..5 {
+        let mut rt = RunTelemetry::new();
+        for i in 0..MAX_TRACE_EVENTS as u64 + 3 {
             rt.stall(StallKind::Redirect, i * 10, i * 10 + 3);
         }
         let report = finalize(rt, 100, 0, RunCounts::default());
-        assert_eq!(report.events.len(), 2);
+        assert_eq!(report.events.len(), MAX_TRACE_EVENTS);
         assert_eq!(report.doc.counter("trace_events_dropped"), Some(3));
         // Trace is still valid JSON with sorted timestamps.
         let text = report.chrome_trace();

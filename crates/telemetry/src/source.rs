@@ -12,10 +12,11 @@
 /// composite SN4L+Dis+BTB method issues under three distinct tags
 /// (`Sn4l`, `Dis`, `ProactiveChain`) plus `BtbPf` for BTB
 /// prefetch-buffer fills, matching the paper's decomposition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum PfSource {
     /// A demand fetch miss (not a prefetch).
+    #[default]
     Demand = 0,
     /// Simple next-line / next-4-line prefetchers (NL, N4L).
     NextLine,
