@@ -164,10 +164,15 @@ impl DvLlc {
         let set = self.set_index(block);
         if let Some(way) = self.lines.find(set, block) {
             let had_instr = self.set_has_instruction(set);
-            *self.lines.get_mut(set, way) = flags;
+            let was_instr = std::mem::replace(self.lines.get_mut(set, way), flags).is_instruction;
             self.lines.touch(set, way);
             if self.enabled && flags.is_instruction && !had_instr {
                 return self.activate_bf(set);
+            }
+            // An instruction block refilled as data may have been the
+            // set's last one.
+            if was_instr && !flags.is_instruction {
+                self.on_instruction_departure(set);
             }
             return None;
         }
@@ -386,6 +391,35 @@ mod tests {
         // Footprints are gone with the mode.
         llc.fill(0, instr_flags());
         assert_eq!(llc.bf_lookup(0), None);
+    }
+
+    #[test]
+    fn mode_reverts_when_last_instruction_is_refilled_as_data() {
+        let mut llc = DvLlc::new(4, 4, 2);
+        llc.fill(0, instr_flags());
+        llc.insert_bf(0, bf(&[1]));
+        assert_eq!(llc.bf_mode_sets(), 1);
+        // Block 0 stays resident but now holds data: the set has no
+        // instruction block left, so the holder way returns to data.
+        assert_eq!(llc.fill(0, data_flags()), None);
+        assert!(llc.contains(0));
+        assert_eq!(llc.bf_mode_sets(), 0);
+        assert_eq!(llc.stats().switches_to_block, 1);
+        assert_eq!(llc.bf_lookup(0), None);
+        // All four ways hold blocks again.
+        for b in [4u64, 8, 12] {
+            assert_eq!(llc.fill(b, data_flags()), None);
+        }
+    }
+
+    #[test]
+    fn refill_as_data_keeps_mode_while_an_instruction_block_remains() {
+        let mut llc = DvLlc::new(4, 4, 2);
+        llc.fill(0, instr_flags());
+        llc.fill(4, instr_flags());
+        llc.fill(0, data_flags());
+        assert_eq!(llc.bf_mode_sets(), 1);
+        assert_eq!(llc.stats().switches_to_block, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   LLC set).
 
 use dcfb_cache::{CacheConfig, LineFlags, SetAssocCache};
-use dcfb_trace::{block_of, Block, Instr, InstrStream};
+use dcfb_trace::{block_of, Block, CodeMemory, Instr, InstrStream};
 use dcfb_workloads::ProgramImage;
 use fxhash::FxHashMap;
 
@@ -143,11 +143,8 @@ pub fn branch_footprint_coverage(image: &ProgramImage, per_bf: usize) -> f64 {
     let mut block = block_of(dcfb_workloads::image::IMAGE_BASE);
     let end_block = block_of(image.end());
     while block <= end_block {
-        let branches = image
-            .block_slice(block)
-            .iter()
-            .filter(|i| i.kind.is_branch())
-            .count();
+        let mut branches = 0;
+        image.for_each_in_block(block, &mut |i| branches += usize::from(i.kind.is_branch()));
         total += branches;
         covered += branches.min(per_bf);
         block += 1;

@@ -224,14 +224,6 @@ impl Uncore {
             Llc::Virtualized(c) => Some(c),
         }
     }
-
-    /// Read access to the DV-LLC, when configured.
-    pub fn dvllc(&self) -> Option<&DvLlc> {
-        match &self.llc {
-            Llc::Plain(_) => None,
-            Llc::Virtualized(c) => Some(c),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -300,12 +292,12 @@ mod tests {
         cfg.dvllc = true;
         cfg.bf_per_set = 4;
         let mut u = Uncore::new(cfg);
-        assert!(u.dvllc().is_some());
+        assert!(u.dvllc_mut().is_some());
         u.access(0, 3, false, true);
         let dv = u.dvllc_mut().unwrap();
         assert!(dv.bf_mode_sets() > 0);
-        let plain = small_uncore();
-        assert!(plain.dvllc().is_none());
+        let mut plain = small_uncore();
+        assert!(plain.dvllc_mut().is_none());
     }
 
     #[test]

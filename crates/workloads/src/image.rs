@@ -6,22 +6,34 @@
 //! "transaction", mimicking a server's request loop. Every other
 //! function is a chain of segments (straight code, if/else with a cold
 //! alternative, loops, call sites) ending in a single `Return`.
+//!
+//! # Storage
+//!
+//! The image keeps its program as basic blocks plus one size byte per
+//! static instruction. Everything else about an instruction follows
+//! from its basic block: a block's instructions are contiguous from its
+//! start, and only its last instruction can be a branch, whose kind and
+//! target the block's [`Terminator`] gives. A per-slot index names the
+//! first instruction of every 64-byte block (with its basic block and
+//! address), so [`CodeMemory::for_each_in_block`] builds each
+//! [`StaticInstr`] on the fly.
 
 use crate::params::WorkloadParams;
 use dcfb_trace::{
-    block_of, Addr, Block, CodeMemory, IsaMode, StaticInstr, StaticKind, BLOCK_BYTES,
+    block_base, block_of, Addr, Block, CodeMemory, IsaMode, StaticInstr, StaticKind, BLOCK_BYTES,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::mem::size_of;
 
 /// Base address of the code image.
 pub const IMAGE_BASE: Addr = 0x0040_0000;
 
 /// Resolved terminator of a basic block.
 ///
-/// Targets are *basic-block indexes within the owning function*, except
-/// for calls, which name a callee function.
-#[derive(Clone, Debug, PartialEq)]
+/// Basic-block targets are indexes into [`ProgramImage::blocks`] (always
+/// a block of the owning function); calls name a callee function.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Terminator {
     /// No branch: execution continues into the next basic block.
     FallThrough,
@@ -53,13 +65,13 @@ pub enum Terminator {
         /// Callee function index.
         callee: u32,
     },
-    /// Indirect call through a dispatch table.
+    /// Indirect call through a dispatch table: candidates
+    /// `first..first + len` of the image's call table.
     IndirectCall {
-        /// Candidate callee function indexes.
-        callees: Vec<u32>,
-        /// Cumulative selection weights, same length as `callees`,
-        /// ending at 1.0.
-        cum_weights: Vec<f64>,
+        /// First candidate.
+        first: u32,
+        /// Number of candidates (≥ 1).
+        len: u32,
     },
     /// Function return.
     Return,
@@ -67,14 +79,15 @@ pub enum Terminator {
 
 /// One basic block: a run of instructions ending (optionally) in a
 /// branch.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct BasicBlock {
     /// Address of the first instruction.
     pub start: Addr,
-    /// Index of the first instruction in [`ProgramImage::instrs`].
+    /// Index of the first instruction in the image's address-ordered
+    /// instruction sequence.
     pub first_instr: u32,
-    /// Number of instructions, including the terminator branch (if the
-    /// terminator is not [`Terminator::FallThrough`]).
+    /// Number of instructions (≥ 1), including the terminator branch
+    /// (if the terminator is not [`Terminator::FallThrough`]).
     pub n_instrs: u32,
     /// Whether this is a cold alternative block (else / catch path).
     pub cold: bool,
@@ -83,70 +96,95 @@ pub struct BasicBlock {
 }
 
 /// One function of the image.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Function {
-    /// Entry address (start of basic block 0).
+    /// Entry address (start of its first basic block).
     pub entry: Addr,
-    /// Basic blocks in layout order.
-    pub blocks: Vec<BasicBlock>,
+    /// Index in [`ProgramImage::blocks`] of its first basic block.
+    pub first_block: u32,
+    /// Number of basic blocks; the last one ends in `Return` (the
+    /// dispatcher's in its back edge).
+    pub n_blocks: u32,
 }
 
-impl Function {
-    /// The address of this function's `Return` instruction.
-    pub fn return_pc(&self, image: &ProgramImage) -> Addr {
-        // Construction guarantees at least one block ending in `Return`;
-        // an empty function would be a builder bug, caught loudly in
-        // debug builds and degraded to the entry address in release.
-        let Some(last) = self.blocks.last() else {
-            debug_assert!(false, "function has no blocks");
-            return self.entry;
-        };
-        debug_assert!(matches!(last.term, Terminator::Return));
-        image.instrs[(last.first_instr + last.n_instrs - 1) as usize].pc
-    }
+/// Where a block slot's code starts: its first instruction, that
+/// instruction's basic block and its offset from [`IMAGE_BASE`]. A slot
+/// in which no instruction starts names the next instruction, which
+/// lies past the slot (or, after the last one, the instruction count).
+#[derive(Clone, Copy, Debug)]
+struct SlotStart {
+    instr: u32,
+    bb: u32,
+    off: u32,
 }
+
+// Memory tripwires: per static instruction the image stores one size
+// byte; per 64-byte block one `SlotStart`; per basic block one
+// `BasicBlock`. Growing any of them is a memory regression.
+const _: () = assert!(size_of::<SlotStart>() == 12);
+const _: () = assert!(size_of::<Terminator>() <= 16);
+const _: () = assert!(size_of::<BasicBlock>() <= 40);
+const _: () = assert!(size_of::<Function>() <= 16);
 
 /// A fully laid-out synthetic program.
 pub struct ProgramImage {
     params: WorkloadParams,
     isa: IsaMode,
-    functions: Vec<Function>,
-    instrs: Vec<StaticInstr>,
+    functions: Box<[Function]>,
+    /// Every function's basic blocks, in layout (address) order.
+    blocks: Box<[BasicBlock]>,
+    /// The encoded size of every static instruction, in address order.
+    sizes: Box<[u8]>,
+    /// Indirect-call candidates, and their cumulative selection weights
+    /// (each call's run ends at 1.0).
+    callees: Box<[u32]>,
+    cum_weights: Box<[f64]>,
     roots: Vec<u32>,
     end: Addr,
-    /// Number of block slots (see [`ProgramImage::block_slots`]).
-    block_slots: usize,
-    /// Index into `instrs` of each slot's first instruction, plus one
-    /// trailing entry (`instrs.len()`): slot `s` holds
-    /// `instrs[slot_first[s]..slot_first[s + 1]]`.
-    slot_first: Vec<u32>,
+    /// One entry per block slot (see [`ProgramImage::block_slots`]).
+    slots: Box<[SlotStart]>,
 }
 
-/// Internal plan for one basic block before layout.
-struct PlanBb {
+/// Pass-1 output: the program's basic blocks in layout order, their
+/// instruction sizes in one flat buffer, and the indirect-call table.
+#[derive(Default)]
+struct Plan {
     sizes: Vec<u8>,
-    cold: bool,
-    term: PlanTerm,
+    blocks: Vec<BasicBlock>,
+    callees: Vec<u32>,
+    cum_weights: Vec<f64>,
 }
 
-enum PlanTerm {
-    FallThrough,
-    CondSkip {
-        p_taken: f64,
-        skip: u32,
-    }, // taken_to = own index + 1 + skip
-    LoopBack {
-        iters: u32,
-    }, // taken_to = own index
-    DispatchJump, // dispatcher's back edge
-    Call {
-        callee: u32,
-    },
-    IndirectCall {
-        callees: Vec<u32>,
-        cum_weights: Vec<f64>,
-    },
-    Return,
+impl Plan {
+    /// Index the next planned block gets.
+    fn next_block(&self) -> u32 {
+        self.blocks.len() as u32
+    }
+
+    /// Plans a block of `n` instructions with freshly drawn sizes.
+    fn block(&mut self, rng: &mut SmallRng, isa: IsaMode, n: u32, cold: bool, term: Terminator) {
+        debug_assert!(n >= 1, "empty basic block");
+        let first_instr = self.sizes.len() as u32;
+        self.sizes.extend((0..n).map(|_| isa.draw_size(rng.gen())));
+        self.blocks.push(BasicBlock {
+            start: 0, // laid out in pass 2
+            first_instr,
+            n_instrs: n,
+            cold,
+            term,
+        });
+    }
+
+    /// Appends an indirect call's candidates to the call table.
+    fn indirect_call(&mut self, callees: &[u32], cum_weights: &[f64]) -> Terminator {
+        let first = self.callees.len() as u32;
+        self.callees.extend_from_slice(callees);
+        self.cum_weights.extend_from_slice(cum_weights);
+        Terminator::IndirectCall {
+            first,
+            len: callees.len() as u32,
+        }
+    }
 }
 
 fn geometric(rng: &mut SmallRng, mean: f64) -> u32 {
@@ -189,6 +227,12 @@ impl Zipf {
 impl ProgramImage {
     /// Builds a program image from `params` with the given `seed` and
     /// ISA mode. The result is fully deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` do not validate, or if the laid-out code does
+    /// not fit the `u32` offset range from [`IMAGE_BASE`] that the
+    /// image's indexes use.
     pub fn build(params: &WorkloadParams, seed: u64, isa: IsaMode) -> Self {
         params.validate();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_cafe_f00d_0001);
@@ -247,33 +291,25 @@ impl ProgramImage {
             .take(params.root_functions)
             .collect();
 
-        // ---- Pass 1: plan structure. ----
-        let mut plans: Vec<Vec<PlanBb>> = Vec::with_capacity(n_fns);
+        // ---- Pass 1: plan structure, in layout order. ----
+        let mut plan = Plan::default();
+        let mut functions: Vec<Function> = Vec::with_capacity(n_fns);
         // Function 0: dispatcher — one block ending in an indirect call
         // over the roots, followed by a jump back (modelled as a
-        // 2-block loop: [body + IndirectCall][Jump back to 0]).
+        // 2-block loop: [body + IndirectCall][Jump back to block 0]).
         {
             let root_zipf = Zipf::new(roots.len(), 0.3);
-            let cum = root_zipf.cum.clone();
-            let body_sizes: Vec<u8> = (0..6).map(|_| isa.draw_size(rng.gen())).collect();
-            let jump_sizes: Vec<u8> = vec![isa.draw_size(rng.gen())];
-            plans.push(vec![
-                PlanBb {
-                    sizes: body_sizes,
-                    cold: false,
-                    term: PlanTerm::IndirectCall {
-                        callees: roots.clone(),
-                        cum_weights: cum,
-                    },
-                },
-                PlanBb {
-                    sizes: jump_sizes,
-                    cold: false,
-                    term: PlanTerm::DispatchJump,
-                },
-            ]);
+            let call = plan.indirect_call(&roots, &root_zipf.cum);
+            plan.block(&mut rng, isa, 6, false, call);
+            plan.block(&mut rng, isa, 1, false, Terminator::Jump { to: 0 });
+            functions.push(Function {
+                entry: 0,
+                first_block: 0,
+                n_blocks: 2,
+            });
         }
         for fid in 1..n_fns as u32 {
+            let first_block = plan.next_block();
             // Function size scales down with DAG level: root-side logic
             // is large and executed once per transaction, while deep
             // (heavily shared) utility leaves are small — so repeated
@@ -282,43 +318,31 @@ impl ProgramImage {
             let level_frac = f64::from(level_of[fid as usize]) / n_levels.max(1) as f64;
             let seg_mean = (params.avg_segments * (1.7 - 1.5 * level_frac)).max(1.0);
             let n_segments = geometric(&mut rng, seg_mean);
-            let mut bbs: Vec<PlanBb> = Vec::new();
             for _ in 0..n_segments {
                 let hot_n = geometric(&mut rng, params.avg_bb_instrs);
                 let roll: f64 = rng.gen_range(0.0..1.0);
-                let mk_sizes = |rng: &mut SmallRng, n: u32, extra_branch: bool| -> Vec<u8> {
-                    let total = n + u32::from(extra_branch);
-                    (0..total).map(|_| isa.draw_size(rng.gen())).collect()
-                };
+                let own = plan.next_block();
                 if roll < params.cold_frac {
                     // Hot block ends with a biased branch skipping a cold
                     // alternative.
                     let p_skip = 1.0 - params.cold_taken_prob;
-                    let sizes = mk_sizes(&mut rng, hot_n, true);
-                    bbs.push(PlanBb {
-                        sizes,
-                        cold: false,
-                        term: PlanTerm::CondSkip {
-                            p_taken: p_skip,
-                            skip: 1,
-                        },
-                    });
+                    let term = Terminator::Cond {
+                        p_taken: p_skip,
+                        taken_to: own + 2,
+                    };
+                    plan.block(&mut rng, isa, hot_n + 1, false, term);
                     let cold_n = geometric(&mut rng, params.avg_cold_instrs);
-                    bbs.push(PlanBb {
-                        sizes: mk_sizes(&mut rng, cold_n, false),
-                        cold: true,
-                        term: PlanTerm::FallThrough,
-                    });
+                    plan.block(&mut rng, isa, cold_n, true, Terminator::FallThrough);
                 } else if roll < params.cold_frac + params.loop_frac {
                     // Loop body: longer run, backward edge with a fixed
                     // per-site trip count (learnable exit).
                     let body_n = geometric(&mut rng, params.avg_bb_instrs * 3.0);
                     let iters = geometric(&mut rng, params.avg_loop_iters).max(2);
-                    bbs.push(PlanBb {
-                        sizes: mk_sizes(&mut rng, body_n, true),
-                        cold: false,
-                        term: PlanTerm::LoopBack { iters },
-                    });
+                    let term = Terminator::Loop {
+                        iters,
+                        taken_to: own,
+                    };
+                    plan.block(&mut rng, isa, body_n + 1, false, term);
                 } else if roll < params.cold_frac + params.loop_frac + params.call_frac {
                     let indirect = rng.gen_range(0.0..1.0) < params.indirect_frac;
                     if indirect {
@@ -326,11 +350,7 @@ impl ProgramImage {
                         let callees: Vec<u32> =
                             (0..k).filter_map(|_| pick_callee(&mut rng, fid)).collect();
                         if callees.is_empty() {
-                            bbs.push(PlanBb {
-                                sizes: mk_sizes(&mut rng, hot_n, false),
-                                cold: false,
-                                term: PlanTerm::FallThrough,
-                            });
+                            plan.block(&mut rng, isa, hot_n, false, Terminator::FallThrough);
                             continue;
                         }
                         // Skewed weights: 0.57, 0.29, 0.14 style.
@@ -342,172 +362,94 @@ impl ProgramImage {
                             acc += *x / total;
                             *x = acc;
                         }
-                        bbs.push(PlanBb {
-                            sizes: mk_sizes(&mut rng, hot_n, true),
-                            cold: false,
-                            term: PlanTerm::IndirectCall {
-                                callees,
-                                cum_weights: w,
-                            },
-                        });
+                        let call = plan.indirect_call(&callees, &w);
+                        plan.block(&mut rng, isa, hot_n + 1, false, call);
                     } else if let Some(callee) = pick_callee(&mut rng, fid) {
-                        bbs.push(PlanBb {
-                            sizes: mk_sizes(&mut rng, hot_n, true),
-                            cold: false,
-                            term: PlanTerm::Call { callee },
-                        });
+                        let call = Terminator::Call { callee };
+                        plan.block(&mut rng, isa, hot_n + 1, false, call);
                     } else {
-                        bbs.push(PlanBb {
-                            sizes: mk_sizes(&mut rng, hot_n, false),
-                            cold: false,
-                            term: PlanTerm::FallThrough,
-                        });
+                        plan.block(&mut rng, isa, hot_n, false, Terminator::FallThrough);
                     }
                 } else {
                     // Straight code, occasionally biased/noisy branch to
                     // next block (pure fall-through otherwise).
-                    bbs.push(PlanBb {
-                        sizes: mk_sizes(&mut rng, hot_n, false),
-                        cold: false,
-                        term: PlanTerm::FallThrough,
-                    });
+                    plan.block(&mut rng, isa, hot_n, false, Terminator::FallThrough);
                 }
             }
             // Epilogue block with the single return.
             let epi_n = geometric(&mut rng, 3.0);
-            let sizes: Vec<u8> = (0..epi_n + 1).map(|_| isa.draw_size(rng.gen())).collect();
-            bbs.push(PlanBb {
-                sizes,
-                cold: false,
-                term: PlanTerm::Return,
+            plan.block(&mut rng, isa, epi_n + 1, false, Terminator::Return);
+            functions.push(Function {
+                entry: 0,
+                first_block,
+                n_blocks: plan.next_block() - first_block,
             });
-            plans.push(bbs);
         }
+        let Plan {
+            sizes,
+            mut blocks,
+            callees,
+            cum_weights,
+        } = plan;
 
         // ---- Pass 2: layout. ----
         let mut cursor: Addr = IMAGE_BASE;
-        let mut fn_entries: Vec<Addr> = Vec::with_capacity(n_fns);
-        let mut bb_starts: Vec<Vec<Addr>> = Vec::with_capacity(n_fns);
-        for plan in &plans {
+        for f in &mut functions {
             // Align function entries to 16 bytes.
             cursor = (cursor + 15) & !15;
-            fn_entries.push(cursor);
-            let mut starts = Vec::with_capacity(plan.len());
-            for bb in plan {
-                starts.push(cursor);
-                cursor += bb.sizes.iter().map(|&s| Addr::from(s)).sum::<Addr>();
+            f.entry = cursor;
+            for bb in &mut blocks[f.first_block as usize..][..f.n_blocks as usize] {
+                bb.start = cursor;
+                let bytes = &sizes[bb.first_instr as usize..][..bb.n_instrs as usize];
+                cursor += bytes.iter().map(|&s| Addr::from(s)).sum::<Addr>();
             }
-            bb_starts.push(starts);
         }
         let end = cursor;
+        assert!(
+            end - IMAGE_BASE < Addr::from(u32::MAX),
+            "image of {} bytes exceeds the u32 offset range",
+            end - IMAGE_BASE
+        );
 
-        // ---- Pass 3: materialize instructions. ----
-        let mut instrs: Vec<StaticInstr> = Vec::new();
-        let block_slots = end.saturating_sub(IMAGE_BASE).div_ceil(BLOCK_BYTES) as usize;
-        let mut slot_first: Vec<u32> = Vec::with_capacity(block_slots + 1);
-        let mut functions: Vec<Function> = Vec::with_capacity(n_fns);
-        for (fid, plan) in plans.iter().enumerate() {
-            let mut blocks = Vec::with_capacity(plan.len());
-            for (bid, bb) in plan.iter().enumerate() {
-                let start = bb_starts[fid][bid];
-                let first_instr = instrs.len() as u32;
-                let mut pc = start;
-                let n = bb.sizes.len();
-                for (i, &size) in bb.sizes.iter().enumerate() {
-                    let is_term = i + 1 == n;
-                    let (kind, target) = if is_term {
-                        match &bb.term {
-                            PlanTerm::FallThrough => (StaticKind::Other, None),
-                            PlanTerm::CondSkip { skip, .. } => {
-                                let tgt = bb_starts[fid][bid + 1 + *skip as usize];
-                                (StaticKind::CondBranch, Some(tgt))
-                            }
-                            PlanTerm::LoopBack { .. } => (StaticKind::CondBranch, Some(start)),
-                            PlanTerm::DispatchJump => (StaticKind::CondBranch, Some(start)),
-                            PlanTerm::Call { callee } => {
-                                (StaticKind::Call, Some(fn_entries[*callee as usize]))
-                            }
-                            PlanTerm::IndirectCall { .. } => (StaticKind::IndirectCall, None),
-                            PlanTerm::Return => (StaticKind::Return, None),
-                        }
-                    } else {
-                        (StaticKind::Other, None)
-                    };
-                    // Index each block slot's first instruction as the
-                    // (address-ordered) instructions are laid down.
-                    let slot = (block_of(pc) - block_of(IMAGE_BASE)) as usize;
-                    while slot_first.len() <= slot {
-                        slot_first.push(instrs.len() as u32);
-                    }
-                    instrs.push(StaticInstr {
-                        pc,
-                        size,
-                        kind,
-                        target,
+        // ---- Pass 3: index each block slot's first instruction. ----
+        let block_slots = (end - IMAGE_BASE).div_ceil(BLOCK_BYTES) as usize;
+        let mut slots: Vec<SlotStart> = Vec::with_capacity(block_slots);
+        for (bb, b) in blocks.iter().enumerate() {
+            let mut pc = b.start;
+            for instr in b.first_instr..b.first_instr + b.n_instrs {
+                let slot = (block_of(pc) - block_of(IMAGE_BASE)) as usize;
+                while slots.len() <= slot {
+                    slots.push(SlotStart {
+                        instr,
+                        bb: bb as u32,
+                        off: (pc - IMAGE_BASE) as u32,
                     });
-                    pc += Addr::from(size);
                 }
-                let term = match &bb.term {
-                    PlanTerm::FallThrough => Terminator::FallThrough,
-                    PlanTerm::CondSkip { p_taken, skip } => Terminator::Cond {
-                        p_taken: *p_taken,
-                        taken_to: bid as u32 + 1 + skip,
-                    },
-                    PlanTerm::LoopBack { iters } => Terminator::Loop {
-                        iters: *iters,
-                        taken_to: bid as u32,
-                    },
-                    PlanTerm::DispatchJump => Terminator::Cond {
-                        p_taken: 1.0,
-                        taken_to: bid as u32,
-                    },
-                    PlanTerm::Call { callee } => Terminator::Call { callee: *callee },
-                    PlanTerm::IndirectCall {
-                        callees,
-                        cum_weights,
-                    } => Terminator::IndirectCall {
-                        callees: callees.clone(),
-                        cum_weights: cum_weights.clone(),
-                    },
-                    PlanTerm::Return => Terminator::Return,
-                };
-                blocks.push(BasicBlock {
-                    start,
-                    first_instr,
-                    n_instrs: bb.sizes.len() as u32,
-                    cold: bb.cold,
-                    term,
-                });
+                pc += Addr::from(sizes[instr as usize]);
             }
-            functions.push(Function {
-                entry: fn_entries[fid],
-                blocks,
-            });
         }
+        // The last instruction may end in a block where none starts.
+        slots.resize(
+            block_slots,
+            SlotStart {
+                instr: sizes.len() as u32,
+                bb: blocks.len() as u32,
+                off: (end - IMAGE_BASE) as u32,
+            },
+        );
 
-        // Dispatcher's loop-back is a Jump in spirit; rewrite bb1's
-        // terminator instruction to an unconditional Jump back to bb0.
-        {
-            let disp = &functions[0];
-            let bb1 = &disp.blocks[1];
-            let idx = (bb1.first_instr + bb1.n_instrs - 1) as usize;
-            instrs[idx].kind = StaticKind::Jump;
-            instrs[idx].target = Some(disp.entry);
-        }
-        slot_first.resize(block_slots + 1, instrs.len() as u32);
-        let mut image = ProgramImage {
+        ProgramImage {
             params: params.clone(),
             isa,
-            functions,
-            instrs,
+            functions: functions.into_boxed_slice(),
+            blocks: blocks.into_boxed_slice(),
+            sizes: sizes.into_boxed_slice(),
+            callees: callees.into_boxed_slice(),
+            cum_weights: cum_weights.into_boxed_slice(),
             roots,
             end,
-            block_slots,
-            slot_first,
-        };
-        image.functions[0].blocks[1].term = Terminator::Jump { to: 0 };
-        debug_assert!(image.instrs.windows(2).all(|w| w[0].pc < w[1].pc));
-        image
+            slots: slots.into_boxed_slice(),
+        }
     }
 
     /// The parameters this image was built from.
@@ -525,9 +467,37 @@ impl ProgramImage {
         &self.functions
     }
 
-    /// The flat, address-sorted static instruction array.
-    pub fn instrs(&self) -> &[StaticInstr] {
-        &self.instrs
+    /// Every basic block, in layout order; a function's blocks are
+    /// [`ProgramImage::blocks_of`].
+    pub fn blocks(&self) -> &[BasicBlock] {
+        &self.blocks
+    }
+
+    /// The basic blocks of `f`, in layout order.
+    pub fn blocks_of(&self, f: &Function) -> &[BasicBlock] {
+        &self.blocks[f.first_block as usize..][..f.n_blocks as usize]
+    }
+
+    /// Basic block `bb` (an index into [`ProgramImage::blocks`]).
+    #[inline]
+    pub(crate) fn block(&self, bb: u32) -> &BasicBlock {
+        &self.blocks[bb as usize]
+    }
+
+    /// Encoded size of static instruction `idx` (see
+    /// [`BasicBlock::first_instr`]).
+    #[inline]
+    pub(crate) fn instr_size(&self, idx: u32) -> u8 {
+        self.sizes[idx as usize]
+    }
+
+    /// The candidates of an indirect call
+    /// ([`Terminator::IndirectCall`]) and their cumulative selection
+    /// weights, which end at 1.0.
+    #[inline]
+    pub(crate) fn call_table(&self, first: u32, len: u32) -> (&[u32], &[f64]) {
+        let range = first as usize..(first + len) as usize;
+        (&self.callees[range.clone()], &self.cum_weights[range])
     }
 
     /// Root handler function indexes.
@@ -547,34 +517,32 @@ impl ProgramImage {
 
     /// Number of distinct 64-byte blocks holding code.
     pub fn code_blocks(&self) -> usize {
-        let mut n = 0;
-        let mut last = None;
-        for i in &self.instrs {
-            let b = block_of(i.pc);
-            if last != Some(b) {
-                n += 1;
-                last = Some(b);
-            }
-        }
-        n
+        // An instruction starts in a slot iff the slot's first
+        // instruction comes before the next slot's.
+        let next = self.slots.iter().skip(1).map(|s| s.instr);
+        let next = next.chain([self.sizes.len() as u32]);
+        self.slots
+            .iter()
+            .zip(next)
+            .filter(|(s, next)| s.instr < *next)
+            .count()
     }
 
     /// Counts static branch sites by class:
     /// `(conditional, unconditional_direct, indirect, returns)`.
     pub fn branch_census(&self) -> (usize, usize, usize, usize) {
-        let mut cond = 0;
-        let mut uncond = 0;
-        let mut indirect = 0;
-        let mut rets = 0;
-        for i in &self.instrs {
-            match i.kind {
-                StaticKind::CondBranch => cond += 1,
-                StaticKind::Jump | StaticKind::Call => uncond += 1,
-                StaticKind::IndirectJump | StaticKind::IndirectCall => indirect += 1,
-                StaticKind::Return => rets += 1,
-                StaticKind::Other => {}
-            }
+        let mut counts = [0usize; 4];
+        for bb in self.blocks.iter() {
+            let class = match bb.term {
+                Terminator::FallThrough => continue,
+                Terminator::Cond { .. } | Terminator::Loop { .. } => 0,
+                Terminator::Jump { .. } | Terminator::Call { .. } => 1,
+                Terminator::IndirectCall { .. } => 2,
+                Terminator::Return => 3,
+            };
+            counts[class] += 1;
         }
+        let [cond, uncond, indirect, rets] = counts;
         (cond, uncond, indirect, rets)
     }
 
@@ -582,24 +550,63 @@ impl ProgramImage {
     /// [`IMAGE_BASE`] up to [`ProgramImage::end`]. Block `b` of the
     /// image has slot `b - block_of(IMAGE_BASE)`.
     pub fn block_slots(&self) -> usize {
-        self.block_slots
+        self.slots.len()
     }
 
-    /// The instructions of `block` as a slice (no allocation): two
-    /// loads from the per-slot index built with the image.
-    pub fn block_slice(&self, block: Block) -> &[StaticInstr] {
-        match self.block_slot(block) {
-            Some(slot) => {
-                &self.instrs[self.slot_first[slot] as usize..self.slot_first[slot + 1] as usize]
+    /// The kind and encoded target of the instruction that ends a block
+    /// with `term`.
+    fn terminator_instr(&self, term: Terminator) -> (StaticKind, Option<Addr>) {
+        match term {
+            Terminator::FallThrough => (StaticKind::Other, None),
+            Terminator::Cond { taken_to, .. } | Terminator::Loop { taken_to, .. } => {
+                (StaticKind::CondBranch, Some(self.block(taken_to).start))
             }
-            None => &[],
+            Terminator::Jump { to } => (StaticKind::Jump, Some(self.block(to).start)),
+            Terminator::Call { callee } => (
+                StaticKind::Call,
+                Some(self.functions[callee as usize].entry),
+            ),
+            Terminator::IndirectCall { .. } => (StaticKind::IndirectCall, None),
+            Terminator::Return => (StaticKind::Return, None),
         }
     }
 }
 
 impl CodeMemory for ProgramImage {
+    /// Walks the block's instructions from the slot index: a pc runs on
+    /// by each size byte and restarts at each basic block's start (a
+    /// function's entry may be aligned past its predecessor's end).
     fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
-        self.block_slice(block).iter().for_each(f);
+        let Some(slot) = self.block_slot(block) else {
+            return;
+        };
+        let SlotStart { instr, bb, off } = self.slots[slot];
+        let limit = block_base(block) + BLOCK_BYTES;
+        let mut bb = bb;
+        let mut pc = IMAGE_BASE + Addr::from(off);
+        for idx in instr..self.sizes.len() as u32 {
+            let b = self.block(bb);
+            if idx == b.first_instr {
+                pc = b.start;
+            }
+            if pc >= limit {
+                break;
+            }
+            let (kind, target) = if idx + 1 == b.first_instr + b.n_instrs {
+                bb += 1;
+                self.terminator_instr(b.term)
+            } else {
+                (StaticKind::Other, None)
+            };
+            let size = self.instr_size(idx);
+            f(&StaticInstr {
+                pc,
+                size,
+                kind,
+                target,
+            });
+            pc += Addr::from(size);
+        }
     }
 
     /// The block's offset from the image base, for blocks inside the
@@ -607,7 +614,7 @@ impl CodeMemory for ProgramImage {
     #[inline]
     fn block_slot(&self, block: Block) -> Option<usize> {
         let slot = block.checked_sub(block_of(IMAGE_BASE))? as usize;
-        (slot < self.block_slots).then_some(slot)
+        (slot < self.slots.len()).then_some(slot)
     }
 }
 

@@ -110,9 +110,8 @@ fn rebased(s: &StaticInstr, offset: Addr) -> StaticInstr {
 impl CodeMemory for MixCode {
     fn for_each_in_block(&self, block: Block, f: &mut dyn FnMut(&StaticInstr)) {
         if let Some((t, inner)) = self.locate(block) {
-            for s in t.image.block_slice(inner) {
-                f(&rebased(s, t.offset));
-            }
+            t.image
+                .for_each_in_block(inner, &mut |s| f(&rebased(s, t.offset)));
         }
     }
 

@@ -9,7 +9,7 @@
 //! matched by exactly one `Return`.
 
 use crate::image::{ProgramImage, Terminator};
-use dcfb_trace::{Addr, Instr, InstrKind, InstrStream, StaticKind};
+use dcfb_trace::{Addr, Instr, InstrKind, InstrStream};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -19,16 +19,22 @@ pub struct Walker {
     image: Arc<ProgramImage>,
     rng: SmallRng,
     cur_fn: u32,
+    /// Index in [`ProgramImage::blocks`] of the current basic block.
     cur_bb: u32,
-    /// Index in [`ProgramImage::instrs`] of the next instruction.
+    /// Index of the next instruction (see
+    /// [`ProgramImage::instr_size`]).
     cur_idx: u32,
+    /// Address of the next instruction.
+    pc: Addr,
     /// Index of the current basic block's last instruction (its
     /// terminator): every instruction before it is a plain
-    /// [`StaticKind::Other`], emitted without looking at the block.
+    /// fall-through, emitted from its size byte alone.
     bb_last: u32,
     stack: Vec<(u32, u32)>, // (function, resume bb)
-    /// Remaining trips of the loop at (function, bb), when active.
-    loop_counts: fxhash::FxHashMap<(u32, u32), u32>,
+    /// Trips left of the active loop, 0 when none. A `Loop` terminator
+    /// targets its own block, which makes no call, so at most one loop
+    /// is active and it is the current block.
+    loop_left: u32,
     emitted: u64,
     transactions: u64,
     max_depth_seen: usize,
@@ -45,15 +51,17 @@ impl Walker {
             cur_fn: 0,
             cur_bb: 0,
             cur_idx: 0,
+            pc: 0,
             bb_last: 0,
             stack: Vec::with_capacity(64),
-            loop_counts: fxhash::FxHashMap::default(),
+            loop_left: 0,
             emitted: 0,
             transactions: 0,
             max_depth_seen: 0,
             #[cfg(debug_assertions)]
             expected_pc: None,
         };
+        // The dispatcher's first block is the image's first.
         w.enter(0, 0);
         w
     }
@@ -78,18 +86,15 @@ impl Walker {
         self.max_depth_seen
     }
 
-    #[inline]
-    fn bb_start(&self, f: u32, bb: u32) -> Addr {
-        self.image.functions()[f as usize].blocks[bb as usize].start
-    }
-
-    /// Moves to the start of basic block `bb` of function `f`.
+    /// Moves to the start of basic block `bb` (an index into
+    /// [`ProgramImage::blocks`]) of function `f`.
     #[inline]
     fn enter(&mut self, f: u32, bb: u32) {
-        let b = &self.image.functions()[f as usize].blocks[bb as usize];
+        let b = self.image.block(bb);
         self.cur_fn = f;
         self.cur_bb = bb;
         self.cur_idx = b.first_instr;
+        self.pc = b.start;
         self.bb_last = b.first_instr + b.n_instrs - 1;
     }
 
@@ -117,14 +122,14 @@ enum Next {
 impl InstrStream for Walker {
     /// Inlinable fast path: inside a basic block every instruction
     /// before the terminator is a plain fall-through, emitted from the
-    /// flat instruction array alone.
+    /// running pc and one size byte.
     #[inline]
     fn next_instr(&mut self) -> Option<Instr> {
         if self.cur_idx < self.bb_last {
-            let s = &self.image.instrs()[self.cur_idx as usize];
-            debug_assert_eq!(s.kind, StaticKind::Other);
-            let out = Instr::other(s.pc, s.size);
+            let size = self.image.instr_size(self.cur_idx);
+            let out = Instr::other(self.pc, size);
             self.cur_idx += 1;
+            self.pc += Addr::from(size);
             self.check_continuity(&out);
             self.emitted += 1;
             return Some(out);
@@ -142,72 +147,61 @@ impl Walker {
         // workload, so a per-instruction refcount write would bounce
         // its cache line between cores.
         let image: &ProgramImage = &self.image;
-        let s = &image.instrs()[self.cur_idx as usize];
-        let bb = &image.functions()[self.cur_fn as usize].blocks[self.cur_bb as usize];
-        let (out, next) = match &bb.term {
-            Terminator::FallThrough => {
-                debug_assert_eq!(s.kind, StaticKind::Other);
-                (Instr::other(s.pc, s.size), Next::Bb(self.cur_bb + 1))
-            }
+        let (pc, size) = (self.pc, image.instr_size(self.cur_idx));
+        let bb_start = |bb: u32| image.block(bb).start;
+        let (out, next) = match image.block(self.cur_bb).term {
+            Terminator::FallThrough => (Instr::other(pc, size), Next::Bb(self.cur_bb + 1)),
             Terminator::Cond { p_taken, taken_to } => {
-                let taken = self.rng.gen_range(0.0..1.0) < *p_taken;
+                let taken = self.rng.gen_range(0.0..1.0) < p_taken;
                 let instr = Instr::branch(
-                    s.pc,
-                    s.size,
+                    pc,
+                    size,
                     InstrKind::CondBranch { taken },
-                    self.bb_start(self.cur_fn, *taken_to),
+                    bb_start(taken_to),
                 );
                 let next = if taken {
-                    Next::Bb(*taken_to)
+                    Next::Bb(taken_to)
                 } else {
                     Next::Bb(self.cur_bb + 1)
                 };
                 (instr, next)
             }
             Terminator::Loop { iters, taken_to } => {
-                let key = (self.cur_fn, self.cur_bb);
-                let remaining = self.loop_counts.entry(key).or_insert(*iters);
-                let taken = *remaining > 1;
-                if taken {
-                    *remaining -= 1;
+                let remaining = if self.loop_left == 0 {
+                    iters
                 } else {
-                    self.loop_counts.remove(&key);
-                }
+                    self.loop_left
+                };
+                let taken = remaining > 1;
+                self.loop_left = if taken { remaining - 1 } else { 0 };
                 let instr = Instr::branch(
-                    s.pc,
-                    s.size,
+                    pc,
+                    size,
                     InstrKind::CondBranch { taken },
-                    self.bb_start(self.cur_fn, *taken_to),
+                    bb_start(taken_to),
                 );
                 let next = if taken {
-                    Next::Bb(*taken_to)
+                    Next::Bb(taken_to)
                 } else {
                     Next::Bb(self.cur_bb + 1)
                 };
                 (instr, next)
             }
             Terminator::Jump { to } => (
-                Instr::branch(
-                    s.pc,
-                    s.size,
-                    InstrKind::Jump,
-                    self.bb_start(self.cur_fn, *to),
-                ),
-                Next::Bb(*to),
+                Instr::branch(pc, size, InstrKind::Jump, bb_start(to)),
+                Next::Bb(to),
             ),
             Terminator::Call { callee } => (
                 Instr::branch(
-                    s.pc,
-                    s.size,
+                    pc,
+                    size,
                     InstrKind::Call,
-                    image.functions()[*callee as usize].entry,
+                    image.functions()[callee as usize].entry,
                 ),
-                Next::CallInto(*callee),
+                Next::CallInto(callee),
             ),
-            Terminator::IndirectCall {
-                callees,
-                cum_weights,
-            } => {
+            Terminator::IndirectCall { first, len } => {
+                let (callees, cum_weights) = image.call_table(first, len);
                 let u: f64 = self.rng.gen_range(0.0..1.0);
                 let pick = cum_weights
                     .partition_point(|&c| c < u)
@@ -215,8 +209,8 @@ impl Walker {
                 let callee = callees[pick];
                 (
                     Instr::branch(
-                        s.pc,
-                        s.size,
+                        pc,
+                        size,
                         InstrKind::IndirectCall,
                         image.functions()[callee as usize].entry,
                     ),
@@ -226,9 +220,9 @@ impl Walker {
             Terminator::Return => {
                 // Safety net (0, 0): never hit, the dispatcher never
                 // returns.
-                let (rf, rbb) = self.stack.last().copied().unwrap_or((0, 0));
+                let (_, rbb) = self.stack.last().copied().unwrap_or((0, 0));
                 (
-                    Instr::branch(s.pc, s.size, InstrKind::Return, self.bb_start(rf, rbb)),
+                    Instr::branch(pc, size, InstrKind::Return, bb_start(rbb)),
                     Next::Pop,
                 )
             }
@@ -244,7 +238,8 @@ impl Walker {
                 if self.cur_fn == 0 {
                     self.transactions += 1;
                 }
-                self.enter(callee, 0);
+                let first = self.image.functions()[callee as usize].first_block;
+                self.enter(callee, first);
             }
             Next::Pop => {
                 let (rf, rbb) = self.stack.pop().unwrap_or((0, 0));
@@ -294,6 +289,54 @@ mod tests {
         for _ in 0..50_000 {
             assert_eq!(a.next_instr(), b.next_instr());
         }
+    }
+
+    /// FNV-1a over the first `n` instructions of `w`.
+    fn stream_digest(w: &mut Walker, n: usize) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..n {
+            let i = w.next_instr().unwrap();
+            let taken = matches!(i.kind, InstrKind::CondBranch { taken: true });
+            let mut bytes = [0u8; 18];
+            bytes[..8].copy_from_slice(&i.pc.to_le_bytes());
+            bytes[8] = i.size;
+            bytes[9] = i.kind.static_kind() as u8 | u8::from(taken) << 4;
+            bytes[10..].copy_from_slice(&i.target.to_le_bytes());
+            for b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Stream digests of the seven catalog workloads (200 K
+    /// instructions, trace seed 1), `(fixed, variable)`, in
+    /// `workload_names()` order; pinned so that a change to how the
+    /// image or the walker stores its state cannot move the stream.
+    const CATALOG_STREAM_DIGESTS: [(u64, u64); 7] = [
+        (0x0682_c01d_2d7c_a03e, 0x0276_3402_a718_be74),
+        (0xd0d2_21f6_b153_e395, 0xca12_1dd8_2e10_dfb8),
+        (0x9383_ee29_efdf_f29a, 0xdfad_7b62_ffed_10c8),
+        (0xfdab_c81a_27af_065a, 0xef45_ad09_111c_4328),
+        (0xaa6d_d3d9_4d9f_f8eb, 0x0cc9_7545_1ed0_09b9),
+        (0x61c5_5bbf_b7de_28e2, 0x3981_fe7e_42d4_84be),
+        (0xcf13_2990_0c31_06b6, 0x9aa7_0627_1467_d8c0),
+    ];
+
+    #[test]
+    fn catalog_streams_match_pinned_digests() {
+        let got: Vec<(u64, u64)> = crate::all_workloads()
+            .iter()
+            .map(|w| {
+                let mut f = w.walker(IsaMode::Fixed4, 1);
+                let mut v = w.walker(IsaMode::Variable, 1);
+                (
+                    stream_digest(&mut f, 200_000),
+                    stream_digest(&mut v, 200_000),
+                )
+            })
+            .collect();
+        assert_eq!(got, CATALOG_STREAM_DIGESTS);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! configuration must produce structurally sound images, traces, and
 //! simulation reports.
 
+use dcfb_integration::image_instrs;
 use dcfb_sim::SimConfig;
-use dcfb_trace::{block_of, InstrStream, IsaMode};
+use dcfb_trace::{block_of, CodeMemory, InstrStream, IsaMode};
 use dcfb_workloads::{ResolvedWorkload, Terminator, Walker, Workload, WorkloadParams};
 use proptest::prelude::*;
 
@@ -45,21 +46,34 @@ proptest! {
     #[test]
     fn any_image_is_structurally_sound(params in arb_params(), seed in 0u64..1000) {
         let image = dcfb_workloads::ProgramImage::build(&params, seed, IsaMode::Fixed4);
-        // Instructions strictly ordered and non-overlapping.
-        for w in image.instrs().windows(2) {
+        // Block enumeration yields every instruction once, strictly
+        // ordered and non-overlapping.
+        let instrs = image_instrs(&image);
+        for w in instrs.windows(2) {
             prop_assert!(w[0].pc + u64::from(w[0].size) <= w[1].pc);
         }
+        let total: u64 = image.blocks().iter().map(|b| u64::from(b.n_instrs)).sum();
+        prop_assert_eq!(instrs.len() as u64, total);
+        let mid = instrs[instrs.len() / 2];
+        let blk = image.instrs_in_block(block_of(mid.pc));
+        prop_assert!(blk.contains(&mid));
         // Every function ends in Return (except the dispatcher).
         for f in image.functions().iter().skip(1) {
             prop_assert!(matches!(
-                f.blocks.last().unwrap().term,
+                image.blocks_of(f).last().unwrap().term,
                 Terminator::Return
             ));
         }
-        // Block lookup agrees with the flat array.
-        let mid = image.instrs()[image.instrs().len() / 2];
-        let blk = image.block_slice(block_of(mid.pc));
-        prop_assert!(blk.iter().any(|i| i.pc == mid.pc));
+        // Each basic block starts at its first instruction and ends in
+        // a branch exactly when its terminator is one.
+        for bb in image.blocks() {
+            prop_assert_eq!(instrs[bb.first_instr as usize].pc, bb.start);
+            let last = instrs[(bb.first_instr + bb.n_instrs - 1) as usize];
+            prop_assert_eq!(
+                last.kind.is_branch(),
+                !matches!(bb.term, Terminator::FallThrough)
+            );
+        }
     }
 
     #[test]
