@@ -1,106 +1,187 @@
-//! Shared run helpers: scaled configurations, image caching, and
-//! baseline caching, so regenerating all experiments stays fast.
+//! The batch's data path: the run scale, the run spec a figure declares,
+//! and the executor that runs each distinct spec once on the worker
+//! pool.
 
+use crate::sweep::parallel_map_jobs;
+use dcfb_errors::panic_message;
 use dcfb_sim::{SimConfig, SimReport};
 use dcfb_trace::IsaMode;
-use dcfb_workloads::{all_workloads, ProgramImage, ResolvedWorkload, Workload};
-use std::collections::HashMap;
+use dcfb_workloads::{all_workloads, workload, ProgramImage, ResolvedWorkload, Workload};
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The trace seed used by every experiment (determinism).
 pub const TRACE_SEED: u64 = 0xD0_5EED;
 
-/// Parses an environment value, reporting malformed input.
-///
-/// Returns the parsed value (or `default`) plus a warning message when
-/// `raw` was present but not a valid `u64`. Split from [`env_u64`] so
-/// the warning path is unit-testable without touching process state.
-fn parse_env_u64(name: &str, raw: Option<&str>, default: u64) -> (u64, Option<String>) {
-    match raw {
-        None => (default, None),
-        Some(v) => match v.parse() {
-            Ok(n) => (n, None),
-            Err(_) => (
-                default,
-                Some(format!(
-                    "warning: ignoring malformed {name}={v:?} (expected an unsigned integer); using default {default}"
-                )),
+/// The batch scale, read once from the environment.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Scale {
+    /// Warmup instructions per run (`DCFB_WARMUP`, default 1 M).
+    pub warmup: u64,
+    /// Measured instructions per run (`DCFB_MEASURE`, default 2 M).
+    pub measure: u64,
+    /// How many catalog workloads the figures sweep, from the first
+    /// (`DCFB_WORKLOADS`, default all 7; clamped to 1..=7).
+    pub workloads: usize,
+    /// Worker-pool size (`DCFB_JOBS`, default = available parallelism;
+    /// 0 is treated as 1). Results are merged in item order, so the
+    /// output is byte-identical for every job count.
+    pub jobs: usize,
+}
+
+impl Scale {
+    /// Reads the four scale variables. A value that is not an unsigned
+    /// integer is an error naming the variable.
+    pub fn from_env() -> Result<Scale, String> {
+        Scale::parse(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`Scale::from_env`] over any variable source.
+    fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Scale, String> {
+        let read = |name: &str, default: u64| match var(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse::<u64>()
+                .map_err(|_| format!("{name}={v:?} is not an unsigned integer")),
+        };
+        let catalog = all_workloads().len();
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Ok(Scale {
+            warmup: read("DCFB_WARMUP", 1_000_000)?,
+            measure: read("DCFB_MEASURE", 2_000_000)?,
+            workloads: usize::try_from(read("DCFB_WORKLOADS", catalog as u64)?)
+                .unwrap_or(catalog)
+                .clamp(1, catalog),
+            jobs: usize::try_from(read("DCFB_JOBS", host as u64)?)
+                .unwrap_or(host)
+                .max(1),
+        })
+    }
+
+    /// The workloads the figures sweep, in catalog order.
+    pub fn workload_list(&self) -> Vec<Workload> {
+        all_workloads().into_iter().take(self.workloads).collect()
+    }
+
+    /// `cfg` with this scale's warmup and measure window.
+    pub fn config(&self, mut cfg: SimConfig) -> SimConfig {
+        cfg.warmup_instrs = self.warmup;
+        cfg.measure_instrs = self.measure;
+        cfg
+    }
+
+    /// The scaled configuration of a named method.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown method name. Figures pass only the fixed
+    /// method names of their tables, so an unknown one is a bug in this
+    /// crate; the CLI reports a user's unknown name as
+    /// [`dcfb_errors::DcfbError::UnknownMethod`].
+    pub fn method(&self, name: &str) -> SimConfig {
+        match SimConfig::for_method(name) {
+            Some(cfg) => self.config(cfg),
+            #[allow(clippy::panic)]
+            None => panic!("unknown method {name:?}"),
+        }
+    }
+}
+
+/// One simulation a figure reads: a catalog workload and the full
+/// configuration. Every run uses [`TRACE_SEED`], so the pair is the
+/// run's identity, and two figures that declare equal specs share one
+/// run.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct RunSpec {
+    /// The catalog workload's name.
+    pub workload: &'static str,
+    /// The machine and window.
+    pub cfg: SimConfig,
+}
+
+impl RunSpec {
+    /// `cfg` on `workload`.
+    pub fn new(workload: &Workload, cfg: SimConfig) -> Self {
+        RunSpec {
+            workload: workload.name,
+            cfg,
+        }
+    }
+}
+
+/// The specs of `declared` with duplicates dropped, in first-declared
+/// order.
+pub fn distinct<'a>(declared: impl IntoIterator<Item = &'a RunSpec>) -> Vec<RunSpec> {
+    let mut seen = HashSet::new();
+    declared
+        .into_iter()
+        .filter(|spec| seen.insert(*spec))
+        .cloned()
+        .collect()
+}
+
+/// Every run's outcome by spec: its report, or the message of the
+/// error it returned or the panic it raised.
+pub type Results = HashMap<RunSpec, Result<SimReport, String>>;
+
+/// Runs each of `specs` once on `jobs` workers. A failing run is
+/// recorded, not propagated, so it fails only the figures that read it.
+pub fn run_specs(specs: Vec<RunSpec>, jobs: usize) -> Results {
+    let outcomes = parallel_map_jobs(specs.clone(), jobs, |spec| {
+        catch_unwind(AssertUnwindSafe(|| run(spec)))
+            .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())))
+    });
+    specs.into_iter().zip(outcomes).collect()
+}
+
+/// Runs one spec on its workload's cached image.
+fn run(spec: &RunSpec) -> Result<SimReport, String> {
+    let w =
+        workload(spec.workload).ok_or_else(|| format!("unknown workload {:?}", spec.workload))?;
+    let source = ResolvedWorkload::from_image(image_for(&w, spec.cfg.isa));
+    dcfb_sim::run(&source, spec.cfg.clone(), TRACE_SEED)
+        .map(|run| run.report)
+        .map_err(|e| e.to_string())
+}
+
+/// One figure's view of the batch: the reports of exactly the runs it
+/// declared.
+pub struct Reports<'a> {
+    runs: HashMap<&'a RunSpec, &'a SimReport>,
+}
+
+impl<'a> Reports<'a> {
+    /// The reports of `declared`, or the message of the first declared
+    /// run that failed. Every declared spec is in `results`: the batch
+    /// runs them all.
+    pub fn of(declared: &'a [RunSpec], results: &'a Results) -> Result<Self, String> {
+        let reports = declared.iter().map(|spec| {
+            let outcome = results[spec].as_ref();
+            outcome.map(|report| (spec, report)).map_err(String::clone)
+        });
+        Ok(Reports {
+            runs: reports.collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// The report of `cfg` on `workload`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a run the figure did not declare: that is a bug in the
+    /// figure, and it fails the figure instead of running silently.
+    pub fn get(&self, workload: &Workload, cfg: &SimConfig) -> &'a SimReport {
+        let spec = RunSpec::new(workload, cfg.clone());
+        match self.runs.get(&spec) {
+            Some(report) => report,
+            #[allow(clippy::panic)]
+            None => panic!(
+                "read an undeclared run: {} on {}",
+                cfg.prefetcher.name(),
+                workload.name
             ),
-        },
-    }
-}
-
-/// Reads and memoizes one environment scale knob.
-///
-/// Each variable is read from the process environment exactly once; the
-/// parsed value (`Some` for a valid integer, `None` for absent or
-/// malformed, which falls back to the caller's default) is cached for
-/// the life of the process. The malformed-value warning is returned only
-/// by the call that performed the first read, so a sweep running on N
-/// worker threads prints it once instead of once per worker.
-fn env_u64_memo(name: &str, default: u64) -> (u64, Option<String>) {
-    static CACHE: OnceLock<Mutex<HashMap<String, Option<u64>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    // The first reader holds the lock across the env read, so
-    // concurrent callers cannot race to a second read/warning.
-    let mut guard = lock_cache(cache);
-    if let Some(parsed) = guard.get(name) {
-        return (parsed.unwrap_or(default), None);
-    }
-    let raw = std::env::var(name).ok();
-    let (value, warning) = parse_env_u64(name, raw.as_deref(), default);
-    // Malformed and absent both memoize as None: the default applies,
-    // and per-caller defaults stay free to differ.
-    let parsed = raw.as_deref().and_then(|r| r.parse().ok());
-    guard.insert(name.to_owned(), parsed);
-    (value, warning)
-}
-
-pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
-    let (value, warning) = env_u64_memo(name, default);
-    if let Some(w) = warning {
-        eprintln!("{w}");
-    }
-    value
-}
-
-/// Warmup instructions per run (`DCFB_WARMUP`, default 1 M).
-pub fn warmup_instrs() -> u64 {
-    env_u64("DCFB_WARMUP", 1_000_000)
-}
-
-/// Measured instructions per run (`DCFB_MEASURE`, default 2 M).
-pub fn measure_instrs() -> u64 {
-    env_u64("DCFB_MEASURE", 2_000_000)
-}
-
-/// The workload list, optionally truncated by `DCFB_WORKLOADS`.
-pub fn workloads() -> Vec<Workload> {
-    let all = all_workloads();
-    let n = env_u64("DCFB_WORKLOADS", all.len() as u64) as usize;
-    all.into_iter().take(n.max(1)).collect()
-}
-
-/// Applies the experiment scale to a configuration.
-pub fn scaled(mut cfg: SimConfig) -> SimConfig {
-    cfg.warmup_instrs = warmup_instrs();
-    cfg.measure_instrs = measure_instrs();
-    cfg
-}
-
-/// A scaled configuration for a named method.
-///
-/// # Panics
-///
-/// Panics on an unknown method name. Figure generators pass only the
-/// fixed method names of their tables, so an unknown one is a bug in
-/// this crate; the CLI reports a user's unknown name as
-/// [`dcfb_errors::DcfbError::UnknownMethod`].
-pub fn method_config(name: &str) -> SimConfig {
-    match SimConfig::for_method(name) {
-        Some(cfg) => scaled(cfg),
-        #[allow(clippy::panic)]
-        None => panic!("unknown method {name:?}"),
+        }
     }
 }
 
@@ -141,118 +222,81 @@ pub fn image_for(workload: &Workload, isa: IsaMode) -> Arc<ProgramImage> {
     Arc::clone(cell.get_or_init(|| workload.image(isa)))
 }
 
-/// Runs `cfg` on `workload` (cached image, fixed trace seed).
-///
-/// # Panics
-///
-/// Panics if `cfg` fails validation (e.g. a zero `DCFB_WARMUP`); the
-/// figure-level `catch_unwind` in `all_experiments` reports it.
-pub fn run(workload: &Workload, cfg: SimConfig) -> SimReport {
-    let source = ResolvedWorkload::from_image(image_for(workload, cfg.isa));
-    match dcfb_sim::run(&source, cfg, TRACE_SEED) {
-        Ok(run) => run.report,
-        #[allow(clippy::panic)]
-        Err(e) => panic!("{e}"),
-    }
-}
-
-fn baseline_cache() -> &'static KeyedOnce<String, SimReport> {
-    static CACHE: OnceLock<KeyedOnce<String, SimReport>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The no-prefetcher baseline for `workload` at the current scale
-/// (cached per process; computed exactly once even under parallel
-/// workers — concurrent callers block on the in-flight run instead of
-/// duplicating it).
-pub fn baseline(workload: &Workload) -> SimReport {
-    let key = format!("{}:{}:{}", workload.name, warmup_instrs(), measure_instrs());
-    let cell = once_cell_for(baseline_cache(), key);
-    cell.get_or_init(|| run(workload, method_config("Baseline")))
-        .clone()
-}
-
-/// Runs `cfg` on every workload through the parallel executor, in
-/// workload order. A panicking run propagates out of the worker pool
-/// to the figure-level `catch_unwind` in `all_experiments`, the one
-/// crash-isolation boundary of a batch.
-pub fn run_all(cfg: &SimConfig) -> Vec<(Workload, SimReport)> {
-    crate::sweep::parallel_map(workloads(), |w| (w.clone(), run(w, cfg.clone())))
-}
-
-/// [`run_all`] plus each workload's cached baseline.
-pub fn run_all_with_baseline(cfg: &SimConfig) -> Vec<(Workload, SimReport, SimReport)> {
-    crate::sweep::parallel_map(workloads(), |w| {
-        let rep = run(w, cfg.clone());
-        (w.clone(), rep, baseline(w))
-    })
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
+    fn scale_of(vars: &[(&str, &str)]) -> Result<Scale, String> {
+        Scale::parse(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_owned())
+        })
+    }
+
     #[test]
     fn scale_env_defaults() {
-        assert!(warmup_instrs() >= 1);
-        assert!(measure_instrs() >= 1);
-        assert!(!workloads().is_empty());
+        let s = scale_of(&[]).unwrap();
+        assert_eq!((s.warmup, s.measure), (1_000_000, 2_000_000));
+        assert_eq!(s.workload_list().len(), all_workloads().len());
+        let s = scale_of(&[("DCFB_WORKLOADS", "0"), ("DCFB_WARMUP", "0")]).unwrap();
+        assert_eq!((s.workloads, s.warmup), (1, 0));
+        assert_eq!(scale_of(&[("DCFB_WORKLOADS", "99")]).unwrap().workloads, 7);
     }
 
     #[test]
-    fn malformed_env_values_warn_and_fall_back() {
-        // Valid value parses, no warning.
-        let (v, warn) = parse_env_u64("DCFB_TEST", Some("42"), 7);
-        assert_eq!(v, 42);
-        assert!(warn.is_none());
-        // Absent value: default, no warning.
-        let (v, warn) = parse_env_u64("DCFB_TEST", None, 7);
-        assert_eq!(v, 7);
-        assert!(warn.is_none());
-        // Malformed values: default, one-line warning naming the var.
-        for bad in ["2M", "-1", "1e6", "", "0x10"] {
-            let (v, warn) = parse_env_u64("DCFB_TEST", Some(bad), 7);
-            assert_eq!(v, 7, "{bad:?}");
-            let w = warn.unwrap_or_else(|| panic!("no warning for {bad:?}"));
-            assert!(w.contains("DCFB_TEST"), "{w}");
-            assert!(w.contains("warning"), "{w}");
-            assert!(!w.contains('\n'), "{w}");
-        }
-        // End-to-end through the process environment.
-        std::env::set_var("DCFB_TEST_MALFORMED_U64", "not-a-number");
-        assert_eq!(env_u64("DCFB_TEST_MALFORMED_U64", 13), 13);
-        std::env::remove_var("DCFB_TEST_MALFORMED_U64");
-    }
-
-    #[test]
-    fn env_warning_is_emitted_exactly_once_across_threads() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // A malformed value hammered from four worker threads must
-        // produce exactly one warning (the variable is read and
-        // memoized on first access), not one per worker per call.
-        std::env::set_var("DCFB_TEST_WARN_ONCE", "banana");
-        let warnings = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..8 {
-                        let (v, warn) = env_u64_memo("DCFB_TEST_WARN_ONCE", 9);
-                        assert_eq!(v, 9);
-                        if warn.is_some() {
-                            warnings.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                });
+    fn malformed_scale_values_are_errors() {
+        for var in ["DCFB_WARMUP", "DCFB_MEASURE", "DCFB_WORKLOADS", "DCFB_JOBS"] {
+            for bad in ["2k", "-1", "1e6", "", "0x10", "banana"] {
+                let e = scale_of(&[(var, bad)]).unwrap_err();
+                assert!(e.contains(var), "{e}");
+                assert!(!e.contains('\n'), "{e}");
             }
-        });
-        assert_eq!(warnings.load(Ordering::SeqCst), 1);
-        std::env::remove_var("DCFB_TEST_WARN_ONCE");
+        }
+    }
+
+    #[test]
+    fn jobs_is_at_least_one() {
+        assert_eq!(scale_of(&[("DCFB_JOBS", "0")]).unwrap().jobs, 1);
+        assert_eq!(scale_of(&[("DCFB_JOBS", "3")]).unwrap().jobs, 3);
+    }
+
+    #[test]
+    fn jobs_defaults_to_host_parallelism_when_env_unset() {
+        let host = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        assert_eq!(scale_of(&[]).unwrap().jobs, host);
+    }
+
+    #[test]
+    fn a_figure_sees_its_failed_and_undeclared_runs_as_errors() {
+        let w = &all_workloads()[0];
+        let scale = Scale {
+            warmup: 200,
+            measure: 300,
+            workloads: 1,
+            jobs: 2,
+        };
+        let good = RunSpec::new(w, scale.method("NL"));
+        let bad = RunSpec::new(w, Scale { warmup: 0, ..scale }.method("NL"));
+        let declared = [good.clone(), bad.clone(), good.clone()];
+        let specs = distinct(&declared);
+        assert_eq!(specs, [good.clone(), bad.clone()]);
+        let results = run_specs(specs, scale.jobs);
+        let e = Reports::of(&declared, &results).err().unwrap();
+        assert!(e.contains("warmup_instrs"), "{e}");
+        let reports = Reports::of(std::slice::from_ref(&good), &results).unwrap();
+        assert!(reports.get(w, &good.cfg).instrs > 0);
+        let undeclared = std::panic::catch_unwind(|| reports.get(w, &scale.method("N2L")));
+        let e = panic_message(undeclared.err().unwrap().as_ref());
+        assert!(e.contains("undeclared"), "{e}");
     }
 
     #[test]
     fn image_cache_returns_same_arc() {
-        let w = &workloads()[0];
+        let w = &all_workloads()[0];
         let a = image_for(w, IsaMode::Fixed4);
         let b = image_for(w, IsaMode::Fixed4);
         assert!(Arc::ptr_eq(&a, &b));

@@ -1,30 +1,18 @@
-//! The worker pool every parallel consumer shares: the figure sweep
-//! and the repository benchmark.
+//! The worker pool every parallel consumer shares: the batch's runs,
+//! its analysis figures and the repository benchmark.
 //!
-//! Every `(workload, method)` simulation in this reproduction is an
-//! independent deterministic computation (fixed [`crate::runs::TRACE_SEED`],
-//! own `Simulator`, shared read-only `ProgramImage`), so the sweep is
-//! embarrassingly parallel. [`parallel_map`] runs a fixed item list on a
-//! small worker pool (`DCFB_JOBS`, default = available parallelism) and
-//! returns results **in item order**: workers pull the next index from an
-//! atomic counter and write into that index's slot, so the merged output
-//! is byte-identical to a sequential run regardless of completion order.
+//! Every `(workload, configuration)` simulation in this reproduction is
+//! an independent deterministic computation (fixed
+//! [`crate::runs::TRACE_SEED`], own `Simulator`, shared read-only
+//! `ProgramImage`), so the sweep is embarrassingly parallel.
+//! [`parallel_map_jobs`] runs a fixed item list on a small worker pool
+//! and returns results **in item order**: workers pull the next index
+//! from an atomic counter and write into that index's slot, so the
+//! merged output is byte-identical to a sequential run regardless of
+//! completion order.
 
-use crate::runs;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Environment variable selecting the worker-pool size.
-const JOBS_ENV: &str = "DCFB_JOBS";
-
-/// The worker-pool size: `DCFB_JOBS` when set (0 is treated as 1),
-/// otherwise the host's available parallelism.
-pub fn jobs() -> usize {
-    let default = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    (runs::env_u64(JOBS_ENV, default as u64) as usize).max(1)
-}
 
 fn lock_slot<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
@@ -33,24 +21,11 @@ fn lock_slot<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// Maps `f` over `items` on a pool of [`jobs`] worker threads,
+/// Maps `f` over `items` on a pool of `jobs` worker threads,
 /// returning results in item order (deterministic merge).
 ///
 /// A panic inside `f` propagates to the caller once the pool joins —
-/// the same observable behavior as a panic in a sequential loop, which
-/// keeps the figure-level `catch_unwind` in `all_experiments` working
-/// unchanged under parallel execution.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_jobs(items, jobs(), f)
-}
-
-/// [`parallel_map`] with an explicit worker count (the repository
-/// benchmark chooses its own).
+/// the same observable behavior as a panic in a sequential loop.
 pub fn parallel_map_jobs<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send + Sync,
@@ -120,25 +95,5 @@ mod tests {
             })
         });
         assert!(caught.is_err());
-    }
-
-    #[test]
-    fn jobs_is_at_least_one() {
-        assert!(jobs() >= 1);
-    }
-
-    #[test]
-    fn jobs_defaults_to_host_parallelism_when_env_unset() {
-        // Pin the satellite behaviour: with DCFB_JOBS absent, the
-        // worker count is the host's available parallelism, not 1.
-        // Guarded because the test harness may legitimately run with
-        // the variable exported.
-        if std::env::var_os(JOBS_ENV).is_some() {
-            return;
-        }
-        let host = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        assert_eq!(jobs(), host);
     }
 }

@@ -39,45 +39,61 @@ fn outcome(stderr: &str, id: &str) -> Option<String> {
     })
 }
 
-/// An injected figure panic under a 4-worker sweep must produce the
-/// same failure summary as the sequential path (`batch_robustness.rs`
-/// covers `DCFB_JOBS=1` implicitly — here the panic crosses the worker
-/// pool's scope join).
+/// An injected figure panic, and a failing run (a zero warmup fails
+/// every run on whichever worker ran it), must produce the same failure
+/// summary under a 4-worker sweep as on the sequential path, carrying
+/// the fault's own message.
 #[test]
 fn crash_isolation_is_jobs_independent() {
-    let run_with_fault = |jobs: &str| {
-        tiny_cmd(jobs)
-            .env("DCFB_FAIL_FIGURE", "fig13")
-            .output()
-            .expect("spawn all_experiments")
-    };
-    let par = run_with_fault("4");
-    let seq = run_with_fault("1");
+    let faults = [
+        (
+            "DCFB_FAIL_FIGURE",
+            "fig13",
+            "fig13",
+            "fig16",
+            "injected fault",
+        ),
+        (
+            "DCFB_WARMUP",
+            "0",
+            "fig16",
+            "fig06",
+            "invalid configuration: warmup_instrs",
+        ),
+    ];
+    for (var, value, failed, regenerated, message) in faults {
+        let run_with_fault = |jobs: &str| {
+            tiny_cmd(jobs)
+                .env(var, value)
+                .output()
+                .expect("spawn all_experiments")
+        };
+        let par = run_with_fault("4");
+        let seq = run_with_fault("1");
 
-    for (label, out) in [("jobs=4", &par), ("jobs=1", &seq)] {
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(4), "{label}\nstderr: {stderr}");
-        assert!(stdout.contains("## Failure summary"), "{label}: {stdout}");
-        assert!(stdout.contains("fig13"), "{label}: {stdout}");
+        for (label, out) in [("jobs=4", &par), ("jobs=1", &seq)] {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(4), "{label}\nstderr: {stderr}");
+            assert!(stdout.contains("## Failure summary"), "{label}: {stdout}");
+            let row = format!("| {failed} | {message}");
+            assert!(stdout.contains(&row), "{label}: {stdout}");
+            assert_eq!(
+                outcome(&stderr, failed).as_deref(),
+                Some("failed"),
+                "{label}"
+            );
+            let kept = outcome(&stderr, regenerated);
+            assert_eq!(kept.as_deref(), Some("regenerated"), "{label}");
+        }
+        // Identical documents: the parallel executor merges in item
+        // order, so nothing about the failure path may depend on the
+        // job count.
         assert_eq!(
-            outcome(&stderr, "fig13").as_deref(),
-            Some("failed"),
-            "{label}"
-        );
-        assert_eq!(
-            outcome(&stderr, "fig16").as_deref(),
-            Some("regenerated"),
-            "{label}"
+            par.stdout, seq.stdout,
+            "{var}: document diverged across job counts"
         );
     }
-    // Identical documents: the parallel executor merges in workload
-    // order, so nothing about the failure path may depend on the job
-    // count.
-    assert_eq!(
-        par.stdout, seq.stdout,
-        "figure document diverged across job counts"
-    );
 }
 
 /// Runs the tiny batch at `jobs` workers in a fresh empty directory

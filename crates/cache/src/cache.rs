@@ -9,15 +9,13 @@
 //!   the prefetcher or the fetch demand", §V-A),
 //! * `demanded` — whether a demand access touched the line after the
 //!   fill (used to classify evicted prefetches as useless),
-//! * `is_instruction` — the DV-LLC mode bit (§V-D),
-//! * `local_status` — SN4L's 4-bit local prefetch status cached next to
-//!   the line to avoid SeqTable lookups (§V-A).
+//! * `is_instruction` — the DV-LLC mode bit (§V-D).
 
 use crate::lru::LruSets;
 use dcfb_trace::Block;
 
 /// Geometry of a set-associative cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Number of sets. Must be a power of two and non-zero.
     pub sets: usize,
@@ -84,8 +82,6 @@ pub struct LineFlags {
     pub demanded: bool,
     /// The line holds instructions (DV-LLC mode bit, §V-D).
     pub is_instruction: bool,
-    /// SN4L's 4-bit local prefetch status for the four subsequent blocks.
-    pub local_status: u8,
 }
 
 impl LineFlags {
@@ -95,7 +91,6 @@ impl LineFlags {
             prefetched: false,
             demanded: true,
             is_instruction: true,
-            local_status: 0,
         }
     }
 
@@ -105,7 +100,6 @@ impl LineFlags {
             prefetched: true,
             demanded: false,
             is_instruction: true,
-            local_status: 0,
         }
     }
 }
@@ -396,19 +390,6 @@ mod tests {
         assert!(c.fill(0, LineFlags::prefetched_instruction()).is_none());
         assert_eq!(c.occupancy(), before);
         assert!(c.flags(0).unwrap().prefetched);
-    }
-
-    #[test]
-    fn local_status_round_trips() {
-        let mut c = tiny();
-        c.fill(
-            5,
-            LineFlags {
-                local_status: 0b1010,
-                ..LineFlags::default()
-            },
-        );
-        assert_eq!(c.flags(5).unwrap().local_status, 0b1010);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct BtbEntry {
 }
 
 /// BTB geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BtbConfig {
     /// Total entries; must be `ways * power_of_two`.
     pub entries: usize,

@@ -50,7 +50,7 @@ pub struct UBtbEntry {
 
 /// Shotgun BTB geometry (defaults follow §VI-D2: 1.5 K U-BTB,
 /// 128-entry C-BTB, 512-entry RIB).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShotgunBtbConfig {
     /// U-BTB entries.
     pub u_entries: usize,

@@ -19,7 +19,7 @@ use dcfb_trace::Block;
 use fxhash::FxHashMap;
 
 /// SHIFT engine configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ConfluenceConfig {
     /// History buffer length in blocks (32 K in SHIFT).
     pub history_entries: usize,

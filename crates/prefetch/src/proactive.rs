@@ -34,7 +34,7 @@ enum Source {
 }
 
 /// Configuration of the combined engine (§VI-D3 defaults).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Sn4lDisConfig {
     /// SeqTable entries (16 K in the paper).
     pub seq_entries: usize,

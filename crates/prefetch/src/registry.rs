@@ -21,7 +21,7 @@ use dcfb_trace::{Addr, Block, Instr, IsaMode};
 use std::borrow::Cow;
 
 /// Which prefetcher drives the frontend.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// No instruction/BTB prefetcher (the speedup baseline).
     None,

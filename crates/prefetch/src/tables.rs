@@ -75,7 +75,7 @@ impl SeqTable {
 }
 
 /// Tagging policy for the [`DisTable`] (Fig. 12 compares all three).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TagPolicy {
     /// No tag: any block mapping to the entry matches.
     Tagless,

@@ -35,7 +35,7 @@ pub const PREFETCH_BUFFER_ENTRIES: usize = 64;
 
 /// Full machine + experiment configuration. The fixed Table III
 /// parameters that no experiment varies are the constants above.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// L1i geometry (32 KB, 8-way).
     pub l1i: CacheConfig,

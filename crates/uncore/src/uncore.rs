@@ -12,7 +12,7 @@ pub const MEMORY_LATENCY: u64 = 120;
 /// Uncore configuration (defaults follow Table III). The fixed
 /// latencies are [`LLC_LATENCY`], [`MEMORY_LATENCY`] and
 /// [`NOC_ROUND_TRIP_CYCLES`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct UncoreConfig {
     /// Geometry of the core-visible LLC slice.
     pub llc_config: CacheConfig,

@@ -89,7 +89,6 @@ pub fn all_workloads() -> Vec<Workload> {
                 indirect_frac: 0.18,
                 zipf_s: 0.45,
                 root_functions: 96,
-                biased_branch_frac: 0.90,
                 ..base("Media Streaming")
             },
             image_seed: 0xA11CE,
@@ -112,7 +111,6 @@ pub fn all_workloads() -> Vec<Workload> {
                 indirect_frac: 0.14,
                 zipf_s: 0.85,
                 root_functions: 48,
-                biased_branch_frac: 0.82,
                 ..base("OLTP (DB A)")
             },
             image_seed: 0x0DBA,
@@ -132,7 +130,6 @@ pub fn all_workloads() -> Vec<Workload> {
                 indirect_frac: 0.10,
                 zipf_s: 1.05,
                 root_functions: 40,
-                biased_branch_frac: 0.84,
                 ..base("OLTP (DB B)")
             },
             image_seed: 0x0DBB,
@@ -154,7 +151,6 @@ pub fn all_workloads() -> Vec<Workload> {
                 indirect_frac: 0.12,
                 zipf_s: 1.0,
                 root_functions: 24,
-                biased_branch_frac: 0.83,
                 ..base("Web (Apache)")
             },
             image_seed: 0xA9AC_0001,
@@ -174,7 +170,6 @@ pub fn all_workloads() -> Vec<Workload> {
                 indirect_frac: 0.10,
                 zipf_s: 1.05,
                 root_functions: 20,
-                biased_branch_frac: 0.85,
                 ..base("Web (Zeus)")
             },
             image_seed: 0x2E05,
@@ -196,7 +191,6 @@ pub fn all_workloads() -> Vec<Workload> {
                 indirect_frac: 0.10,
                 zipf_s: 1.25,
                 root_functions: 12,
-                biased_branch_frac: 0.88,
                 ..base("Web Frontend")
             },
             image_seed: 0x0FE0,
@@ -216,7 +210,6 @@ pub fn all_workloads() -> Vec<Workload> {
                 indirect_frac: 0.08,
                 zipf_s: 1.1,
                 root_functions: 16,
-                biased_branch_frac: 0.88,
                 ..base("Web Search")
             },
             image_seed: 0x5EAC_0004,

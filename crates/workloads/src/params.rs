@@ -35,13 +35,8 @@ pub struct WorkloadParams {
     pub indirect_frac: f64,
     /// Zipf skew for callee selection (higher = hotter hot functions).
     pub zipf_s: f64,
-    /// Call-depth cap for the walker (recursion guard).
-    pub max_call_depth: usize,
     /// Number of root handler functions (transaction entry points).
     pub root_functions: usize,
-    /// Fraction of conditional branches that are strongly biased
-    /// (≈ 95/5); the rest are noisy (uniform in `[0.25, 0.75]`).
-    pub biased_branch_frac: f64,
 }
 
 impl WorkloadParams {
@@ -60,7 +55,6 @@ impl WorkloadParams {
             (self.loop_frac, "loop_frac"),
             (self.call_frac, "call_frac"),
             (self.indirect_frac, "indirect_frac"),
-            (self.biased_branch_frac, "biased_branch_frac"),
         ] {
             assert!((0.0..=1.0).contains(&v), "{n} must be in [0,1], got {v}");
         }
@@ -71,7 +65,6 @@ impl WorkloadParams {
         assert!(self.avg_cold_instrs >= 1.0, "avg_cold_instrs must be >= 1");
         assert!(self.avg_loop_iters >= 1.0, "avg_loop_iters must be >= 1");
         assert!(self.zipf_s > 0.0, "zipf_s must be positive");
-        assert!(self.max_call_depth >= 1, "max_call_depth must be >= 1");
         assert!(
             (1..=self.functions).contains(&self.root_functions),
             "root_functions out of range"
@@ -108,9 +101,7 @@ impl Default for WorkloadParams {
             call_frac: 0.30,
             indirect_frac: 0.10,
             zipf_s: 1.1,
-            max_call_depth: 12,
             root_functions: 24,
-            biased_branch_frac: 0.85,
         }
     }
 }

@@ -28,9 +28,7 @@ fn main() {
         call_frac: 0.30,
         indirect_frac: 0.15,
         zipf_s: 0.9,
-        max_call_depth: 24,
         root_functions: 20,
-        biased_branch_frac: 0.85,
     };
     let w = Workload {
         name: "microservice",

@@ -25,9 +25,7 @@ fn test_workload() -> Workload {
             call_frac: 0.30,
             indirect_frac: 0.12,
             zipf_s: 0.9,
-            max_call_depth: 24,
             root_functions: 24,
-            biased_branch_frac: 0.85,
         },
         image_seed: 77,
     }

@@ -33,9 +33,7 @@ fn arb_params() -> impl Strategy<Value = WorkloadParams> {
                 call_frac: calls,
                 indirect_frac: 0.1,
                 zipf_s: zipf,
-                max_call_depth: 32,
                 root_functions: roots.min(functions),
-                biased_branch_frac: 0.85,
             },
         )
 }
