@@ -2,7 +2,7 @@
 //! and the executor that runs each distinct spec once on the worker
 //! pool.
 
-use crate::sweep::parallel_map_jobs;
+use crate::sweep::{lock_recovering, parallel_map_jobs};
 use dcfb_errors::panic_message;
 use dcfb_sim::{SimConfig, SimReport};
 use dcfb_trace::IsaMode;
@@ -185,40 +185,23 @@ impl<'a> Reports<'a> {
     }
 }
 
-type ImageKey = (String, IsaMode);
-
-/// A once-per-key concurrency-safe memo: the outer mutex is held only
-/// long enough to fetch/insert the per-key cell, and the expensive
-/// build runs inside the cell's `OnceLock`, so N workers asking for the
-/// same key build it exactly once (the rest block on the cell, not on
-/// the whole cache).
-type KeyedOnce<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
-
-fn once_cell_for<K: std::hash::Hash + Eq, V>(cache: &KeyedOnce<K, V>, key: K) -> Arc<OnceLock<V>> {
-    Arc::clone(lock_cache(cache).entry(key).or_default())
-}
-
-fn image_cache() -> &'static KeyedOnce<ImageKey, Arc<ProgramImage>> {
-    static CACHE: OnceLock<KeyedOnce<ImageKey, Arc<ProgramImage>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Locks a cache mutex, recovering from poisoning: caches hold only
-/// completed values, so a panic elsewhere never leaves them torn.
-fn lock_cache<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// Builds (or fetches a cached) program image for `workload`.
 ///
 /// Concurrency-safe and build-once: parallel workers asking for the
-/// same workload share one `Arc<ProgramImage>`, and the image is built
-/// exactly once even when several workers miss simultaneously.
+/// same workload share one `Arc<ProgramImage>`. The cache's mutex is
+/// held only long enough to fetch or insert the key's cell, and the
+/// build runs inside the cell's `OnceLock`, so the image is built
+/// exactly once even when several workers miss simultaneously (the
+/// rest wait on that cell, not on the whole cache).
 pub fn image_for(workload: &Workload, isa: IsaMode) -> Arc<ProgramImage> {
-    let cell = once_cell_for(image_cache(), (workload.name.to_owned(), isa));
+    type Cell = Arc<OnceLock<Arc<ProgramImage>>>;
+    static CACHE: OnceLock<Mutex<HashMap<(String, IsaMode), Cell>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(Default::default);
+    let cell = Arc::clone(
+        lock_recovering(cache)
+            .entry((workload.name.to_owned(), isa))
+            .or_default(),
+    );
     Arc::clone(cell.get_or_init(|| workload.image(isa)))
 }
 

@@ -14,7 +14,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-fn lock_slot<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Locks `m`, recovering from poisoning: the pool's result slots and
+/// the image cache hold only completed values, so a panic elsewhere
+/// never leaves them torn.
+pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -48,7 +51,7 @@ where
                     break;
                 }
                 let r = f(&items[i]);
-                *lock_slot(&slots[i]) = Some(r);
+                *lock_recovering(&slots[i]) = Some(r);
             });
         }
     });

@@ -168,6 +168,8 @@ pub struct SetAssocCache {
     /// Tagged by the whole block number.
     lines: LruSets<LineFlags>,
     stats: CacheStats,
+    /// Fills since construction; unlike `stats.fills`, never reset.
+    lifetime_fills: u64,
 }
 
 impl SetAssocCache {
@@ -177,6 +179,7 @@ impl SetAssocCache {
             cfg,
             lines: LruSets::new(cfg.sets, cfg.ways),
             stats: CacheStats::default(),
+            lifetime_fills: 0,
         }
     }
 
@@ -241,6 +244,7 @@ impl SetAssocCache {
     /// replaced (no eviction, no LRU promotion).
     pub fn fill(&mut self, block: Block, flags: LineFlags) -> Option<Evicted> {
         self.stats.fills += 1;
+        self.lifetime_fills += 1;
         if flags.prefetched {
             self.stats.prefetch_fills += 1;
         }
@@ -257,6 +261,15 @@ impl SetAssocCache {
             block: victim,
             flags: f,
         })
+    }
+
+    /// Fills since the cache was built, across [`reset_stats`]: only a
+    /// fill adds a line, so while this count stands still no block
+    /// becomes resident.
+    ///
+    /// [`reset_stats`]: SetAssocCache::reset_stats
+    pub fn fill_count(&self) -> u64 {
+        self.lifetime_fills
     }
 
     /// Number of valid lines currently resident.

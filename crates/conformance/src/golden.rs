@@ -25,13 +25,18 @@ const GOLDEN: &str = include_str!("golden_digests.txt");
 /// test suite uses: big enough to thrash the shrunken L1i). The
 /// telemetry golden's `trace:` run records its trace from it.
 pub fn fixture_image() -> Arc<ProgramImage> {
+    fixture_image_in(IsaMode::Fixed4)
+}
+
+/// The fixture program laid out for `isa`.
+pub fn fixture_image_in(isa: IsaMode) -> Arc<ProgramImage> {
     let params = WorkloadParams {
         functions: 500,
         root_functions: 32,
         zipf_s: 0.9,
         ..WorkloadParams::default()
     };
-    Arc::new(ProgramImage::build(&params, 3, IsaMode::Fixed4))
+    Arc::new(ProgramImage::build(&params, 3, isa))
 }
 
 /// The fixture trace seed every golden digest was captured with.

@@ -29,6 +29,7 @@
 
 pub mod adapters;
 pub mod corpus;
+pub mod directed_golden;
 pub mod fuzz;
 pub mod golden;
 pub mod invariants;

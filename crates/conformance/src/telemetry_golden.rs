@@ -46,7 +46,7 @@ pub const RUNS: [(&str, &str, &str); 5] = [
 ];
 
 /// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
@@ -54,7 +54,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Records [`TRACE_INSTRS`] instructions of the golden fixture into a
 /// binary trace file and resolves it as a `trace:` source.
-fn fixture_trace() -> Result<ResolvedWorkload, String> {
+pub(crate) fn fixture_trace() -> Result<ResolvedWorkload, String> {
     let path = std::env::temp_dir().join(format!(
         "dcfb-telemetry-golden-{}.dcfbt",
         std::process::id()
@@ -116,9 +116,28 @@ pub fn telemetry_digests() -> Result<Vec<(&'static str, String)>, String> {
 /// goldens; `Err` names each run that differs.
 pub fn check_telemetry_golden() -> Result<String, String> {
     let got = telemetry_digests()?;
+    check_lines(GOLDEN, &got, "telemetry export")
+}
+
+/// Recomputes the goldens and rewrites `telemetry_digests.txt` in the
+/// source tree. Only called from the test harness when `DCFB_BLESS` is
+/// set.
+pub fn bless() -> Result<String, String> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/telemetry_digests.txt");
+    write_lines(path, &telemetry_digests()?)
+}
+
+/// Compares each `(label, digest)` of `got` with the `<label>\t<digest>`
+/// line of `golden`; `Err` names each `what` that differs.
+pub(crate) fn check_lines<L: AsRef<str>>(
+    golden: &str,
+    got: &[(L, String)],
+    what: &str,
+) -> Result<String, String> {
     let mut drifted = Vec::new();
-    for (label, digest) in &got {
-        let want = GOLDEN
+    for (label, digest) in got {
+        let label = label.as_ref();
+        let want = golden
             .lines()
             .find_map(|l| l.strip_prefix(label)?.strip_prefix('\t'));
         if want != Some(digest.as_str()) {
@@ -126,24 +145,24 @@ pub fn check_telemetry_golden() -> Result<String, String> {
         }
     }
     if drifted.is_empty() {
-        Ok(format!("{} telemetry exports byte-identical", got.len()))
+        Ok(format!("{} {what}s byte-identical", got.len()))
     } else {
         Err(format!(
-            "telemetry export drifted: {} (re-bless with DCFB_BLESS=1 if intentional)",
+            "{what} drifted: {} (re-bless with DCFB_BLESS=1 if intentional)",
             drifted.join("; ")
         ))
     }
 }
 
-/// Recomputes the goldens and rewrites `telemetry_digests.txt` in the
-/// source tree. Only called from the test harness when `DCFB_BLESS` is
-/// set.
-pub fn bless() -> Result<String, String> {
+/// Writes `got` to `path` as `<label>\t<digest>` lines.
+pub(crate) fn write_lines<L: AsRef<str>>(
+    path: &str,
+    got: &[(L, String)],
+) -> Result<String, String> {
     let mut out = String::new();
-    for (label, digest) in telemetry_digests()? {
-        let _ = writeln!(out, "{label}\t{digest}");
+    for (label, digest) in got {
+        let _ = writeln!(out, "{}\t{digest}", label.as_ref());
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/telemetry_digests.txt");
     std::fs::write(path, &out).map_err(|e| format!("write {path}: {e}"))?;
     Ok(format!("blessed {path}"))
 }

@@ -1,12 +1,14 @@
 //! Return address stack (RAS).
 
 use dcfb_trace::Addr;
+use std::collections::VecDeque;
 
 /// A bounded return-address stack with wrap-around overwrite on
 /// overflow (the usual hardware behaviour).
 #[derive(Clone, Debug)]
 pub struct ReturnAddressStack {
-    entries: Vec<Addr>,
+    /// Oldest entry at the front; a push onto a full stack drops it.
+    entries: VecDeque<Addr>,
     capacity: usize,
     overflows: u64,
     underflows: u64,
@@ -21,7 +23,7 @@ impl ReturnAddressStack {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RAS capacity must be non-zero");
         ReturnAddressStack {
-            entries: Vec::with_capacity(capacity),
+            entries: VecDeque::with_capacity(capacity),
             capacity,
             overflows: 0,
             underflows: 0,
@@ -30,18 +32,20 @@ impl ReturnAddressStack {
 
     /// Pushes a return address; on overflow the *oldest* entry is
     /// dropped.
+    #[inline]
     pub fn push(&mut self, addr: Addr) {
         if self.entries.len() == self.capacity {
-            self.entries.remove(0);
+            self.entries.pop_front();
             self.overflows += 1;
         }
-        self.entries.push(addr);
+        self.entries.push_back(addr);
     }
 
     /// Pops the predicted return target; `None` on an empty stack
     /// (counted as an underflow).
+    #[inline]
     pub fn pop(&mut self) -> Option<Addr> {
-        let v = self.entries.pop();
+        let v = self.entries.pop_back();
         if v.is_none() {
             self.underflows += 1;
         }
@@ -50,7 +54,7 @@ impl ReturnAddressStack {
 
     /// Peeks the top without popping.
     pub fn peek(&self) -> Option<Addr> {
-        self.entries.last().copied()
+        self.entries.back().copied()
     }
 
     /// Current depth.
@@ -66,6 +70,16 @@ impl ReturnAddressStack {
     /// Clears the stack (pipeline squash on deep misprediction).
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+
+    /// Squash repair: clears the stack and pushes `other`'s entries,
+    /// oldest first. This stack's counters move exactly as those pushes
+    /// move them (not at all when `other` fits).
+    pub fn repair_from(&mut self, other: &ReturnAddressStack) {
+        self.entries.clear();
+        for &addr in &other.entries {
+            self.push(addr);
+        }
     }
 }
 
@@ -97,6 +111,23 @@ mod tests {
         assert_eq!(r.pop(), Some(2));
         assert_eq!(r.pop(), None);
         assert_eq!(r.pressure().0, 1);
+    }
+
+    #[test]
+    fn repair_copies_entries_and_keeps_counters() {
+        let mut arch = ReturnAddressStack::new(2);
+        arch.push(1);
+        arch.push(2);
+        arch.push(3); // overflow on the architectural stack only
+        let mut spec = ReturnAddressStack::new(2);
+        spec.push(9);
+        assert_eq!(spec.pop(), Some(9));
+        assert_eq!(spec.pop(), None);
+        spec.repair_from(&arch);
+        assert_eq!(spec.depth(), 2);
+        assert_eq!(spec.pressure(), (0, 1));
+        assert_eq!(spec.pop(), Some(3));
+        assert_eq!(spec.pop(), Some(2));
     }
 
     #[test]

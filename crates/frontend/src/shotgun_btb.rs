@@ -289,12 +289,12 @@ impl ShotgunBtb {
     }
 }
 
-/// Expands a footprint into block numbers given its anchor block.
-pub fn footprint_blocks(anchor_block: u64, fp: SpatialFootprint) -> Vec<u64> {
-    (0..8)
-        .filter(|i| fp & (1 << i) != 0)
-        .map(|i| anchor_block + i as u64)
-        .collect()
+/// Expands a footprint into block numbers given its anchor block, in
+/// ascending order.
+pub fn footprint_blocks(anchor_block: u64, fp: SpatialFootprint) -> impl Iterator<Item = u64> {
+    (0..8u64)
+        .filter(move |i| fp & (1 << i) != 0)
+        .map(move |i| anchor_block + i)
 }
 
 #[cfg(test)]
@@ -388,8 +388,8 @@ mod tests {
 
     #[test]
     fn footprint_helpers() {
-        assert_eq!(footprint_blocks(100, 0b101), vec![100, 102]);
-        assert_eq!(footprint_blocks(5, 0), Vec::<u64>::new());
+        assert_eq!(footprint_blocks(100, 0b101).collect::<Vec<_>>(), [100, 102]);
+        assert_eq!(footprint_blocks(5, 0).count(), 0);
     }
 
     #[test]

@@ -202,6 +202,17 @@ impl Boomerang {
         self.stall
     }
 
+    /// Whether [`advance`](Self::advance) would change nothing until
+    /// the L1i fills again: parked, waiting for an absent block, or
+    /// facing a full FTQ with no reactive fill pending.
+    pub fn is_quiescent<C: RunaheadContext + ?Sized>(&self, ctx: &C, ftq: &Ftq) -> bool {
+        self.parked
+            || match self.stall {
+                Some(block) => !ctx.block_present(block),
+                None => ftq.is_full(),
+            }
+    }
+
     /// Core redirect (mispredict or BTB-miss discovery at fetch):
     /// squash the FTQ and restart discovery at `pc`.
     pub fn redirect(&mut self, pc: Addr, ftq: &mut Ftq) {
@@ -216,7 +227,7 @@ impl Boomerang {
     /// Runs the discovery engine for one cycle: resolves pending
     /// reactive fills, then pushes up to `steps_per_cycle` regions into
     /// the FTQ, probing and prefetching their blocks.
-    pub fn advance(&mut self, ctx: &mut dyn RunaheadContext, ftq: &mut Ftq) {
+    pub fn advance<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, ftq: &mut Ftq) {
         if self.parked {
             return;
         }
@@ -311,7 +322,7 @@ impl Boomerang {
     /// after it) plus every fall-through block between consecutive
     /// branches. Returns `true` if the cursor's basic block was
     /// resolved.
-    fn reactive_fill(&mut self, ctx: &mut dyn RunaheadContext, block: Block) -> bool {
+    fn reactive_fill<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, block: Block) -> bool {
         let branches = ctx.predecode(block);
         self.stats.reactive_fills += 1;
         let to_entry = |b: &BtbEntry| BbEntry {
@@ -341,7 +352,7 @@ impl Boomerang {
     /// blocks: when `block` holds no branch at or after the cursor, the
     /// scan continues into the next block (bounded), parking on
     /// pathological runs. Returns `true` when the cursor resolved.
-    fn fill_or_scan(&mut self, ctx: &mut dyn RunaheadContext, block: Block) -> bool {
+    fn fill_or_scan<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, block: Block) -> bool {
         if self.reactive_fill(ctx, block) {
             self.scan_len = 0;
             return true;
@@ -597,6 +608,37 @@ mod tests {
         );
         bm.advance(&mut ctx, &mut ftq);
         assert!(!ftq.is_empty());
+    }
+
+    #[test]
+    fn quiescent_only_while_advance_is_a_no_op() {
+        let mut bm = Boomerang::new(64, 0x1000);
+        let mut ftq = Ftq::new(2);
+        let mut ctx = MockContext::default();
+        assert!(!bm.is_quiescent(&ctx, &ftq), "an empty FTQ to fill");
+        // BTB miss: the prefetch of block 0x40 is issued, and the mock
+        // makes it resident at once, so the stall resolves next cycle.
+        bm.advance(&mut ctx, &mut ftq);
+        assert_eq!(bm.stalled_block(), Some(0x40));
+        assert!(!bm.is_quiescent(&ctx, &ftq));
+        // The block has not arrived: waiting is all `advance` does.
+        ctx.resident.remove(&0x40);
+        assert!(bm.is_quiescent(&ctx, &ftq));
+        // A full FTQ with nothing pending.
+        bm.redirect(0x2000, &mut ftq);
+        for s in [0x2000u64, 0x2010] {
+            bm.bb_btb.insert(
+                s,
+                BbEntry {
+                    end: s + 4,
+                    target: s + 0x10,
+                    class: BranchClass::Jump,
+                },
+            );
+        }
+        bm.advance(&mut ctx, &mut ftq);
+        assert!(ftq.is_full());
+        assert!(bm.is_quiescent(&ctx, &ftq));
     }
 
     #[test]

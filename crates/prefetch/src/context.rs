@@ -180,6 +180,11 @@ pub trait RunaheadContext {
     /// Pre-decodes `block`, returning its branches in address order.
     /// The slice borrows the context until the caller is done with it.
     fn predecode(&mut self, block: Block) -> &[BtbEntry];
+
+    /// L1i fills so far (never reset). Only a fill makes a block
+    /// present, so an engine waiting for blocks may skip re-checking
+    /// them while this count stands still.
+    fn l1i_fills(&self) -> u64;
 }
 
 /// A scriptable context for unit tests.
@@ -207,6 +212,10 @@ pub struct MockContext {
     pub taken_pcs: std::collections::HashSet<Addr>,
     /// Speculative RAS used by `ras_push` / `ras_pop`.
     pub ras: Vec<Addr>,
+    /// The count [`RunaheadContext::l1i_fills`] returns. Every issued
+    /// prefetch bumps it (the block becomes resident at once); a test
+    /// that inserts into `resident` by hand bumps it to model a fill.
+    pub fills: u64,
 }
 
 impl RunaheadContext for MockContext {
@@ -232,9 +241,7 @@ impl RunaheadContext for MockContext {
     }
 
     fn issue_prefetch(&mut self, block: Block, source: PfSource, extra_delay: u64) {
-        self.issued.push((block, extra_delay));
-        self.issued_sources.push(source);
-        self.resident.insert(block);
+        PrefetchContext::issue_prefetch(self, block, source, extra_delay);
     }
 
     fn block_present(&self, block: Block) -> bool {
@@ -243,6 +250,10 @@ impl RunaheadContext for MockContext {
 
     fn predecode(&mut self, block: Block) -> &[BtbEntry] {
         self.code.get(&block).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    fn l1i_fills(&self) -> u64 {
+        self.fills
     }
 }
 
@@ -260,6 +271,7 @@ impl PrefetchContext for MockContext {
         self.issued.push((block, extra_delay));
         self.issued_sources.push(source);
         self.resident.insert(block); // arrives eventually; tests treat as in-flight
+        self.fills += 1;
     }
 
     /// Records every prefill, including those of blocks without

@@ -29,7 +29,9 @@
 //! the simulator in `dcfb-sim` dispatches each hook statically and
 //! gets a copy of every prefetcher specialised to its own context. The
 //! BTB-directed engines (Boomerang, Shotgun) also drive the FTQ and
-//! are given a richer interface (see their modules).
+//! are given a richer interface, [`RunaheadContext`] (see their
+//! modules); the registry builds them as one [`DiscoveryEngine`] enum,
+//! generic over that context in the same way.
 
 //! # Examples
 //!

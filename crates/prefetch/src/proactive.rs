@@ -462,6 +462,52 @@ mod tests {
     }
 
     #[test]
+    fn depth_zero_issues_first_level_prefetches_only() {
+        // The chain of `chain_follows_discontinuity_with_sn1l`: block
+        // 102 jumps to 200. Depth 0 stops every chain at its first
+        // level: SN4L's 101..=104 go out, the jump target behind 102
+        // does not; depth 1 follows it.
+        let issued_at_depth = |max_depth: u8| {
+            let mut p = Sn4lDisBtb::new(
+                Sn4lDisConfig {
+                    max_depth,
+                    ..Sn4lDisConfig::without_btb()
+                },
+                IsaMode::Fixed4,
+            );
+            let mut ctx = MockContext::default();
+            let branch_pc = 102 * 64 + 16;
+            ctx.code.insert(
+                102,
+                vec![BtbEntry {
+                    pc: branch_pc,
+                    target: 200 * 64,
+                    class: BranchClass::Jump,
+                }],
+            );
+            let mut recent = RecentInstrs::default();
+            recent.push(Instr::branch(branch_pc, 4, InstrKind::Jump, 200 * 64));
+            p.on_demand(&mut ctx, 200, false, false, &recent);
+            drain(&mut p, &mut ctx, 8);
+            ctx.issued.clear();
+            ctx.resident.clear();
+            let terminated = p.stats().depth_terminations;
+            p.on_demand(&mut ctx, 100, true, false, &RecentInstrs::default());
+            drain(&mut p, &mut ctx, 20);
+            let blocks: Vec<Block> = ctx.issued.iter().map(|&(b, _)| b).collect();
+            (blocks, p.stats().depth_terminations - terminated)
+        };
+        let (blocks, terminated) = issued_at_depth(0);
+        assert_eq!(blocks, [101, 102, 103, 104]);
+        assert_eq!(terminated, 4, "each first-level block ends its chain");
+        let (blocks, _) = issued_at_depth(1);
+        assert!(
+            blocks.contains(&200),
+            "depth 1 follows the jump: {blocks:?}"
+        );
+    }
+
+    #[test]
     fn btb_mode_predecodes_rlu_misses() {
         let mut p = Sn4lDisBtb::paper_sized();
         let mut ctx = MockContext::default();

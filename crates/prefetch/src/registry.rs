@@ -12,9 +12,10 @@
 //! the CLI, sweep, and conformance suites pick it up automatically.
 
 use crate::composite::{Composite, Prefetcher};
+use crate::shotgun::ShotgunStats;
 use crate::{
     Boomerang, Confluence, ConfluenceConfig, Dis, DisTable, DiscontinuityPrefetcher, NextLine,
-    SeqTable, Shotgun, Sn4l, Sn4lDisBtb, Sn4lDisConfig, TagPolicy,
+    RunaheadContext, SeqTable, Shotgun, Sn4l, Sn4lDisBtb, Sn4lDisConfig, TagPolicy,
 };
 use dcfb_frontend::{BtbConfig, Ftq, ShotgunBtbConfig, ShotgunBtbStats};
 use dcfb_trace::{Addr, Block, Instr, IsaMode};
@@ -108,11 +109,11 @@ impl PrefetcherKind {
     pub fn build(&self, isa: IsaMode, start_pc: Addr) -> DriverPlan {
         match self {
             PrefetcherKind::None => DriverPlan::Decoupled(None),
-            PrefetcherKind::Boomerang { btb_entries } => {
-                DriverPlan::Directed(Box::new(Boomerang::new(*btb_entries, start_pc)))
-            }
+            PrefetcherKind::Boomerang { btb_entries } => DriverPlan::Directed(
+                DiscoveryEngine::Boomerang(Boomerang::new(*btb_entries, start_pc)),
+            ),
             PrefetcherKind::Shotgun(sc) => {
-                DriverPlan::Directed(Box::new(Shotgun::new(*sc, start_pc)))
+                DriverPlan::Directed(DiscoveryEngine::Shotgun(Shotgun::new(*sc, start_pc)))
             }
             conventional => DriverPlan::Decoupled(conventional.build_prefetcher(isa)),
         }
@@ -160,101 +161,101 @@ pub enum DriverPlan {
     Decoupled(Option<Prefetcher>),
     /// BTB-directed frontend: the engine runs ahead of fetch, filling
     /// the FTQ.
-    Directed(Box<dyn DiscoveryEngine>),
+    Directed(DiscoveryEngine),
 }
 
-/// A BTB-directed discovery engine (Boomerang, Shotgun): runs ahead of
-/// fetch filling the FTQ, and is steered by redirects when fetch
-/// catches it on the wrong path.
-pub trait DiscoveryEngine {
-    /// One discovery step: follow the BTB/predictors ahead of fetch,
+/// A BTB-directed discovery engine (Boomerang or Shotgun): runs ahead
+/// of fetch filling the FTQ, and is steered by redirects when fetch
+/// catches it on the wrong path. An enum, so the directed driver calls
+/// each engine directly and the engines are compiled against the
+/// driver's context type.
+#[allow(clippy::large_enum_variant)] // one per directed driver, built once per run
+pub enum DiscoveryEngine {
+    /// Boomerang over its basic-block BTB.
+    Boomerang(Boomerang),
+    /// Shotgun over the split U-BTB/C-BTB/RIB.
+    Shotgun(Shotgun),
+}
+
+impl DiscoveryEngine {
+    /// One discovery cycle: follow the BTB/predictors ahead of fetch,
     /// pushing regions into `ftq` and issuing prefetches through `ctx`.
-    fn advance(&mut self, ctx: &mut dyn crate::RunaheadContext, ftq: &mut Ftq);
+    #[inline]
+    pub fn advance<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, ftq: &mut Ftq) {
+        match self {
+            DiscoveryEngine::Boomerang(e) => e.advance(ctx, ftq),
+            DiscoveryEngine::Shotgun(e) => e.advance(ctx, ftq),
+        }
+    }
+
+    /// Whether [`advance`](Self::advance) would change nothing until
+    /// the L1i fills again: the engine is parked, waits for a block
+    /// that is not present, or faces a full FTQ with no reactive fill
+    /// pending.
+    #[inline]
+    pub fn is_quiescent<C: RunaheadContext + ?Sized>(&self, ctx: &C, ftq: &Ftq) -> bool {
+        match self {
+            DiscoveryEngine::Boomerang(e) => e.is_quiescent(ctx, ftq),
+            DiscoveryEngine::Shotgun(e) => e.is_quiescent(ctx, ftq),
+        }
+    }
 
     /// Squash: restart discovery at `pc`, clearing `ftq`.
-    fn redirect(&mut self, pc: Addr, ftq: &mut Ftq);
+    pub fn redirect(&mut self, pc: Addr, ftq: &mut Ftq) {
+        match self {
+            DiscoveryEngine::Boomerang(e) => e.redirect(pc, ftq),
+            DiscoveryEngine::Shotgun(e) => e.redirect(pc, ftq),
+        }
+    }
 
     /// Observes a retired instruction (retire-side BTB learning).
-    fn on_retire(&mut self, i: &Instr);
+    #[inline]
+    pub fn on_retire(&mut self, i: &Instr) {
+        match self {
+            DiscoveryEngine::Boomerang(e) => e.on_retire(i),
+            DiscoveryEngine::Shotgun(e) => e.on_retire(i),
+        }
+    }
 
     /// Whether discovery is parked on an unresolvable branch (e.g. an
     /// unknown indirect target) and cannot make progress alone.
-    fn is_parked(&self) -> bool;
+    pub fn is_parked(&self) -> bool {
+        match self {
+            DiscoveryEngine::Boomerang(e) => e.is_parked(),
+            DiscoveryEngine::Shotgun(e) => e.is_parked(),
+        }
+    }
 
     /// The block whose arrival discovery is stalled on, if any.
-    fn stalled_block(&self) -> Option<Block>;
+    pub fn stalled_block(&self) -> Option<Block> {
+        match self {
+            DiscoveryEngine::Boomerang(e) => e.stalled_block(),
+            DiscoveryEngine::Shotgun(e) => e.stalled_block(),
+        }
+    }
 
     /// Total metadata storage in bits (Table II accounting).
-    fn storage_bits(&self) -> u64;
+    pub fn storage_bits(&self) -> u64 {
+        match self {
+            DiscoveryEngine::Boomerang(e) => e.storage_bits(),
+            DiscoveryEngine::Shotgun(e) => e.storage_bits(),
+        }
+    }
 
-    /// Shotgun's split-BTB and engine statistics; `None` for engines
-    /// without a split BTB.
-    fn shotgun_split_stats(&self) -> Option<(ShotgunBtbStats, crate::shotgun::ShotgunStats)> {
-        None
+    /// Shotgun's split-BTB and engine statistics; `None` for Boomerang.
+    pub fn shotgun_split_stats(&self) -> Option<(ShotgunBtbStats, ShotgunStats)> {
+        match self {
+            DiscoveryEngine::Boomerang(_) => None,
+            DiscoveryEngine::Shotgun(e) => Some((e.btb_stats(), e.stats())),
+        }
     }
 
     /// Resets split-BTB statistics at the start of the measurement
-    /// window (no-op for engines without them).
-    fn reset_btb_stats(&mut self) {}
-}
-
-impl DiscoveryEngine for Boomerang {
-    fn advance(&mut self, ctx: &mut dyn crate::RunaheadContext, ftq: &mut Ftq) {
-        Boomerang::advance(self, ctx, ftq);
-    }
-
-    fn redirect(&mut self, pc: Addr, ftq: &mut Ftq) {
-        Boomerang::redirect(self, pc, ftq);
-    }
-
-    fn on_retire(&mut self, i: &Instr) {
-        Boomerang::on_retire(self, i);
-    }
-
-    fn is_parked(&self) -> bool {
-        Boomerang::is_parked(self)
-    }
-
-    fn stalled_block(&self) -> Option<Block> {
-        Boomerang::stalled_block(self)
-    }
-
-    fn storage_bits(&self) -> u64 {
-        Boomerang::storage_bits(self)
-    }
-}
-
-impl DiscoveryEngine for Shotgun {
-    fn advance(&mut self, ctx: &mut dyn crate::RunaheadContext, ftq: &mut Ftq) {
-        Shotgun::advance(self, ctx, ftq);
-    }
-
-    fn redirect(&mut self, pc: Addr, ftq: &mut Ftq) {
-        Shotgun::redirect(self, pc, ftq);
-    }
-
-    fn on_retire(&mut self, i: &Instr) {
-        Shotgun::on_retire(self, i);
-    }
-
-    fn is_parked(&self) -> bool {
-        Shotgun::is_parked(self)
-    }
-
-    fn stalled_block(&self) -> Option<Block> {
-        Shotgun::stalled_block(self)
-    }
-
-    fn storage_bits(&self) -> u64 {
-        Shotgun::storage_bits(self)
-    }
-
-    fn shotgun_split_stats(&self) -> Option<(ShotgunBtbStats, crate::shotgun::ShotgunStats)> {
-        Some((self.btb_stats(), self.stats()))
-    }
-
-    fn reset_btb_stats(&mut self) {
-        Shotgun::reset_btb_stats(self);
+    /// window (Boomerang has none).
+    pub fn reset_btb_stats(&mut self) {
+        if let DiscoveryEngine::Shotgun(e) = self {
+            e.reset_btb_stats();
+        }
     }
 }
 

@@ -11,10 +11,11 @@
 //! must exhibit on large-footprint workloads.
 
 use crate::context::RunaheadContext;
-use dcfb_frontend::shotgun_btb::footprint_blocks;
+use dcfb_frontend::shotgun_btb::{footprint_blocks, SpatialFootprint};
 use dcfb_frontend::{BranchClass, Ftq, FtqEntry, ShotgunBtb, ShotgunBtbConfig, ShotgunBtbStats};
 use dcfb_telemetry::PfSource;
 use dcfb_trace::{block_of, Addr, Block, Instr, InstrKind};
+use std::collections::VecDeque;
 
 /// Shotgun engine statistics (the split-BTB statistics, including the
 /// Fig. 1 footprint miss ratio, live in [`ShotgunBtbStats`]).
@@ -53,29 +54,57 @@ impl ShotgunStats {
     }
 }
 
+/// Instructions a target tracker records after its branch.
+const TARGET_WINDOW: u64 = 24;
+/// Instructions a return tracker records after its return.
+const RETURN_WINDOW: u64 = 16;
+
+/// A spatial footprint being learned from the retired stream: bit `d`
+/// records that block `anchor + d` (`d < 8`) retired.
+struct Footprint {
+    anchor: Block,
+    fp: SpatialFootprint,
+}
+
+impl Footprint {
+    fn new(anchor: Block) -> Self {
+        Footprint { anchor, fp: 0 }
+    }
+
+    #[inline]
+    fn note(&mut self, block: Block) {
+        let delta = block.wrapping_sub(self.anchor);
+        if delta < 8 {
+            self.fp |= 1 << delta;
+        }
+    }
+}
+
 /// Accumulates the blocks touched right after an unconditional branch
 /// (anchored at its target) to learn the entry's call footprint. Time
 /// bounded, so jumps and indirect branches learn footprints too, not
 /// just call/return pairs.
 struct TargetTracker {
     bb: Addr,
-    anchor: Block,
-    fp: u8,
-    remaining: u32,
+    footprint: Footprint,
+    /// Retire count at which the footprint is learned.
+    deadline: u64,
 }
 
+/// The call footprint of a call still open on the retired stream.
 struct CallTracker {
     call_bb: Addr,
-    target_block: Block,
-    fp: u8,
+    footprint: Footprint,
 }
 
+/// The return footprint of a returned call (anchored at the return
+/// point), learned together with the call's footprint.
 struct RetTracker {
     call_bb: Addr,
-    ret_block: Block,
-    fp: u8,
-    remaining: u32,
-    call_fp: u8,
+    call_fp: SpatialFootprint,
+    footprint: Footprint,
+    /// Retire count at which both footprints are learned.
+    deadline: u64,
 }
 
 /// The Shotgun engine.
@@ -91,13 +120,26 @@ pub struct Shotgun {
     bb_start: Option<Addr>,
     /// `next_pc()` of the previous retired instruction.
     expected_pc: Option<Addr>,
-    open_calls: Vec<CallTracker>,
-    finishing: Vec<RetTracker>,
-    target_trackers: Vec<TargetTracker>,
+    /// Instructions retired so far (the trackers' clock).
+    retired: u64,
+    /// The block every live tracker has already recorded; `None` after
+    /// a tracker was opened, so the next instruction records in all.
+    recorded_block: Option<Block>,
+    /// Open calls, innermost last; only the innermost records.
+    open_calls: VecDeque<CallTracker>,
+    /// Return trackers, oldest (first to expire) first.
+    finishing: VecDeque<RetTracker>,
+    /// Target trackers, oldest (first to expire) first.
+    target_trackers: VecDeque<TargetTracker>,
     /// Blocks prefetched by this engine awaiting proactive pre-decode
     /// into the C-BTB once they arrive (§II-B: Shotgun "aggressively
     /// prefill[s] C-BTB by decoding the instruction blocks").
     pending_prefill: Vec<Block>,
+    /// The context's L1i fill count when a scan of `pending_prefill`
+    /// last finished with nothing left to find; `None` once a block is
+    /// queued or a scan stopped at its per-cycle cap. While the count
+    /// stands still no pending block can have arrived.
+    prefill_clean_at: Option<u64>,
     stats: ShotgunStats,
 }
 
@@ -114,10 +156,13 @@ impl Shotgun {
             steps_per_cycle: 2,
             bb_start: Some(start_pc),
             expected_pc: None,
-            open_calls: Vec::with_capacity(64),
-            finishing: Vec::with_capacity(8),
-            target_trackers: Vec::with_capacity(8),
+            retired: 0,
+            recorded_block: None,
+            open_calls: VecDeque::with_capacity(65),
+            finishing: VecDeque::with_capacity(16),
+            target_trackers: VecDeque::with_capacity(8),
             pending_prefill: Vec::with_capacity(32),
+            prefill_clean_at: None,
             stats: ShotgunStats::default(),
         }
     }
@@ -162,42 +207,39 @@ impl Shotgun {
             self.bb_start = Some(instr.pc);
         }
         self.expected_pc = Some(instr.next_pc());
+        self.retired += 1;
         let block = instr.block();
-        // Footprint accumulation: only the innermost open call records.
-        if let Some(t) = self.open_calls.last_mut() {
-            let delta = block as i64 - t.target_block as i64;
-            if (0..8).contains(&delta) {
-                t.fp |= 1 << delta;
+        // Footprint accumulation: the innermost open call, the
+        // time-bounded target trackers (jumps and indirects included)
+        // and the return trackers record the block. Recording is
+        // idempotent, so a run of instructions in one block records
+        // once, unless a tracker opened within the run.
+        if self.recorded_block != Some(block) {
+            self.recorded_block = Some(block);
+            if let Some(t) = self.open_calls.back_mut() {
+                t.footprint.note(block);
+            }
+            for t in &mut self.target_trackers {
+                t.footprint.note(block);
+            }
+            for r in &mut self.finishing {
+                r.footprint.note(block);
             }
         }
-        // Time-bounded target trackers (jumps and indirects included).
-        self.target_trackers.retain_mut(|t| {
-            let delta = block as i64 - t.anchor as i64;
-            if (0..8).contains(&delta) {
-                t.fp |= 1 << delta;
+        // Trackers expire in the order they opened.
+        if let Some(t) = self.target_trackers.front() {
+            if t.deadline == self.retired {
+                self.btb.learn_footprints(t.bb, t.footprint.fp, 0);
+                self.target_trackers.pop_front();
             }
-            t.remaining -= 1;
-            if t.remaining == 0 {
-                self.btb.learn_footprints(t.bb, t.fp, 0);
-                false
-            } else {
-                true
+        }
+        if let Some(r) = self.finishing.front() {
+            if r.deadline == self.retired {
+                self.btb
+                    .learn_footprints(r.call_bb, r.call_fp, r.footprint.fp);
+                self.finishing.pop_front();
             }
-        });
-        // Return-footprint accumulation.
-        self.finishing.retain_mut(|r| {
-            let delta = block as i64 - r.ret_block as i64;
-            if (0..8).contains(&delta) {
-                r.fp |= 1 << delta;
-            }
-            r.remaining -= 1;
-            if r.remaining == 0 {
-                self.btb.learn_footprints(r.call_bb, r.call_fp, r.fp);
-                false
-            } else {
-                true
-            }
-        });
+        }
 
         let Some(start) = self.bb_start else {
             self.bb_start = Some(instr.pc);
@@ -215,18 +257,17 @@ impl Shotgun {
             if self.btb.peek_u_footprint(start) == Some(true) {
                 self.stats.dyn_footprint_hits += 1;
             }
-            {
-                if self.target_trackers.len() == 8 {
-                    let t = self.target_trackers.remove(0);
-                    self.btb.learn_footprints(t.bb, t.fp, 0);
+            if self.target_trackers.len() == 8 {
+                if let Some(t) = self.target_trackers.pop_front() {
+                    self.btb.learn_footprints(t.bb, t.footprint.fp, 0);
                 }
-                self.target_trackers.push(TargetTracker {
-                    bb: start,
-                    anchor: block_of(instr.target),
-                    fp: 0,
-                    remaining: 24,
-                });
             }
+            self.target_trackers.push_back(TargetTracker {
+                bb: start,
+                footprint: Footprint::new(block_of(instr.target)),
+                deadline: self.retired + TARGET_WINDOW,
+            });
+            self.recorded_block = None;
         }
         match instr.kind {
             InstrKind::CondBranch { .. } => {
@@ -247,26 +288,26 @@ impl Shotgun {
                     BranchClass::IndirectCall
                 };
                 self.btb.insert_u(start, instr.pc, instr.target, class);
-                self.open_calls.push(CallTracker {
+                self.open_calls.push_back(CallTracker {
                     call_bb: start,
-                    target_block: block_of(instr.target),
-                    fp: 0,
+                    footprint: Footprint::new(block_of(instr.target)),
                 });
                 if self.open_calls.len() > 64 {
-                    self.open_calls.remove(0);
+                    self.open_calls.pop_front();
                 }
             }
             InstrKind::Return => {
                 self.btb.insert_r(start, instr.pc);
-                if let Some(t) = self.open_calls.pop() {
-                    self.finishing.push(RetTracker {
+                if let Some(t) = self.open_calls.pop_back() {
+                    self.finishing.push_back(RetTracker {
                         call_bb: t.call_bb,
-                        ret_block: block_of(instr.target),
-                        fp: 0,
-                        remaining: 16,
-                        call_fp: t.fp,
+                        call_fp: t.footprint.fp,
+                        footprint: Footprint::new(block_of(instr.target)),
+                        deadline: self.retired + RETURN_WINDOW,
                     });
                 }
+                // The caller's call tracker is innermost again.
+                self.recorded_block = None;
             }
             InstrKind::Other => unreachable!(),
         }
@@ -284,6 +325,19 @@ impl Shotgun {
         self.stall
     }
 
+    /// Whether [`advance`](Self::advance) would change nothing until
+    /// the L1i fills again: no prefill scan is owed, and discovery is
+    /// parked, waiting for an absent block, or facing a full FTQ with
+    /// no reactive fill pending.
+    pub fn is_quiescent<C: RunaheadContext + ?Sized>(&self, ctx: &C, ftq: &Ftq) -> bool {
+        self.prefill_clean_at == Some(ctx.l1i_fills())
+            && (self.parked
+                || match self.stall {
+                    Some(block) => !ctx.block_present(block),
+                    None => ftq.is_full(),
+                })
+    }
+
     /// Core redirect: squash and restart discovery at `pc`.
     pub fn redirect(&mut self, pc: Addr, ftq: &mut Ftq) {
         ftq.clear();
@@ -297,7 +351,7 @@ impl Shotgun {
     /// Runs discovery for one cycle (mirrors
     /// [`crate::boomerang::Boomerang::advance`], plus footprint bulk
     /// prefetching).
-    pub fn advance(&mut self, ctx: &mut dyn RunaheadContext, ftq: &mut Ftq) {
+    pub fn advance<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, ftq: &mut Ftq) {
         self.drain_prefill(ctx);
         if self.parked {
             return;
@@ -322,7 +376,7 @@ impl Shotgun {
     }
 
     /// One discovery step; returns `false` when the engine stalled.
-    fn step(&mut self, ctx: &mut dyn RunaheadContext, ftq: &mut Ftq) -> bool {
+    fn step<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, ftq: &mut Ftq) -> bool {
         // Search the three structures (hardware does so in parallel).
         if let Some(e) = self.btb.lookup_u(self.cursor) {
             let fallthrough = e.end + 4;
@@ -396,7 +450,7 @@ impl Shotgun {
     /// Reactive fill that follows a basic block spanning multiple cache
     /// blocks (bounded scan; parks for a core redirect on pathological
     /// runs). Returns `true` when the cursor's basic block resolved.
-    fn fill_or_scan(&mut self, ctx: &mut dyn RunaheadContext, block: Block) -> bool {
+    fn fill_or_scan<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, block: Block) -> bool {
         if self.reactive_fill(ctx, block) {
             self.scan_len = 0;
             return true;
@@ -417,7 +471,13 @@ impl Shotgun {
         false
     }
 
-    fn push_region(&mut self, ctx: &mut dyn RunaheadContext, ftq: &mut Ftq, end: Addr, next: Addr) {
+    fn push_region<C: RunaheadContext + ?Sized>(
+        &mut self,
+        ctx: &mut C,
+        ftq: &mut Ftq,
+        end: Addr,
+        next: Addr,
+    ) {
         let region = FtqEntry {
             start: self.cursor,
             end,
@@ -441,13 +501,18 @@ impl Shotgun {
                 self.pending_prefill.remove(0);
             }
             self.pending_prefill.push(block);
+            self.prefill_clean_at = None;
         }
     }
 
     /// Proactive BTB prefilling: pre-decode prefetched blocks as they
     /// arrive and insert the recoverable basic blocks (conditional
     /// branches especially — the tiny C-BTB lives off this).
-    fn drain_prefill(&mut self, ctx: &mut dyn RunaheadContext) {
+    fn drain_prefill<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C) {
+        let fills = ctx.l1i_fills();
+        if self.prefill_clean_at == Some(fills) {
+            return;
+        }
         let mut i = 0;
         let mut filled = 0;
         while i < self.pending_prefill.len() && filled < 2 {
@@ -460,12 +525,14 @@ impl Shotgun {
                 i += 1;
             }
         }
+        // A scan stopped by the cap may have left arrived blocks behind.
+        self.prefill_clean_at = (filled < 2).then_some(fills);
     }
 
     /// Inserts every basic block recoverable from `block`'s pre-decode:
     /// fall-through pairs between consecutive branches, plus the block
     /// base when it starts a basic block.
-    fn prefill_from_block(&mut self, ctx: &mut dyn RunaheadContext, block: Block) {
+    fn prefill_from_block<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, block: Block) {
         let branches = ctx.predecode(block);
         if branches.is_empty() {
             return;
@@ -493,7 +560,7 @@ impl Shotgun {
     /// Pre-decodes `block` and prefills the split BTB (targets in the
     /// encoding only — footprints cannot be prefilled). Returns `true`
     /// if the cursor's basic block was resolved.
-    fn reactive_fill(&mut self, ctx: &mut dyn RunaheadContext, block: Block) -> bool {
+    fn reactive_fill<C: RunaheadContext + ?Sized>(&mut self, ctx: &mut C, block: Block) -> bool {
         let branches = ctx.predecode(block);
         self.stats.reactive_fills += 1;
         let mut insert = |start: Addr, b: &dcfb_frontend::BtbEntry| match b.class {
@@ -710,6 +777,70 @@ mod tests {
         ));
         assert!(s.btb.lookup_c(0x1000_2000).is_none());
         assert_eq!(s.btb.lookup_c(0x3000), Some((0x3004, 0x3100)));
+    }
+
+    #[test]
+    fn target_tracker_records_the_branchs_own_block() {
+        // A jump within block 0x40 (0x1008 -> 0x1010): the tracker is
+        // anchored at the jump's own block, and the instructions after
+        // the jump still retire in it before moving on to block 0x41.
+        let mut s = small();
+        retire_run(&mut s, 0x1000, 0x1008);
+        s.on_retire(&Instr::branch(0x1008, 4, InstrKind::Jump, 0x1010));
+        retire_run(&mut s, 0x1010, 0x1010 + 4 * TARGET_WINDOW);
+        let e = s.btb.lookup_u(0x1000).expect("jump bb learned");
+        assert_eq!(e.call_footprint, 0b11, "blocks 0x40 and 0x41");
+    }
+
+    #[test]
+    fn prefill_scan_waits_for_a_fill() {
+        let mut s = small();
+        s.parked = true; // discovery idle: `advance` only drains prefills
+        let mut ftq = Ftq::new(8);
+        let mut ctx = MockContext::default();
+        s.queue_prefill(0x80);
+        s.advance(&mut ctx, &mut ftq); // scans; 0x80 has not arrived
+        assert!(s.is_quiescent(&ctx, &ftq));
+        // 0x80 shows up without the L1i fill count moving: no rescan.
+        ctx.resident.insert(0x80);
+        ctx.code.insert(
+            0x80,
+            vec![BtbEntry {
+                pc: 0x2004,
+                target: 0x2100,
+                class: BranchClass::Conditional,
+            }],
+        );
+        s.advance(&mut ctx, &mut ftq);
+        assert_eq!(s.pending_prefill, [0x80]);
+        assert!(s.btb.lookup_c(0x2000).is_none());
+        // A fill: the next cycle rescans and prefills the C-BTB.
+        ctx.fills += 1;
+        assert!(!s.is_quiescent(&ctx, &ftq));
+        s.advance(&mut ctx, &mut ftq);
+        assert!(s.pending_prefill.is_empty());
+        assert_eq!(s.btb.lookup_c(0x2000), Some((0x2004, 0x2100)));
+    }
+
+    #[test]
+    fn prefill_scan_resumes_after_its_cap() {
+        // Three arrived blocks, two prefills per cycle: the third waits
+        // one cycle, though no further fill happens.
+        let mut s = small();
+        s.parked = true;
+        let mut ftq = Ftq::new(8);
+        let mut ctx = MockContext::default();
+        for b in [0x80, 0x81, 0x82] {
+            s.queue_prefill(b);
+            ctx.resident.insert(b);
+        }
+        ctx.fills += 1;
+        s.advance(&mut ctx, &mut ftq);
+        assert_eq!(s.pending_prefill.len(), 1);
+        assert!(!s.is_quiescent(&ctx, &ftq));
+        s.advance(&mut ctx, &mut ftq);
+        assert!(s.pending_prefill.is_empty());
+        assert!(s.is_quiescent(&ctx, &ftq));
     }
 
     #[test]

@@ -172,8 +172,9 @@ impl SimConfig {
                     pow2("SeqTable entries", c.seq_entries)?;
                     pow2("DisTable entries", c.dis_entries)?;
                     nonzero("RLU entries", c.rlu_entries as u64)?;
-                    nonzero("queue_capacity", c.queue_capacity as u64)?;
-                    nonzero("max_depth", u64::from(c.max_depth))
+                    // `max_depth` 0 is valid: first-level prefetches only,
+                    // no chaining (the ablation's "chain depth 0" row).
+                    nonzero("queue_capacity", c.queue_capacity as u64)
                 }
                 PrefetcherKind::Confluence(c) => {
                     nonzero("SHIFT history entries", c.history_entries as u64)?;
@@ -360,6 +361,18 @@ mod tests {
         cfg.prefetcher = PrefetcherKind::Composed {
             label: "ok",
             parts: vec![PrefetcherKind::NextLine(2), PrefetcherKind::Discontinuity],
+        };
+        assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_accepts_chain_depth_zero() {
+        let cfg = SimConfig {
+            prefetcher: PrefetcherKind::Sn4lDis(dcfb_prefetch::Sn4lDisConfig {
+                max_depth: 0,
+                ..Default::default()
+            }),
+            ..SimConfig::default()
         };
         assert!(cfg.validate().is_ok());
     }

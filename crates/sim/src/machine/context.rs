@@ -92,4 +92,8 @@ impl RunaheadContext for Machine {
         let span = self.predecode_span(block, self.code.block_slot(block));
         self.branches.get(span)
     }
+
+    fn l1i_fills(&self) -> u64 {
+        self.l1i.fill_count()
+    }
 }

@@ -58,7 +58,7 @@ use crate::config::{SimConfig, MSHRS, PREFETCH_BUFFER_ENTRIES};
 use dcfb_cache::{Completion, MshrFile, PrefetchBuffer, SetAssocCache};
 use dcfb_frontend::{BranchStore, Btb, ReturnAddressStack, Tage, TageConfig};
 use dcfb_prefetch::{BtbPrefetchBuffer, RecentInstrs};
-use dcfb_telemetry::{RunTelemetry, SlotKey, SlotTable, StallKind};
+use dcfb_telemetry::{CycleSample, RunTelemetry, SlotKey, SlotTable, StallKind};
 use dcfb_trace::{Block, CodeMemory};
 use dcfb_uncore::Uncore;
 use std::sync::Arc;
@@ -181,6 +181,25 @@ impl Machine {
             perfect_l1i: cfg.perfect_l1i,
             stats: RawStats::default(),
             telem: cfg.telemetry.then(|| Box::new(RunTelemetry::new())),
+        }
+    }
+
+    /// The telemetry sample of the current cycle, given the driver's
+    /// `(FTQ occupancy, RLU counters)` (see `FrontendDriver::sample`).
+    pub(crate) fn cycle_sample(&self, driver: (Option<u64>, Option<(u64, u64)>)) -> CycleSample {
+        let (ftq_occ, rlu) = driver;
+        let btb = self.btb.stats();
+        CycleSample {
+            cycle: self.cycle,
+            instrs: self.stats.instrs,
+            demand_misses: self.l1i.stats().demand_misses,
+            pf_issued: self.stats.issued_prefetches,
+            btb_lookups: btb.lookups,
+            btb_hits: btb.hits,
+            rlu_lookups: rlu.map_or(0, |(l, _)| l),
+            rlu_hits: rlu.map_or(0, |(_, h)| h),
+            ftq_occupancy: ftq_occ,
+            mshr_occupancy: self.mshr.occupancy() as u64,
         }
     }
 }

@@ -8,7 +8,7 @@ use super::{Machine, RawStats};
 use crate::config::{SimConfig, FETCH_WIDTH};
 use crate::metrics::SimReport;
 use dcfb_errors::DcfbError;
-use dcfb_telemetry::{CycleSample, RunCounts, RunMeta, StallKind, TelemetryReport, SAMPLE_EVERY};
+use dcfb_telemetry::{RunCounts, RunMeta, StallKind, TelemetryReport};
 use dcfb_trace::{Addr, CodeMemory, Instr, InstrStream};
 use std::sync::Arc;
 
@@ -30,14 +30,6 @@ pub struct Simulator {
     /// (`stats.instrs` resets at the warmup/measure boundary; the
     /// lifetime count is `instrs_base + stats.instrs`).
     instrs_base: u64,
-    /// Telemetry sampling stride: the per-cycle sampler runs once
-    /// every this many cycles (1 when telemetry is off or unsampled).
-    telem_stride: u64,
-    /// Cycles since the last telemetry sample; primed to `stride - 1`
-    /// at construction and at the warmup/measure boundary so the first
-    /// cycle of each window is sampled (keeping the recorder's
-    /// cumulative-difference window series exact).
-    telem_phase: u64,
 }
 
 impl Simulator {
@@ -94,11 +86,6 @@ impl Simulator {
         driver: Driver,
     ) -> Self {
         let machine = Machine::new(&cfg, code, workload_name);
-        let telem_stride = if machine.telem.is_some() {
-            SAMPLE_EVERY
-        } else {
-            1
-        };
         Simulator {
             cfg,
             machine,
@@ -107,8 +94,6 @@ impl Simulator {
             retire_clock: 0.0,
             retire_mark: 0.0,
             instrs_base: 0,
-            telem_stride,
-            telem_phase: telem_stride.saturating_sub(1),
         }
     }
 
@@ -150,41 +135,19 @@ impl Simulator {
         }
     }
 
-    /// Builds the per-cycle telemetry sample from current machine and
-    /// driver state. Only called when telemetry is on.
-    fn cycle_sample(&self) -> CycleSample {
-        let (ftq_occ, rlu) = self.driver.sample();
-        let m = &self.machine;
-        let btb = m.btb.stats();
-        CycleSample {
-            cycle: m.cycle,
-            instrs: m.stats.instrs,
-            demand_misses: m.l1i.stats().demand_misses,
-            pf_issued: m.stats.issued_prefetches,
-            btb_lookups: btb.lookups,
-            btb_hits: btb.hits,
-            rlu_lookups: rlu.map_or(0, |(l, _)| l),
-            rlu_hits: rlu.map_or(0, |(_, h)| h),
-            ftq_occupancy: ftq_occ,
-            mshr_occupancy: m.mshr.occupancy() as u64,
-        }
-    }
-
     /// Per-cycle telemetry sample; with telemetry off this is a single
     /// never-taken branch. With telemetry on, the (comparatively
-    /// expensive) machine/driver state sample is built only once per
-    /// sampling stride; the recorder weights each observation by the
+    /// expensive) machine/driver state sample is built only on the
+    /// cycles the recorder samples; it weights each observation by the
     /// stride so occupancy statistics still estimate per-cycle totals.
     fn telemetry_tick(&mut self) {
-        if self.machine.telem.is_none() {
+        let Some(t) = self.machine.telem.as_deref_mut() else {
+            return;
+        };
+        if !t.sample_due() {
             return;
         }
-        self.telem_phase += 1;
-        if self.telem_phase < self.telem_stride {
-            return;
-        }
-        self.telem_phase = 0;
-        let s = self.cycle_sample();
+        let s = self.machine.cycle_sample(self.driver.sample());
         if let Some(t) = self.machine.telem.as_deref_mut() {
             t.tick(&s);
         }
@@ -195,7 +158,7 @@ impl Simulator {
     /// report: metrics document, time series, and trace events. After
     /// this call the simulator records no further telemetry.
     pub fn take_telemetry(&mut self) -> Option<TelemetryReport> {
-        let final_sample = self.cycle_sample();
+        let final_sample = self.machine.cycle_sample(self.driver.sample());
         let telem = self.machine.telem.take()?;
         let r = self.report();
         let (s, l1i) = (&self.machine.stats, self.machine.l1i.stats());
@@ -230,10 +193,6 @@ impl Simulator {
         if let Some(t) = self.machine.telem.as_deref_mut() {
             t.reset();
         }
-        // Re-prime the sampler so the first measured cycle is sampled:
-        // the recorder's first post-reset tick re-snaps its cumulative
-        // counters at the measurement-window start.
-        self.telem_phase = self.telem_stride.saturating_sub(1);
         self.instrs_base += self.machine.stats.instrs;
         self.machine.stats = RawStats::default();
         self.machine.l1i.reset_stats();

@@ -118,6 +118,9 @@ pub struct RunTelemetry {
     ftq_samples: u64,
     events: Vec<TraceEvent>,
     dropped_events: u64,
+    /// Cycles counted by [`RunTelemetry::sample_due`] since the last
+    /// sampled one.
+    phase: u64,
 }
 
 impl Default for RunTelemetry {
@@ -141,7 +144,23 @@ impl RunTelemetry {
             ftq_samples: 0,
             events: Vec::new(),
             dropped_events: 0,
+            phase: SAMPLE_EVERY - 1,
         }
+    }
+
+    /// Counts one simulated cycle and returns whether it is sampled:
+    /// the first cycle after construction or [`reset`](Self::reset),
+    /// then every [`SAMPLE_EVERY`]th. The simulator calls this once per
+    /// cycle, including cycles it skips in bulk, and calls
+    /// [`tick`](Self::tick) with that cycle's sample when it says so.
+    #[inline]
+    pub fn sample_due(&mut self) -> bool {
+        self.phase += 1;
+        if self.phase < SAMPLE_EVERY {
+            return false;
+        }
+        self.phase = 0;
+        true
     }
 
     /// Sampled-cycle observation: occupancy histograms plus window
@@ -305,6 +324,9 @@ impl RunTelemetry {
         self.ftq_samples = 0;
         self.events.clear();
         self.dropped_events = 0;
+        // The first cycle of the new window is sampled, so its first
+        // tick re-snaps the cumulative counters at the window start.
+        self.phase = SAMPLE_EVERY - 1;
     }
 
     /// Combined timeliness tallies for `source` (L1i + BTB trackers).
